@@ -24,14 +24,7 @@ import numpy as np
 from . import global_mme, local_mme, oracle
 from .errors import GaplessSpectrum, HeatNetError
 from .gaussian import correlations, covariance_global, covariance_local
-from .model import (
-    _FLOAT_KEYS,
-    NetworkParams,
-    Statistics,
-    load_config,
-    normal_mode_basis,
-    validate,
-)
+from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
 COLUMNS = (
     "approach",
@@ -77,17 +70,6 @@ class SweepAxis:
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A full sweep: one or two axes over a fixed base parameter set."""
-
-    axis1: SweepAxis
-    axis2: SweepAxis | None
-    fixed: NetworkParams
-    approaches: tuple[str, ...]
-    n_max: int = 12
 
 
 def parse_axis(text: str) -> SweepAxis:
@@ -148,11 +130,10 @@ def _local_row(params: NetworkParams, with_correlations: bool) -> dict:
 def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
     row = _base_row("global", params)
     state = global_mme.steady_state(params)
-    basis = normal_mode_basis(params)
     row.update(
         n_A=state.nA,
         n_B=state.nB,
-        X=2.0 * basis.cs * (state.n_plus - state.n_minus),
+        X=2.0 * state.basis.cs * (state.n_plus - state.n_minus),
         Y=0.0,
         n_plus=state.n_plus,
         n_minus=state.n_minus,
@@ -162,7 +143,8 @@ def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
         secular_warning=state.secular_warning,
     )
     if with_correlations:
-        _fill_correlations(row, correlations(covariance_global(basis, state.n_plus, state.n_minus)))
+        covariance = covariance_global(state.basis, state.n_plus, state.n_minus)
+        _fill_correlations(row, correlations(covariance))
     return row
 
 
@@ -245,19 +227,6 @@ def sweep_blocks(
             block.extend(run_point(params, approaches, n_max, with_correlations))
         blocks.append(block)
     return blocks
-
-
-def run_sweep(spec: SweepSpec) -> list[list[dict]]:
-    axis2 = spec.axis2
-    return sweep_blocks(
-        spec.fixed,
-        spec.axis1.name,
-        spec.axis1.values(),
-        axis2.name if axis2 is not None else None,
-        axis2.values() if axis2 is not None else None,
-        spec.approaches,
-        spec.n_max,
-    )
 
 
 # --- figure presets ---------------------------------------------------------
@@ -385,11 +354,7 @@ def _params_from_args(args: argparse.Namespace) -> NetworkParams:
             updates[name] = value
     if args.statistics is not None:
         updates["statistics"] = Statistics(args.statistics)
-    params = replace(params, **updates)
-    # a base parameter set broken before any sweeping is a usage error,
-    # not a per-row one; swept values are still judged row by row
-    validate(params)
-    return params
+    return replace(params, **updates)
 
 
 def _approaches_from_args(args: argparse.Namespace) -> tuple[str, ...]:
@@ -451,13 +416,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis2", help="optional second axis, same format")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    for name, handler, doc in (
-        ("fig2", _cmd_fig2, "local entropy-production sign map over (omega_h, T_h)"),
-        ("fig3", _cmd_fig3, "coupling sweep comparing both treatments"),
-        ("fig4", _cmd_fig4, "omega_h sweep through resonance, both treatments"),
+    for name, preset, doc in (
+        ("fig2", preset_fig2, "local entropy-production sign map over (omega_h, T_h)"),
+        ("fig3", preset_fig3, "coupling sweep comparing both treatments"),
+        ("fig4", preset_fig4, "omega_h sweep through resonance, both treatments"),
     ):
         p = sub.add_parser(name, parents=[output], help=doc)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=lambda args, preset=preset: preset())
     return parser
 
 
@@ -467,26 +432,18 @@ def _cmd_point(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dic
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    spec = SweepSpec(
-        axis1=parse_axis(args.axis1),
-        axis2=parse_axis(args.axis2) if args.axis2 else None,
-        fixed=_params_from_args(args),
-        approaches=_approaches_from_args(args),
-        n_max=args.nmax,
+    axis1 = parse_axis(args.axis1)
+    axis2 = parse_axis(args.axis2) if args.axis2 else None
+    blocks = sweep_blocks(
+        _params_from_args(args),
+        axis1.name,
+        axis1.values(),
+        axis2.name if axis2 is not None else None,
+        axis2.values() if axis2 is not None else None,
+        _approaches_from_args(args),
+        args.nmax,
     )
-    return COLUMNS, run_sweep(spec)
-
-
-def _cmd_fig2(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    return preset_fig2()
-
-
-def _cmd_fig3(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    return preset_fig3()
-
-
-def _cmd_fig4(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    return preset_fig4()
+    return COLUMNS, blocks
 
 
 def main(argv=None) -> int:
@@ -495,8 +452,9 @@ def main(argv=None) -> int:
     try:
         columns, blocks = args.handler(args)
     except (ValueError, HeatNetError) as exc:
-        # Bad config files and malformed axis specs are usage errors; per-point
-        # failures inside a sweep never reach here, they land in the error column.
+        # Bad config files, malformed axis specs and parameters outside the
+        # domain (base or swept) are usage errors; a valid point that fails
+        # to solve lands in the error column instead.
         print(f"qheatnet: error: {exc}", file=sys.stderr)
         return 2
     render = render_gnuplot if args.gnuplot else render_csv

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import bath
 from .errors import UnsupportedStatistics
-from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, validate
+from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
@@ -42,6 +42,7 @@ class GlobalSteadyState:
     J_c: float
     sigma: float
     secular_warning: bool
+    basis: NormalModeBasis  # the rotation the occupations were solved in
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class LocalBasisGenerator:
 
 
 def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, float, float, float]]:
-    validate(params)
     if params.statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("the global treatment is defined for bosonic nodes only")
     basis = normal_mode_basis(params)
@@ -117,6 +117,7 @@ def steady_state(params: NetworkParams) -> GlobalSteadyState:
         J_c=J_c,
         sigma=sigma,
         secular_warning=bool(warning),
+        basis=basis,
     )
 
 

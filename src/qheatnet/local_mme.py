@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bath
 from .errors import SingularSystem
-from .model import NetworkParams, validate
+from .model import NetworkParams
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class LocalSteadyState:
     J_h: float
     J_c: float
     sigma: float
-    prefactor_F: float  # J_h = (exp(beta_c omega_c) - exp(beta_h omega_h)) * F, F >= 0
 
 
 def _coefficients(params: NetworkParams) -> tuple[float, float, float, float, float, float]:
@@ -76,7 +75,6 @@ def _coefficients(params: NetworkParams) -> tuple[float, float, float, float, fl
 
 def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix A and inhomogeneity v of dx/dt = A x + v for x = (nA, nB, X, Y)."""
-    validate(params)
     gamma_h, gamma_c, w_h, w_c, G_h, G_c = _coefficients(params)
     eps = params.epsilon
     gap = params.omega_h - params.omega_c
@@ -99,10 +97,13 @@ def moment_rhs(params: NetworkParams, state: MomentState) -> MomentState:
     return MomentState.from_array(A @ state.as_array() + v)
 
 
-def _currents(params: NetworkParams, x: np.ndarray) -> tuple[float, float]:
-    gamma_h, gamma_c, w_h, w_c, G_h, G_c = _coefficients(params)
-    J_h = params.omega_h * (gamma_h * w_h - G_h * x[0]) - 0.5 * params.epsilon * G_h * x[2]
-    J_c = params.omega_c * (gamma_c * w_c - G_c * x[1]) - 0.5 * params.epsilon * G_c * x[2]
+def _currents(
+    params: NetworkParams, A: np.ndarray, v: np.ndarray, x: np.ndarray
+) -> tuple[float, float]:
+    # A's diagonal holds -G_h, -G_c and v holds gamma_h w_h, gamma_c w_c.
+    G_h, G_c = -A[0, 0], -A[1, 1]
+    J_h = params.omega_h * (v[0] - G_h * x[0]) - 0.5 * params.epsilon * G_h * x[2]
+    J_c = params.omega_c * (v[1] - G_c * x[1]) - 0.5 * params.epsilon * G_c * x[2]
     return float(J_h), float(J_c)
 
 
@@ -113,12 +114,9 @@ def steady_state(params: NetworkParams) -> LocalSteadyState:
         x = np.linalg.solve(A, -v)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"moment drift matrix is singular: {exc}") from exc
-    J_h, J_c = _currents(params, x)
+    J_h, J_c = _currents(params, A, v, x)
     sigma = -J_h / params.T_h - J_c / params.T_c
-    _, F = heat_current_closed_form(params)
-    return LocalSteadyState(
-        moments=MomentState.from_array(x), J_h=J_h, J_c=J_c, sigma=sigma, prefactor_F=F
-    )
+    return LocalSteadyState(moments=MomentState.from_array(x), J_h=J_h, J_c=J_c, sigma=sigma)
 
 
 def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
@@ -129,7 +127,6 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     the hot current is therefore carried entirely by the exponential
     difference.  Independent of steady_state(), which solves the 4x4 system.
     """
-    validate(params)
     gamma_h, gamma_c, _, _, _, _ = _coefficients(params)
     d = params.delta
     eps = params.epsilon

@@ -42,7 +42,11 @@ class Statistics(Enum):
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Full parameter set of one transport configuration."""
+    """Full parameter set of one transport configuration.
+
+    Every instance is valid: construction, dataclasses.replace included,
+    runs `validate` and raises its typed errors.
+    """
 
     omega_h: float = 10.0  # node A frequency (hot side)
     omega_c: float = 5.0  # node B frequency (cold side)
@@ -51,6 +55,9 @@ class NetworkParams:
     T_c: float = 10.0  # cold bath temperature
     kappa: float = 1e-7  # prefactor of the cubic spectral response
     statistics: Statistics = Statistics.BOSON
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def beta_h(self) -> float:
@@ -69,7 +76,8 @@ def validate(params: NetworkParams) -> NetworkParams:
     """Check a parameter set and return it unchanged.
 
     Raises NonPositiveParameter for non-positive (or non-finite) frequencies,
-    temperatures or kappa, and NegativeCoupling for epsilon < 0.
+    temperatures or kappa, NegativeCoupling for epsilon < 0, and
+    UnsupportedStatistics when statistics is not a Statistics member.
     """
     positive = {
         "omega_h": params.omega_h,
@@ -135,7 +143,6 @@ def normal_mode_basis(params: NetworkParams) -> NormalModeBasis:
     eigenfrequency would not be positive) and UnsupportedStatistics for TLS
     nodes, whose bilinears do not close under the rotation.
     """
-    validate(params)
     if params.statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
     det = params.omega_h * params.omega_c - params.epsilon**2
@@ -186,7 +193,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def params_from_mapping(mapping: dict[str, str], base: NetworkParams | None = None) -> NetworkParams:
-    """Overlay string-valued settings on a base parameter set and validate."""
+    """Overlay string-valued settings on a base parameter set."""
     params = base if base is not None else NetworkParams()
     updates: dict[str, object] = {}
     for key, value in mapping.items():
@@ -199,7 +206,7 @@ def params_from_mapping(mapping: dict[str, str], base: NetworkParams | None = No
                 raise ValueError(f"statistics must be one of {{boson, tls}}, got {value!r}") from None
         else:
             raise ValueError(f"unknown parameter {key!r}")
-    return validate(replace(params, **updates))
+    return replace(params, **updates)
 
 
 def load_config(path: str, base: NetworkParams | None = None) -> NetworkParams:

@@ -34,7 +34,7 @@ from .errors import (
 from .gaussian import CovarianceMatrix
 from .global_mme import DissipationChannel
 from .local_mme import MomentState
-from .model import NetworkParams, Statistics, normal_mode_basis, validate
+from .model import NetworkParams, Statistics, normal_mode_basis
 
 RESIDUAL_TOLERANCE = 1e-10
 NEGATIVITY_TOLERANCE = 1e-10
@@ -148,7 +148,6 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
     and are rejected outright; whether a given n_max is large enough for a
     given parameter set is checked a posteriori by steady_state.
     """
-    validate(params)
     if params.statistics is Statistics.TLS:
         if approach is Generator.GLOBAL:
             raise UnsupportedStatistics("the global treatment is defined for bosonic nodes only")
@@ -330,7 +329,6 @@ def suggested_nmax(params: NetworkParams, approach: Generator = Generator.LOCAL)
     like exp(-beta omega (n_max + 1)).  Exact for two-level nodes, where the
     space is complete at n_max = 1.
     """
-    validate(params)
     if params.statistics is Statistics.TLS:
         return 1
     if approach is Generator.GLOBAL:

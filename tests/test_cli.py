@@ -8,6 +8,7 @@ dash/nan placeholders).  Presets are smoke-checked for shape only; their
 physics is covered by the acceptance tests.
 """
 
+import math
 import subprocess
 import sys
 
@@ -116,6 +117,22 @@ def test_sweep_survives_gapless_points(capsys):
     assert by_eps[1.5]["J_h"] == ""
 
 
+@pytest.mark.parametrize(
+    "params",
+    [NetworkParams(omega_h=10.0, T_h=0.012), NetworkParams(kappa=1e-300)],
+    ids=["omega_over_T_833", "kappa_1e-300"],
+)
+def test_run_point_is_independent_of_the_local_closed_form(params):
+    # The local closed form overflows (exp(833)) or divides by zero
+    # (kappa = 1e-300) here; the solved rows must not depend on it.
+    rows = cli.run_point(params, ("local", "global"))
+    assert [r["approach"] for r in rows] == ["local", "global"]
+    for row in rows:
+        assert row["error"] == ""
+        assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"])
+        assert abs(row["J_h"] + row["J_c"]) <= 1e-10 * max(1.0, abs(row["J_h"]))
+
+
 def test_oracle_rows_agree_with_the_closed_forms(capsys):
     argv = ["point", "--statistics", "tls", "--approach", "local", "--oracle"]
     assert cli.main(argv) == 0
@@ -183,6 +200,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # whole-command parameter errors are usage errors too
     assert cli.main(["point", "--T-h", "-4"]) == 2
     assert "T_h" in capsys.readouterr().err
+    # so is a swept value outside the domain, and nothing is written
+    assert cli.main(["sweep", "--approach", "local", "--axis1", "T_h:-1:1:3:lin"]) == 2
+    captured = capsys.readouterr()
+    assert "T_h" in captured.err
+    assert captured.out == ""
 
 
 def test_fig3_preset_shape(capsys):

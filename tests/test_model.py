@@ -1,6 +1,7 @@
 """Parameter validation, thermal occupations, normal modes, config parsing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,19 +33,32 @@ def test_defaults_are_valid():
 @pytest.mark.parametrize("field", ["omega_h", "omega_c", "T_h", "T_c", "kappa"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_positive_fields_rejected(field, bad):
-    with pytest.raises(NonPositiveParameter):
-        validate(NetworkParams(**{field: bad}))
+    with pytest.raises(NonPositiveParameter, match=field):
+        NetworkParams(**{field: bad})
+    with pytest.raises(NonPositiveParameter, match=field):
+        replace(NetworkParams(), **{field: bad})
 
 
 def test_negative_coupling_rejected():
     with pytest.raises(NegativeCoupling):
-        validate(NetworkParams(epsilon=-1e-6))
+        NetworkParams(epsilon=-1e-6)
+    with pytest.raises(NegativeCoupling):
+        replace(NetworkParams(), epsilon=-1e-6)
     validate(NetworkParams(epsilon=0.0))  # zero coupling is a valid network
 
 
 def test_non_finite_coupling_rejected():
     with pytest.raises(NonPositiveParameter):
-        validate(NetworkParams(epsilon=float("nan")))
+        NetworkParams(epsilon=float("nan"))
+    with pytest.raises(NonPositiveParameter):
+        replace(NetworkParams(), epsilon=float("inf"))
+
+
+def test_statistics_must_be_the_enum():
+    with pytest.raises(UnsupportedStatistics):
+        NetworkParams(statistics="boson")
+    with pytest.raises(UnsupportedStatistics):
+        replace(NetworkParams(), statistics="tls")
 
 
 def test_statistics_delta():
