@@ -14,7 +14,7 @@ at the dressed normal-mode frequencies omega_+-.
 import math
 from dataclasses import dataclass
 
-from .errors import NegativeFrequency, NonPositiveParameter
+from .errors import NegativeFrequency, NonPositiveParameter, RateOverflow
 from .model import NetworkParams, NormalModeBasis
 
 
@@ -39,6 +39,7 @@ def rate(bath: BathSpec, omega: float) -> float:
     factor); small omega/T is handled through expm1, so the omega -> 0
     behaviour kappa * T * omega**2 comes out to machine precision.  Negative
     frequencies are a caller bug, not a limit, and raise NegativeFrequency.
+    A rate beyond the float range raises RateOverflow.
     """
     if not math.isfinite(omega):
         raise NegativeFrequency(f"transition frequency must be finite, got {omega!r}")
@@ -46,7 +47,13 @@ def rate(bath: BathSpec, omega: float) -> float:
         raise NegativeFrequency(f"transition frequency must be >= 0, got {omega!r}")
     if omega == 0.0:
         return 0.0
-    return bath.kappa * omega**3 / -math.expm1(-omega / bath.temperature)
+    try:
+        value = bath.kappa * omega**3 / -math.expm1(-omega / bath.temperature)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RateOverflow(f"rate at omega={omega!r} with kappa={bath.kappa!r} overflows")
+    return value
 
 
 def hot_bath(params: NetworkParams) -> BathSpec:

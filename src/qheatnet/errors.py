@@ -25,6 +25,10 @@ class NegativeFrequency(HeatNetError):
     """A bath rate was requested at a negative transition frequency."""
 
 
+class RateOverflow(HeatNetError):
+    """A bath rate is too large to represent as a finite float."""
+
+
 class SingularSystem(HeatNetError):
     """The 4x4 moment drift matrix was numerically singular; unreachable for positive rates."""
 

@@ -121,11 +121,17 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> tuple[float, float]:
 def correlations(cov: CovarianceMatrix) -> CorrelationReport:
     """Normalized cross-block correlations and the exact separability verdict.
 
-    Raises UnphysicalCovariance when V violates the symplectic uncertainty
-    bound beyond tolerance.  The separable flag is the partial-transpose
-    bound, which for one mode per side is necessary and sufficient.
+    Raises UnphysicalCovariance when V is not positive definite, which
+    V + (i/2) Omega >= 0 requires and the symplectic moduli cannot see, or
+    violates the symplectic uncertainty bound beyond tolerance.  The
+    separable flag is the partial-transpose bound, which for one mode per
+    side is necessary and sufficient.
     """
     v = cov.matrix
+    try:
+        np.linalg.cholesky(v)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalCovariance("covariance is not positive definite") from exc
     nu_min, _ = symplectic_eigenvalues(cov)
     if nu_min < 0.5 - SYMPLECTIC_TOLERANCE:
         raise UnphysicalCovariance(

@@ -70,11 +70,18 @@ class LocalBasisGenerator:
     cold: tuple[DissipationChannel, ...]
 
 
-def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, float, float, float]]:
+def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
+    """Basis, dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
     if params.statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("the global treatment is defined for bosonic nodes only")
     basis = normal_mode_basis(params)
-    return basis, bath.dressed_rates(params, basis)
+    weights = (
+        math.exp(-params.beta_h * basis.omega_plus),
+        math.exp(-params.beta_h * basis.omega_minus),
+        math.exp(-params.beta_c * basis.omega_plus),
+        math.exp(-params.beta_c * basis.omega_minus),
+    )
+    return basis, bath.dressed_rates(params, basis), weights
 
 
 def _mode_balance(
@@ -95,15 +102,10 @@ def _mode_balance(
 
 def steady_state(params: NetworkParams) -> GlobalSteadyState:
     """Steady state of the global generator from per-mode detailed balance."""
-    basis, (gh_p, gh_m, gc_p, gc_m) = _setup(params)
-    bh, bc = params.beta_h, params.beta_c
+    basis, (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _setup(params)
     wp, wm = basis.omega_plus, basis.omega_minus
-    n_p, Jh_p, Jc_p = _mode_balance(
-        wp, gh_p * basis.c2, math.exp(-bh * wp), gc_p * basis.s2, math.exp(-bc * wp)
-    )
-    n_m, Jh_m, Jc_m = _mode_balance(
-        wm, gh_m * basis.s2, math.exp(-bh * wm), gc_m * basis.c2, math.exp(-bc * wm)
-    )
+    n_p, Jh_p, Jc_p = _mode_balance(wp, gh_p * basis.c2, xh_p, gc_p * basis.s2, xc_p)
+    n_m, Jh_m, Jc_m = _mode_balance(wm, gh_m * basis.s2, xh_m, gc_m * basis.c2, xc_m)
     J_h = Jh_p + Jh_m
     J_c = Jc_p + Jc_m
     sigma = -J_h / params.T_h - J_c / params.T_c
@@ -125,25 +127,24 @@ def heat_current_closed_form(params: NetworkParams) -> float:
     """Steady J_h as an explicit two-term rational expression.
 
     Each term is the detailed-balance current through one normal mode,
-    written over a common positive denominator; the sign of each term is
-    carried by exp(beta_c omega) - exp(beta_h omega) at that mode's dressed
-    frequency, so both terms vanish at equal temperatures and the whole
-    expression vanishes at epsilon = 0 through the cos^2 sin^2 prefactor.
+
+        omega c_h c_c (x_h - x_c) / (c_h (1 - x_c) / g_h + c_c (1 - x_h) / g_c),
+
+    with x_l = exp(-beta_l omega) <= 1, dressed rates g_l and channel weights
+    c_l (cos^2 or sin^2).  The bath identity g_h (1 - x_h) = g_c (1 - x_c) =
+    kappa omega^3 leaves no product of rates to underflow.  Each term carries
+    the sign of x_h - x_c and so vanishes at equal temperatures; both vanish
+    at epsilon = 0 through the cos^2 sin^2 prefactor.
     Independent of steady_state(), which goes through the occupations n_+-.
     """
-    basis, (gh_p, gh_m, gc_p, gc_m) = _setup(params)
+    basis, (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _setup(params)
     c2, s2 = basis.c2, basis.s2
-    bh, bc = params.beta_h, params.beta_c
 
-    def term(omega: float, g_h: float, g_c: float, w_hot: float, w_cold: float) -> float:
-        # w_hot is the weight of the hot channel on this mode (c2 for +, s2 for -).
-        E_h = math.exp(bh * omega)
-        E_c = math.exp(bc * omega)
-        num = (E_c - E_h) * g_c * g_h * omega * w_hot * w_cold
-        den = w_hot * E_h * (E_c - 1.0) * g_c + w_cold * E_c * (E_h - 1.0) * g_h
-        return num / den
+    def term(omega: float, g_h: float, g_c: float, x_h: float, x_c: float, c_h: float, c_c: float):
+        return omega * c_h * c_c * (x_h - x_c) / (c_h * (1.0 - x_c) / g_h + c_c * (1.0 - x_h) / g_c)
 
-    return term(basis.omega_plus, gh_p, gc_p, c2, s2) + term(basis.omega_minus, gh_m, gc_m, s2, c2)
+    wp, wm = basis.omega_plus, basis.omega_minus
+    return term(wp, gh_p, gc_p, xh_p, xc_p, c2, s2) + term(wm, gh_m, gc_m, xh_m, xc_m, s2, c2)
 
 
 def local_basis_generator(params: NetworkParams) -> LocalBasisGenerator:
@@ -155,12 +156,8 @@ def local_basis_generator(params: NetworkParams) -> LocalBasisGenerator:
     At epsilon = 0 the table collapses to the local generator's single-node
     channels evaluated at the bare frequencies.
     """
-    basis, (gh_p, gh_m, gc_p, gc_m) = _setup(params)
+    basis, (gh_p, gh_m, gc_p, gc_m), (x_h_p, x_h_m, x_c_p, x_c_m) = _setup(params)
     c2, s2, cs = basis.c2, basis.s2, basis.cs
-    x_h_p = math.exp(-params.beta_h * basis.omega_plus)
-    x_h_m = math.exp(-params.beta_h * basis.omega_minus)
-    x_c_p = math.exp(-params.beta_c * basis.omega_plus)
-    x_c_m = math.exp(-params.beta_c * basis.omega_minus)
     hot = (
         DissipationChannel("a", gh_p * c2 * c2, x_h_p),
         DissipationChannel("a", gh_m * s2 * s2, x_h_m),

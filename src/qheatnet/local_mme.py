@@ -122,31 +122,24 @@ def steady_state(params: NetworkParams) -> LocalSteadyState:
 def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     """Steady J_h as the explicit rational expression, returned as (J_h, F).
 
-    J_h factors as (exp(beta_c omega_c) - exp(beta_h omega_h)) * F with F a
-    manifestly nonnegative rational function of the parameters; the sign of
-    the hot current is therefore carried entirely by the exponential
-    difference.  Independent of steady_state(), which solves the 4x4 system.
+    In the weights w_l and rates G_l of the moment system, with S = G_h + G_c,
+
+        J_h = (w_h - w_c) s,  F = w_h w_c s,
+        s = 4 eps^2 (omega_c G_h + omega_h G_c) / ((1 + delta w_h)(1 + delta w_c) Q) > 0,
+        Q = S^2 + 4 eps^2 (S / G_h)(S / G_c) + 4 (omega_h - omega_c)^2,
+
+    so J_h = (exp(beta_c omega_c) - exp(beta_h omega_h)) F carries the sign of
+    the exponential contrast.  With w_l <= 1 and Q free of rate products
+    beyond S^2, nothing overflows at large beta omega or underflows at tiny
+    kappa.  Independent of steady_state(), which solves the 4x4 system.
     """
-    gamma_h, gamma_c, _, _, _, _ = _coefficients(params)
-    d = params.delta
-    eps = params.epsilon
-    omega_h, omega_c = params.omega_h, params.omega_c
-    E_h = math.exp(params.beta_h * omega_h)
-    E_c = math.exp(params.beta_c * omega_c)
-    num = (
-        4.0 * eps**2 * gamma_c * gamma_h * E_c * E_h
-        * (omega_c * gamma_h * E_c * (E_h + d) + gamma_c * omega_h * E_h * (E_c + d))
-    )
-    den = (
-        gamma_c**3 * gamma_h * E_h**2 * (E_c + d) ** 3 * (E_h + d)
-        + 2.0 * gamma_c**2 * (E_c + d) ** 2 * E_c * E_h
-        * (gamma_h**2 * (E_h + d) ** 2 + 2.0 * eps**2 * E_h**2)
-        + gamma_c * gamma_h * E_c**2 * (E_c + d) * (E_h + d)
-        * (4.0 * E_h**2 * ((omega_c - omega_h) ** 2 + 2.0 * eps**2) + gamma_h**2 * (E_h + d) ** 2)
-        + 4.0 * eps**2 * gamma_h**2 * E_c**3 * E_h * (E_h + d) ** 2
-    )
-    F = num / den
-    return (E_c - E_h) * F, F
+    _, _, w_h, w_c, G_h, G_c = _coefficients(params)
+    four_eps_sq = 4.0 * params.epsilon**2
+    S = G_h + G_c
+    Q = S * S + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * (params.omega_h - params.omega_c) ** 2
+    thermal = (1.0 + params.delta * w_h) * (1.0 + params.delta * w_c)
+    s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
+    return (w_h - w_c) * s, w_h * w_c * s
 
 
 def evolve(

@@ -1,6 +1,6 @@
 """Seeded random parameter draws shared across the test modules.
 
-Three families, each sized for what the consuming check can tolerate:
+Four families, each sized for what the consuming check can tolerate:
 
   generic_params   broad valid ranges; epsilon capped at half the smaller
                    frequency so the spectrum never goes gapless.
@@ -11,6 +11,9 @@ Three families, each sized for what the consuming check can tolerate:
   cold_params      omega/T >= 2.6, so a truncated-Fock solve at n_max = 12
                    carries a thermal tail below the oracle's own occupancy
                    guard.
+  extreme_params   omega, omega/T and kappa log-uniform over many decades
+                   and one draw in five two-level, for robustness checks
+                   that accept a typed error in place of numbers.
 """
 
 import numpy as np
@@ -70,4 +73,18 @@ def cold_params(rng: np.random.Generator, statistics: Statistics = Statistics.BO
         T_c=float(rng.uniform(0.4, omega_min / 2.6)),
         kappa=_loguniform(rng, 1e-5, 1e-3),
         statistics=statistics,
+    )
+
+
+def extreme_params(rng: np.random.Generator) -> NetworkParams:
+    omega_h = _loguniform(rng, 1e-3, 1e3)
+    omega_c = _loguniform(rng, 1e-3, 1e3)
+    return NetworkParams(
+        omega_h=omega_h,
+        omega_c=omega_c,
+        epsilon=float(rng.uniform(0.0, 0.5 * min(omega_h, omega_c))),
+        T_h=omega_h / _loguniform(rng, 1e-6, 1e4),
+        T_c=omega_c / _loguniform(rng, 1e-6, 1e4),
+        kappa=_loguniform(rng, 1e-300, 1e-1),
+        statistics=Statistics.TLS if rng.uniform() < 0.2 else Statistics.BOSON,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import NegativeFrequency, NonPositiveParameter
+from qheatnet.errors import NegativeFrequency, NonPositiveParameter, RateOverflow
 from qheatnet.model import NetworkParams, Statistics, normal_mode_basis
 
 from _draws import generic_params
@@ -60,6 +60,17 @@ def test_rate_detailed_balance_identity():
 def test_rate_rejects_bad_frequency(omega):
     spec = bath.BathSpec(temperature=1.0, kappa=1e-5)
     with pytest.raises(NegativeFrequency):
+        bath.rate(spec, omega)
+
+
+@pytest.mark.parametrize(
+    "kappa, omega",
+    [(1e-7, 1e200), (1e10, 1e100)],
+    ids=["cube_overflows", "product_overflows"],
+)
+def test_rate_overflow_is_typed(kappa, omega):
+    spec = bath.BathSpec(temperature=1.0, kappa=kappa)
+    with pytest.raises(RateOverflow):
         bath.rate(spec, omega)
 
 

@@ -15,8 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from qheatnet import cli
+from qheatnet import cli, errors
 from qheatnet.model import NetworkParams
+
+from _draws import extreme_params
 
 EXPECTED_HEADER = (
     "approach,omega_h,omega_c,epsilon,T_h,T_c,kappa,statistics,"
@@ -131,6 +133,33 @@ def test_run_point_is_independent_of_the_local_closed_form(params):
         assert row["error"] == ""
         assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"])
         assert abs(row["J_h"] + row["J_c"]) <= 1e-10 * max(1.0, abs(row["J_h"]))
+
+
+def test_rate_overflow_lands_in_the_error_column():
+    rows = cli.run_point(NetworkParams(omega_h=1e200), ("local", "global"))
+    assert [(r["approach"], r["error"]) for r in rows] == [
+        ("local", "RateOverflow"),
+        ("global", "RateOverflow"),
+    ]
+
+
+def test_run_point_never_raises_over_extreme_draws():
+    # finite currents or a typed error on every row; the first law is not
+    # asserted here because the currents lose digits to cancellation at
+    # nodes with omega/T well below 1 (ROADMAP, first law at warm nodes)
+    typed = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.HeatNetError)
+    }
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        params = extreme_params(rng)
+        for row in cli.run_point(params, ("local", "global")):
+            if row["error"]:
+                assert row["error"] in typed, (params, row["error"])
+            else:
+                assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"]), params
 
 
 def test_oracle_rows_agree_with_the_closed_forms(capsys):

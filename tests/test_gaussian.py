@@ -152,9 +152,28 @@ def test_thermal_product_is_separable():
     assert report.nu_min_ppt == pytest.approx(0.8, rel=1e-12)
 
 
-def test_below_vacuum_noise_is_rejected():
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        0.25 * np.eye(4),
+        -np.eye(4),
+        np.diag([-1.0, -1.0, 1.0, 1.0]),
+        np.array(
+            [
+                [1.0, 0.0, 2.0, 0.0],
+                [0.0, 1.0, 0.0, 2.0],
+                [2.0, 0.0, 1.0, 0.0],
+                [0.0, 2.0, 0.0, 1.0],
+            ]
+        ),
+    ],
+    ids=["quarter_vacuum", "negative_identity", "negative_block", "indefinite"],
+)
+def test_below_vacuum_noise_is_rejected(matrix):
+    # the last three have symplectic moduli at or above 1/2 but are not
+    # positive definite, which V + (i/2) Omega >= 0 requires
     with pytest.raises(UnphysicalCovariance):
-        gaussian.correlations(CovarianceMatrix(0.25 * np.eye(4)))
+        gaussian.correlations(CovarianceMatrix(matrix))
 
 
 def test_cross_block_signs_track_moments():

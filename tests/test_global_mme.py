@@ -90,6 +90,23 @@ def test_closed_form_matches_balance():
         assert heat_current_closed_form(params) == pytest.approx(steady_state(params).J_h, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        NetworkParams(omega_h=10.0, T_h=0.03),
+        NetworkParams(omega_h=10.0, T_h=0.012),
+        NetworkParams(kappa=1e-300),
+    ],
+    ids=["omega_over_T_333", "omega_over_T_833", "kappa_1e-300"],
+)
+def test_closed_form_matches_balance_at_extremes(params):
+    # exp(+beta omega) leaves the float range at omega/T = 833, and a
+    # product of two rates does at kappa = 1e-300
+    expected = steady_state(params).J_h
+    # abs=0: these currents sit below pytest's default 1e-12 absolute slack
+    assert heat_current_closed_form(params) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+
 def test_frozen_regression():
     # 50-digit evaluation at omega_h=10, omega_c=5, eps=0.01, T_h=12, T_c=10, kappa=1e-4
     params = NetworkParams(omega_h=10.0, omega_c=5.0, epsilon=1e-2, T_h=12.0, T_c=10.0, kappa=1e-4)

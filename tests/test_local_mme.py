@@ -87,6 +87,25 @@ def test_closed_form_matches_solve(statistics):
         assert closed == pytest.approx(state.J_h, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        NetworkParams(omega_h=10.0, T_h=0.03),
+        NetworkParams(omega_h=10.0, T_h=0.012),
+        NetworkParams(kappa=1e-300),
+    ],
+    ids=["omega_over_T_333", "omega_over_T_833", "kappa_1e-300"],
+)
+def test_closed_form_matches_solve_at_extremes(params):
+    # powers of exp(+beta omega) leave the float range at omega/T = 333 and
+    # 833, and a product of four rates does at kappa = 1e-300; the solve
+    # itself is good to a few 1e-9 at this weak coupling; abs=0 because these
+    # currents sit below pytest's default 1e-12 absolute slack
+    closed, prefactor = heat_current_closed_form(params)
+    assert closed == pytest.approx(steady_state(params).J_h, rel=1e-8, abs=0.0)
+    assert prefactor >= 0.0
+
+
 def test_current_sign_follows_exponential_contrast():
     # J_h carries the sign of e^(beta_c omega_c) - e^(beta_h omega_h); sigma
     # additionally carries the sign of the inverse-temperature difference
