@@ -12,29 +12,15 @@ at the dressed normal-mode frequencies omega_+-.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import NegativeFrequency, NonPositiveParameter, RateOverflow
+from .errors import NegativeFrequency, RateOverflow
 from .model import NetworkParams, NormalModeBasis
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """A thermal bath with cubic spectral response kappa * Omega**3."""
-
-    temperature: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        for name in ("temperature", "kappa"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise NonPositiveParameter(f"bath {name} must be positive and finite, got {value!r}")
-
-
-def rate(bath: BathSpec, omega: float) -> float:
+def rate(omega: float, T: float, kappa: float) -> float:
     """Downward rate gamma(omega) = kappa * omega**3 / (1 - exp(-omega/T)).
 
+    T and kappa come from a validated NetworkParams and are not re-checked.
     gamma(0) = 0 (the cubic zero wins over the 1/omega pole of the thermal
     factor); small omega/T is handled through expm1, so the omega -> 0
     behaviour kappa * T * omega**2 comes out to machine precision.  Negative
@@ -48,33 +34,26 @@ def rate(bath: BathSpec, omega: float) -> float:
     if omega == 0.0:
         return 0.0
     try:
-        value = bath.kappa * omega**3 / -math.expm1(-omega / bath.temperature)
+        value = kappa * omega**3 / -math.expm1(-omega / T)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise RateOverflow(f"rate at omega={omega!r} with kappa={bath.kappa!r} overflows")
+        raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
     return value
-
-
-def hot_bath(params: NetworkParams) -> BathSpec:
-    return BathSpec(temperature=params.T_h, kappa=params.kappa)
-
-
-def cold_bath(params: NetworkParams) -> BathSpec:
-    return BathSpec(temperature=params.T_c, kappa=params.kappa)
 
 
 def local_rates(params: NetworkParams) -> tuple[float, float]:
     """(gamma_h, gamma_c) evaluated at the bare node frequencies."""
-    return rate(hot_bath(params), params.omega_h), rate(cold_bath(params), params.omega_c)
+    kappa = params.kappa
+    return rate(params.omega_h, params.T_h, kappa), rate(params.omega_c, params.T_c, kappa)
 
 
 def dressed_rates(params: NetworkParams, basis: NormalModeBasis) -> tuple[float, float, float, float]:
     """(gamma_h^+, gamma_h^-, gamma_c^+, gamma_c^-) at the normal-mode frequencies."""
-    hot, cold = hot_bath(params), cold_bath(params)
+    T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
     return (
-        rate(hot, basis.omega_plus),
-        rate(hot, basis.omega_minus),
-        rate(cold, basis.omega_plus),
-        rate(cold, basis.omega_minus),
+        rate(basis.omega_plus, T_h, kappa),
+        rate(basis.omega_minus, T_h, kappa),
+        rate(basis.omega_plus, T_c, kappa),
+        rate(basis.omega_minus, T_c, kappa),
     )

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StatisticsMismatch, UnphysicalCovariance
+from .errors import UnphysicalCovariance
 from .local_mme import MomentState
-from .model import NormalModeBasis, Statistics
+from .model import NormalModeBasis
 
 # Slack on the nu >= 1/2 bounds, absorbing eigenvalue round-off.
 SYMPLECTIC_TOLERANCE = 1e-10
@@ -58,7 +58,9 @@ class CovarianceMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise UnphysicalCovariance(f"covariance must be 4x4, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+        if not np.isfinite(m).all():
+            raise UnphysicalCovariance("covariance entries must be finite")
+        if np.abs(m - m.T).max() > 1e-12:
             raise UnphysicalCovariance("covariance must be symmetric")
         object.__setattr__(self, "matrix", m)
 
@@ -91,12 +93,8 @@ def _assemble(nA: float, nB: float, X: float, Y: float) -> CovarianceMatrix:
     )
 
 
-def covariance_local(
-    moments: MomentState, statistics: Statistics = Statistics.BOSON
-) -> CovarianceMatrix:
-    """Covariance of the local steady state from its moment vector."""
-    if statistics is not Statistics.BOSON:
-        raise StatisticsMismatch("quadrature covariance is defined for bosonic nodes only")
+def covariance_local(moments: MomentState) -> CovarianceMatrix:
+    """Covariance of the local steady state from the moments of bosonic nodes."""
     return _assemble(moments.nA, moments.nB, moments.X, moments.Y)
 
 
@@ -114,7 +112,11 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> tuple[float, float]:
     They are the moduli of the (paired) eigenvalues of i Omega V; a valid
     quantum covariance has both >= 1/2.
     """
-    mods = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ cov.matrix)))
+    return _symplectic_moduli(cov.matrix)
+
+
+def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ v)))
     return float(mods[0]), float(mods[2])
 
 
@@ -137,8 +139,8 @@ def correlations(cov: CovarianceMatrix) -> CorrelationReport:
         raise UnphysicalCovariance(
             f"smallest symplectic eigenvalue {nu_min!r} is below the uncertainty bound 1/2"
         )
-    ppt = CovarianceMatrix(_PPT_FLIP @ v @ _PPT_FLIP)
-    nu_min_ppt, _ = symplectic_eigenvalues(ppt)
+    # the flip only changes signs, so the transposed matrix stays exactly symmetric
+    nu_min_ppt, _ = _symplectic_moduli(_PPT_FLIP @ v @ _PPT_FLIP)
     return CorrelationReport(
         cor_xAxB=v[0, 2] / math.sqrt(v[0, 0] * v[2, 2]),
         cor_xApB=v[0, 3] / math.sqrt(v[0, 0] * v[3, 3]),

@@ -91,12 +91,6 @@ def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     return A, v
 
 
-def moment_rhs(params: NetworkParams, state: MomentState) -> MomentState:
-    """Time derivative of the moment vector at the given state."""
-    A, v = affine_system(params)
-    return MomentState.from_array(A @ state.as_array() + v)
-
-
 def _currents(
     params: NetworkParams, A: np.ndarray, v: np.ndarray, x: np.ndarray
 ) -> tuple[float, float]:
@@ -140,30 +134,3 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     thermal = (1.0 + params.delta * w_h) * (1.0 + params.delta * w_c)
     s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
     return (w_h - w_c) * s, w_h * w_c * s
-
-
-def evolve(
-    params: NetworkParams, state: MomentState, duration: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 trajectory of the moment system.
-
-    Returns (times, moments) with moments of shape (steps + 1, 4); row i is
-    the state at times[i].  Meant for relaxation plots, not for the steady
-    state itself, which steady_state() gets directly.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    A, v = affine_system(params)
-    h = duration / steps
-    times = np.linspace(0.0, duration, steps + 1)
-    out = np.empty((steps + 1, 4))
-    x = state.as_array()
-    out[0] = x
-    for i in range(steps):
-        k1 = A @ x + v
-        k2 = A @ (x + 0.5 * h * k1) + v
-        k3 = A @ (x + 0.5 * h * k2) + v
-        k4 = A @ (x + h * k3) + v
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
-    return times, out

@@ -116,7 +116,6 @@ class NormalModeBasis:
     cos(theta) sin(theta) = epsilon / (omega_+ - omega_-).
     """
 
-    theta: float
     omega_plus: float
     omega_minus: float
     c2: float  # cos(theta)**2
@@ -151,22 +150,26 @@ def normal_mode_basis(params: NetworkParams) -> NormalModeBasis:
             f"epsilon**2 = {params.epsilon**2!r} >= omega_h*omega_c = "
             f"{params.omega_h * params.omega_c!r}"
         )
+    eps = params.epsilon
     half_gap = 0.5 * (params.omega_h - params.omega_c)
-    r = math.hypot(half_gap, params.epsilon)
+    r = math.hypot(half_gap, eps)
     omega_plus = 0.5 * (params.omega_h + params.omega_c) + r
     # omega_- via the determinant avoids the mid - r cancellation.
     omega_minus = det / omega_plus
+    if 0.0 < r < 1e-150:
+        # eps**2 and r**2 would underflow; the rotation depends only on ratios to r.
+        half_gap, eps = half_gap / r, eps / r
+        r = math.hypot(half_gap, eps)
     if r == 0.0:
         # omega_h == omega_c with epsilon == 0: any rotation works, take none.
         c2, s2 = 1.0, 0.0
     elif half_gap >= 0.0:
         c2 = (half_gap + r) / (2.0 * r)
-        s2 = params.epsilon**2 / (2.0 * r * (r + half_gap))
+        s2 = eps**2 / (2.0 * r * (r + half_gap))
     else:
         s2 = (r - half_gap) / (2.0 * r)
-        c2 = params.epsilon**2 / (2.0 * r * (r - half_gap))
-    theta = math.atan2(math.sqrt(s2), math.sqrt(c2))
-    return NormalModeBasis(theta=theta, omega_plus=omega_plus, omega_minus=omega_minus, c2=c2, s2=s2)
+        c2 = eps**2 / (2.0 * r * (r - half_gap))
+    return NormalModeBasis(omega_plus=omega_plus, omega_minus=omega_minus, c2=c2, s2=s2)
 
 
 # --- plain key=value configuration files -----------------------------------

@@ -11,9 +11,11 @@ Four families, each sized for what the consuming check can tolerate:
   cold_params      omega/T >= 2.6, so a truncated-Fock solve at n_max = 12
                    carries a thermal tail below the oracle's own occupancy
                    guard.
-  extreme_params   omega, omega/T and kappa log-uniform over many decades
-                   and one draw in five two-level, for robustness checks
-                   that accept a typed error in place of numbers.
+  extreme_params   omega, omega/T and kappa log-uniform over many decades,
+                   one draw in ten resonant (omega_c = omega_h), half the
+                   couplings log-uniform down to 1e-300 and one draw in five
+                   two-level, for robustness checks that accept a typed
+                   error in place of numbers.
 """
 
 import numpy as np
@@ -78,11 +80,16 @@ def cold_params(rng: np.random.Generator, statistics: Statistics = Statistics.BO
 
 def extreme_params(rng: np.random.Generator) -> NetworkParams:
     omega_h = _loguniform(rng, 1e-3, 1e3)
-    omega_c = _loguniform(rng, 1e-3, 1e3)
+    omega_c = omega_h if rng.uniform() < 0.1 else _loguniform(rng, 1e-3, 1e3)
+    eps_max = 0.5 * min(omega_h, omega_c)
+    if rng.uniform() < 0.5:
+        epsilon = _loguniform(rng, 1e-300, eps_max)
+    else:
+        epsilon = float(rng.uniform(0.0, eps_max))
     return NetworkParams(
         omega_h=omega_h,
         omega_c=omega_c,
-        epsilon=float(rng.uniform(0.0, 0.5 * min(omega_h, omega_c))),
+        epsilon=epsilon,
         T_h=omega_h / _loguniform(rng, 1e-6, 1e4),
         T_c=omega_c / _loguniform(rng, 1e-6, 1e4),
         kappa=_loguniform(rng, 1e-300, 1e-1),

@@ -14,7 +14,7 @@ import pytest
 
 from _draws import generic_params
 from qheatnet import gaussian, global_mme, local_mme, model
-from qheatnet.errors import StatisticsMismatch, UnphysicalCovariance
+from qheatnet.errors import UnphysicalCovariance
 from qheatnet.gaussian import CovarianceMatrix
 from qheatnet.local_mme import MomentState
 
@@ -67,13 +67,6 @@ def test_global_matches_local_assembly():
     )
 
 
-def test_covariance_rejects_tls_moments():
-    with pytest.raises(StatisticsMismatch):
-        gaussian.covariance_local(
-            MomentState(0.2, 0.1, 0.0, 0.0), statistics=model.Statistics.TLS
-        )
-
-
 @pytest.mark.parametrize(
     "matrix",
     [np.eye(2), np.eye(3), np.zeros((4, 5))],
@@ -84,11 +77,25 @@ def test_covariance_rejects_wrong_shape(matrix):
         CovarianceMatrix(matrix)
 
 
-def test_covariance_rejects_asymmetric_matrix():
+@pytest.mark.parametrize(
+    "entry", [1e-3, 2e-12, math.nan, math.inf], ids=["1e-3", "2e-12", "nan", "inf"]
+)
+def test_covariance_rejects_asymmetric_matrix(entry):
     matrix = 0.5 * np.eye(4)
-    matrix[0, 2] = 1e-3
+    matrix[0, 2] = entry
     with pytest.raises(UnphysicalCovariance):
         CovarianceMatrix(matrix)
+
+
+def test_covariance_accepts_asymmetry_within_the_bound():
+    matrix = 0.5 * np.eye(4)
+    matrix[0, 2] = 5e-13
+    CovarianceMatrix(matrix)
+
+
+def test_covariance_rejects_non_finite_diagonal():
+    with pytest.raises(UnphysicalCovariance):
+        CovarianceMatrix(np.diag([math.inf, math.inf, 1.0, 1.0]))
 
 
 def test_vacuum_is_at_the_uncertainty_bound():

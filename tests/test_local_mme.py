@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.local_mme import (
-    MomentState,
-    affine_system,
-    evolve,
-    heat_current_closed_form,
-    moment_rhs,
-    steady_state,
-)
+from qheatnet.local_mme import MomentState, affine_system, heat_current_closed_form, steady_state
 from qheatnet.model import NetworkParams, Statistics, thermal_occupation
 
 from _draws import contrast_params, generic_params
@@ -41,7 +34,8 @@ def test_moment_rhs_matches_hand_equations(statistics):
     for _ in range(50):
         params = generic_params(rng, statistics)
         state = MomentState(*rng.normal(size=4))
-        got = moment_rhs(params, state).as_array()
+        A, v = affine_system(params)
+        got = A @ state.as_array() + v
         assert got == pytest.approx(_hand_rhs(params, state), rel=1e-13, abs=1e-16)
 
 
@@ -50,7 +44,8 @@ def test_rhs_vanishes_at_steady_state():
     for _ in range(50):
         params = generic_params(rng)
         state = steady_state(params)
-        rhs = moment_rhs(params, state.moments).as_array()
+        A, v = affine_system(params)
+        rhs = A @ state.moments.as_array() + v
         scale = max(1.0, float(np.max(np.abs(state.moments.as_array()))))
         assert np.max(np.abs(rhs)) <= 1e-12 * scale
 
@@ -60,8 +55,9 @@ def test_decoupled_nodes_thermalize(statistics):
     params = NetworkParams(omega_h=9.0, omega_c=2.0, epsilon=0.0, T_h=17.0, T_c=3.0,
                            kappa=1e-5, statistics=statistics)
     state = steady_state(params)
-    assert state.moments.nA == pytest.approx(thermal_occupation(9.0, 17.0, statistics), rel=1e-12)
-    assert state.moments.nB == pytest.approx(thermal_occupation(2.0, 3.0, statistics), rel=1e-12)
+    nA, nB = thermal_occupation(9.0, 17.0, statistics), thermal_occupation(2.0, 3.0, statistics)
+    assert state.moments.nA == pytest.approx(nA, rel=1e-12, abs=0.0)
+    assert state.moments.nB == pytest.approx(nB, rel=1e-12, abs=0.0)
     assert state.moments.X == 0.0
     assert state.moments.Y == 0.0
     assert state.J_h == pytest.approx(0.0, abs=1e-18)
@@ -84,7 +80,7 @@ def test_closed_form_matches_solve(statistics):
         params = contrast_params(rng, statistics)
         state = steady_state(params)
         closed, _ = heat_current_closed_form(params)
-        assert closed == pytest.approx(state.J_h, rel=1e-10)
+        assert closed == pytest.approx(state.J_h, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -134,16 +130,16 @@ def test_frozen_regression_boson():
     params = NetworkParams(omega_h=10.0, omega_c=5.0, epsilon=1e-2, T_h=12.0, T_c=10.0, kappa=1e-4)
     reference = -1.9317780982720402553e-06
     closed, _ = heat_current_closed_form(params)
-    assert closed == pytest.approx(reference, rel=1e-12)
+    assert closed == pytest.approx(reference, rel=1e-12, abs=0.0)
     # the 4x4 solve loses a few digits to conditioning at this weak coupling
-    assert steady_state(params).J_h == pytest.approx(reference, rel=1e-9)
+    assert steady_state(params).J_h == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 def test_frozen_regression_tls():
     # 50-digit evaluation at the default parameter point with two-level nodes
     params = NetworkParams(statistics=Statistics.TLS)
     closed, _ = heat_current_closed_form(params)
-    assert closed == pytest.approx(-5.3086124926134222206e-12, rel=1e-12)
+    assert closed == pytest.approx(-5.3086124926134222206e-12, rel=1e-12, abs=0.0)
 
 
 def test_tls_moments_bounded():
@@ -168,31 +164,11 @@ def test_boson_moments_physical():
         assert coherence_sq <= (m.nA + 1.0) * m.nB + 1e-12
 
 
-def test_evolve_relaxes_to_steady_state():
-    params = NetworkParams(omega_h=6.0, omega_c=5.0, epsilon=0.3, T_h=8.0, T_c=4.0, kappa=1e-3)
-    target = steady_state(params).moments.as_array()
-    start = MomentState(3.0, 0.1, 0.5, -0.2)
-    A, _ = affine_system(params)
-    slowest = -np.max(np.linalg.eigvals(A).real)
-    duration = 40.0 / slowest
-    times, trajectory = evolve(params, start, duration, steps=4000)
-    assert times.shape == (4001,)
-    assert trajectory.shape == (4001, 4)
-    assert trajectory[-1] == pytest.approx(target, rel=1e-8, abs=1e-12)
-
-
-def test_evolve_is_fourth_order():
-    params = NetworkParams(omega_h=6.0, omega_c=5.0, epsilon=0.3, T_h=8.0, T_c=4.0, kappa=1e-3)
-    start = MomentState(3.0, 0.1, 0.5, -0.2)
-    duration = 0.5
-    _, coarse = evolve(params, start, duration, steps=200)
-    _, fine = evolve(params, start, duration, steps=400)
-    _, finest = evolve(params, start, duration, steps=800)
-    err_coarse = np.max(np.abs(coarse[-1] - finest[-1]))
-    err_fine = np.max(np.abs(fine[-1] - finest[-1]))
-    assert err_coarse / err_fine > 10.0  # 16 for exact fourth order
-
-
-def test_evolve_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        evolve(NetworkParams(), MomentState(0, 0, 0, 0), 1.0, steps=0)
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+def test_steady_state_attracts(statistics):
+    # every eigenvalue of the drift matrix has a negative real part, so any
+    # initial moment vector relaxes to the unique steady state
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        A, _ = affine_system(generic_params(rng, statistics))
+        assert np.max(np.linalg.eigvals(A).real) < 0.0

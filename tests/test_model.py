@@ -69,19 +69,21 @@ def test_statistics_delta():
 def test_thermal_occupation_frozen_values():
     # 50-digit evaluation of 1/(e^(1/2) -+ 1)
     assert thermal_occupation(5.0, 10.0, Statistics.BOSON) == pytest.approx(
-        1.5414940825367982841, rel=1e-15
+        1.5414940825367982841, rel=1e-15, abs=0.0
     )
     assert thermal_occupation(5.0, 10.0, Statistics.TLS) == pytest.approx(
-        0.37754066879814543536, rel=1e-15
+        0.37754066879814543536, rel=1e-15, abs=0.0
     )
 
 
 def test_thermal_occupation_limits():
     # deep quantum regime: boson occupation ~ e^(-omega/T), TLS the same
-    assert thermal_occupation(10.0, 0.1, Statistics.BOSON) == pytest.approx(math.exp(-100.0), rel=1e-12)
+    assert thermal_occupation(10.0, 0.1, Statistics.BOSON) == pytest.approx(
+        math.exp(-100.0), rel=1e-12, abs=0.0
+    )
     # classical regime: boson ~ T/omega, TLS saturates at 1/2
-    assert thermal_occupation(1e-6, 10.0, Statistics.BOSON) == pytest.approx(1e7, rel=1e-6)
-    assert thermal_occupation(1e-9, 10.0, Statistics.TLS) == pytest.approx(0.5, rel=1e-9)
+    assert thermal_occupation(1e-6, 10.0, Statistics.BOSON) == pytest.approx(1e7, rel=1e-6, abs=0.0)
+    assert thermal_occupation(1e-9, 10.0, Statistics.TLS) == pytest.approx(0.5, rel=1e-9, abs=0.0)
 
 
 def test_normal_modes_match_dense_eigensolver():
@@ -91,15 +93,15 @@ def test_normal_modes_match_dense_eigensolver():
         basis = normal_mode_basis(params)
         matrix = np.array([[params.omega_h, params.epsilon], [params.epsilon, params.omega_c]])
         lo, hi = np.linalg.eigvalsh(matrix)
-        assert basis.omega_plus == pytest.approx(hi, rel=1e-12)
-        assert basis.omega_minus == pytest.approx(lo, rel=1e-12)
+        assert basis.omega_plus == pytest.approx(hi, rel=1e-12, abs=0.0)
+        assert basis.omega_minus == pytest.approx(lo, rel=1e-12, abs=0.0)
         # the rotation really diagonalizes the one-body matrix
         c, s = basis.c, basis.s
         rot = np.array([[c, s], [-s, c]])
         diag = rot @ matrix @ rot.T
         assert abs(diag[0, 1]) <= 1e-12 * basis.omega_plus
-        assert diag[0, 0] == pytest.approx(basis.omega_plus, rel=1e-12)
-        assert diag[1, 1] == pytest.approx(basis.omega_minus, rel=1e-12)
+        assert diag[0, 0] == pytest.approx(basis.omega_plus, rel=1e-12, abs=0.0)
+        assert diag[1, 1] == pytest.approx(basis.omega_minus, rel=1e-12, abs=0.0)
 
 
 def test_normal_mode_invariants():
@@ -109,43 +111,55 @@ def test_normal_mode_invariants():
         basis = normal_mode_basis(params)
         assert basis.omega_plus >= basis.omega_minus > 0.0
         assert basis.c2 + basis.s2 == pytest.approx(1.0, abs=1e-15)
-        assert 0.0 <= basis.theta <= math.pi / 2
+        assert 0.0 <= basis.c2 <= 1.0 and 0.0 <= basis.s2 <= 1.0
         # trace and determinant of the one-body matrix are preserved
         assert basis.omega_plus + basis.omega_minus == pytest.approx(
-            params.omega_h + params.omega_c, rel=1e-14
+            params.omega_h + params.omega_c, rel=1e-14, abs=0.0
         )
         assert basis.omega_plus * basis.omega_minus == pytest.approx(
-            params.omega_h * params.omega_c - params.epsilon**2, rel=1e-13
+            params.omega_h * params.omega_c - params.epsilon**2, rel=1e-13, abs=0.0
         )
         if params.epsilon > 0:
             assert basis.cs == pytest.approx(
-                params.epsilon / (basis.omega_plus - basis.omega_minus), rel=1e-12
+                params.epsilon / (basis.omega_plus - basis.omega_minus), rel=1e-12, abs=0.0
             )
 
 
 def test_normal_modes_frozen_point():
     # 50-digit evaluation at omega_h=10, omega_c=5, epsilon=0.01
     basis = normal_mode_basis(NetworkParams(epsilon=1e-2))
-    assert basis.omega_plus == pytest.approx(10.00001999992000064, rel=1e-15)
-    assert basis.omega_minus == pytest.approx(4.99998000007999936, rel=1e-15)
+    assert basis.omega_plus == pytest.approx(10.00001999992000064, rel=1e-15, abs=0.0)
+    assert basis.omega_minus == pytest.approx(4.99998000007999936, rel=1e-15, abs=0.0)
 
 
 def test_normal_modes_zero_coupling():
     basis = normal_mode_basis(NetworkParams(omega_h=10.0, omega_c=5.0, epsilon=0.0))
-    assert (basis.theta, basis.omega_plus, basis.omega_minus) == (0.0, 10.0, 5.0)
+    assert (basis.c2, basis.s2, basis.omega_plus, basis.omega_minus) == (1.0, 0.0, 10.0, 5.0)
     # mirrored ordering: the upper mode tracks the larger bare frequency
     basis = normal_mode_basis(NetworkParams(omega_h=5.0, omega_c=10.0, epsilon=0.0))
-    assert basis.theta == pytest.approx(math.pi / 2)
-    assert (basis.omega_plus, basis.omega_minus) == (10.0, 5.0)
+    assert (basis.c2, basis.s2, basis.omega_plus, basis.omega_minus) == (0.0, 1.0, 10.0, 5.0)
     basis = normal_mode_basis(NetworkParams(omega_h=7.0, omega_c=7.0, epsilon=0.0))
-    assert (basis.theta, basis.c2, basis.s2) == (0.0, 1.0, 0.0)
+    assert (basis.c2, basis.s2) == (1.0, 0.0)
 
 
 def test_resonant_coupling_is_half_angle():
     basis = normal_mode_basis(NetworkParams(omega_h=5.0, omega_c=5.0, epsilon=0.5))
-    assert basis.theta == pytest.approx(math.pi / 4, rel=1e-12)
-    assert basis.omega_plus == pytest.approx(5.5, rel=1e-14)
-    assert basis.omega_minus == pytest.approx(4.5, rel=1e-14)
+    assert basis.c2 == pytest.approx(0.5, rel=1e-15, abs=0.0)
+    assert basis.s2 == pytest.approx(0.5, rel=1e-15, abs=0.0)
+    assert basis.omega_plus == pytest.approx(5.5, rel=1e-14, abs=0.0)
+    assert basis.omega_minus == pytest.approx(4.5, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "omega, epsilon",
+    [(5.0, 1e-200), (5.0, 1e-300), (5.0, 5e-324), (3.0, 1e-170)],
+    ids=["eps_1e-200", "eps_1e-300", "eps_min_subnormal", "omega_3_eps_1e-170"],
+)
+def test_resonant_coupling_below_underflow_is_half_angle(omega, epsilon):
+    # epsilon**2 underflows to zero here; the rotation is still the resonant one
+    basis = normal_mode_basis(NetworkParams(omega_h=omega, omega_c=omega, epsilon=epsilon))
+    assert (basis.c2, basis.s2) == (0.5, 0.5)
+    assert (basis.omega_plus, basis.omega_minus) == (omega, omega)
 
 
 def test_gapless_spectrum_raises():
