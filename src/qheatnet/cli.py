@@ -23,7 +23,7 @@ import numpy as np
 
 from . import global_mme, local_mme, oracle
 from .errors import GaplessSpectrum, HeatNetError
-from .gaussian import correlations, covariance_global, covariance_local
+from .gaussian import correlations, moment_correlations
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
 COLUMNS = (
@@ -123,17 +123,18 @@ def _local_row(params: NetworkParams, with_correlations: bool) -> dict:
     m = state.moments
     row.update(n_A=m.nA, n_B=m.nB, X=m.X, Y=m.Y, J_h=state.J_h, J_c=state.J_c, sigma=state.sigma)
     if with_correlations and params.statistics is Statistics.BOSON:
-        _fill_correlations(row, correlations(covariance_local(m)))
+        _fill_correlations(row, moment_correlations(m.nA, m.nB, m.X, m.Y))
     return row
 
 
 def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
     row = _base_row("global", params)
     state = global_mme.steady_state(params)
+    X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
     row.update(
         n_A=state.nA,
         n_B=state.nB,
-        X=2.0 * state.basis.cs * (state.n_plus - state.n_minus),
+        X=X,
         Y=0.0,
         n_plus=state.n_plus,
         n_minus=state.n_minus,
@@ -143,8 +144,7 @@ def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
         secular_warning=state.secular_warning,
     )
     if with_correlations:
-        covariance = covariance_global(state.basis, state.n_plus, state.n_minus)
-        _fill_correlations(row, correlations(covariance))
+        _fill_correlations(row, moment_correlations(state.nA, state.nB, X, 0.0))
     return row
 
 

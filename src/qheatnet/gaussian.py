@@ -20,6 +20,10 @@ Physicality and separability are both symplectic-spectrum statements:
 V + (i/2) Omega >= 0 iff the smallest symplectic eigenvalue is >= 1/2, and
 for one mode per side the same bound on the partially transposed matrix
 (p_B -> -p_B) decides separability exactly.
+
+Here the cross block is c times a rotation, c = |<a'b>| = hypot(X, Y)/2, so V
+is physical iff nA nB >= c^2 and separable iff (n_> + 1) n_< >= c^2, n_> >= n_<
+being the occupations; as (n_> + 1) n_< >= nA nB, every physical V here is.
 """
 
 import math
@@ -118,6 +122,33 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> tuple[float, float]:
 def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
     mods = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ v)))
     return float(mods[0]), float(mods[2])
+
+
+def moment_correlations(nA: float, nB: float, X: float, Y: float) -> CorrelationReport:
+    """correlations(V) for the V of the four moments, in closed form; raises where it does.
+
+    With a = nA + 1/2, b = nB + 1/2 and h = (a - b)/2, nu_+- = (a + b)/2 +- hypot(h, c)
+    and the partial transpose's are hypot(h, sqrt(ab - c^2)) +- |h|.  Each pair
+    multiplies to ab - c^2, which gives its lower value without cancellation.
+    """
+    a, b, c = nA + 0.5, nB + 0.5, 0.5 * math.hypot(X, Y)
+    det = a * b - c * c
+    h = 0.5 * (a - b)
+    upper = 0.5 * (a + b) + math.hypot(h, c)
+    # NaN or inf moments give NaN; the signed lower value fails a V that is not positive definite
+    if not (upper > 0.0 and (nu_min := det / upper) >= 0.5 - SYMPLECTIC_TOLERANCE):
+        raise UnphysicalCovariance(f"moments {(nA, nB, X, Y)!r} break the uncertainty bound")
+    nu_min_ppt = det / (math.hypot(h, math.sqrt(det)) + abs(h))
+    scale = math.sqrt(a * b)
+    return CorrelationReport(
+        cor_xAxB=0.5 * X / scale,
+        cor_xApB=-0.5 * Y / scale,
+        cor_pAxB=0.5 * Y / scale,
+        cor_pApB=0.5 * X / scale,
+        nu_min=nu_min,
+        nu_min_ppt=nu_min_ppt,
+        separable=nu_min_ppt >= 0.5 - SYMPLECTIC_TOLERANCE,
+    )
 
 
 def correlations(cov: CovarianceMatrix) -> CorrelationReport:

@@ -59,7 +59,6 @@ class FockLiouvillian:
     """
 
     params: NetworkParams
-    approach: Generator
     n_max: int
     dimension: int
     generator: sp.csr_matrix
@@ -185,7 +184,6 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
     commutator = -1j * (_spre(hamiltonian) - _spost(hamiltonian))
     return FockLiouvillian(
         params=params,
-        approach=approach,
         n_max=n_max,
         dimension=dimension,
         generator=(commutator + hot + cold).tocsr(),

@@ -4,7 +4,8 @@ The assembly from second moments is checked against a hand-built literal
 matrix, the symplectic spectrum against closed forms for states where it
 is known exactly (vacuum, thermal products, two-mode squeezed vacuum),
 and the partial-transpose separability call against the squeezed state,
-which is entangled for every nonzero squeezing parameter.
+which is entangled for every nonzero squeezing parameter.  The closed-form
+moment route the rows use is checked against the matrix route row by row.
 """
 
 import math
@@ -12,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from _draws import generic_params
+from _draws import contrast_params, extreme_params, generic_params
 from qheatnet import gaussian, global_mme, local_mme, model
-from qheatnet.errors import UnphysicalCovariance
+from qheatnet.errors import HeatNetError, UnphysicalCovariance
 from qheatnet.gaussian import CovarianceMatrix
 from qheatnet.local_mme import MomentState
+from qheatnet.model import Statistics
 
 
 def _vacuum() -> CovarianceMatrix:
@@ -100,22 +102,22 @@ def test_covariance_rejects_non_finite_diagonal():
 
 def test_vacuum_is_at_the_uncertainty_bound():
     nu_1, nu_2 = gaussian.symplectic_eigenvalues(_vacuum())
-    assert nu_1 == pytest.approx(0.5, rel=1e-14)
-    assert nu_2 == pytest.approx(0.5, rel=1e-14)
+    assert nu_1 == pytest.approx(0.5, rel=1e-14, abs=0.0)
+    assert nu_2 == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 
 def test_thermal_product_eigenvalues():
     nA, nB = 1.7, 0.4
     cov = gaussian.covariance_local(MomentState(nA, nB, 0.0, 0.0))
     nu_1, nu_2 = gaussian.symplectic_eigenvalues(cov)
-    assert nu_1 == pytest.approx(nB + 0.5, rel=1e-14)
-    assert nu_2 == pytest.approx(nA + 0.5, rel=1e-14)
+    assert nu_1 == pytest.approx(nB + 0.5, rel=1e-14, abs=0.0)
+    assert nu_2 == pytest.approx(nA + 0.5, rel=1e-14, abs=0.0)
 
 
 def test_two_mode_squeezed_state_is_pure():
     nu_1, nu_2 = gaussian.symplectic_eigenvalues(_two_mode_squeezed(0.8))
-    assert nu_1 == pytest.approx(0.5, rel=1e-12)
-    assert nu_2 == pytest.approx(0.5, rel=1e-12)
+    assert nu_1 == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    assert nu_2 == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_determinant_is_squared_eigenvalue_product():
@@ -126,7 +128,7 @@ def test_determinant_is_squared_eigenvalue_product():
         cov = gaussian.covariance_local(state.moments)
         nu_1, nu_2 = gaussian.symplectic_eigenvalues(cov)
         det = np.linalg.det(cov.matrix)
-        assert det == pytest.approx((nu_1 * nu_2) ** 2, rel=1e-10)
+        assert det == pytest.approx((nu_1 * nu_2) ** 2, rel=1e-10, abs=0.0)
 
 
 def test_vacuum_report():
@@ -135,7 +137,7 @@ def test_vacuum_report():
     assert report.cor_xApB == 0.0
     assert report.cor_pAxB == 0.0
     assert report.cor_pApB == 0.0
-    assert report.nu_min == pytest.approx(0.5, rel=1e-14)
+    assert report.nu_min == pytest.approx(0.5, rel=1e-14, abs=0.0)
     assert report.separable is True
 
 
@@ -145,18 +147,18 @@ def test_squeezed_state_is_detected_as_entangled():
     assert report.separable is False
     # partial transpose squeezes the smaller eigenvalue to e^{-2r}/2
     assert report.nu_min_ppt == pytest.approx(
-        0.5 * math.exp(-2.0 * r), rel=1e-12
+        0.5 * math.exp(-2.0 * r), rel=1e-12, abs=0.0
     )
     # normalized correlators saturate at tanh(2r), +1 in the limit
-    assert report.cor_xAxB == pytest.approx(math.tanh(2.0 * r), rel=1e-12)
-    assert report.cor_pApB == pytest.approx(-math.tanh(2.0 * r), rel=1e-12)
+    assert report.cor_xAxB == pytest.approx(math.tanh(2.0 * r), rel=1e-12, abs=0.0)
+    assert report.cor_pApB == pytest.approx(-math.tanh(2.0 * r), rel=1e-12, abs=0.0)
 
 
 def test_thermal_product_is_separable():
     cov = gaussian.covariance_local(MomentState(1.2, 0.3, 0.0, 0.0))
     report = gaussian.correlations(cov)
     assert report.separable is True
-    assert report.nu_min_ppt == pytest.approx(0.8, rel=1e-12)
+    assert report.nu_min_ppt == pytest.approx(0.8, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -192,10 +194,110 @@ def test_cross_block_signs_track_moments():
         report = gaussian.correlations(cov)
         scale = math.sqrt((state.moments.nA + 0.5) * (state.moments.nB + 0.5))
         assert report.cor_xAxB == pytest.approx(
-            state.moments.X / (2.0 * scale), rel=1e-12
+            state.moments.X / (2.0 * scale), rel=1e-12, abs=0.0
         )
         assert report.cor_xApB == -report.cor_pAxB
         assert report.cor_xApB == pytest.approx(
-            -state.moments.Y / (2.0 * scale), rel=1e-12
+            -state.moments.Y / (2.0 * scale), rel=1e-12, abs=0.0
         )
         assert max(abs(report.cor_xAxB), abs(report.cor_xApB)) <= 1.0
+
+
+def _row_moments(draw, seed: int, count: int):
+    """(nA, nB, X, Y) and the assembled V of every bosonic row that solves,
+    local and global, the way the CLI rows build them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        params = draw(rng)
+        if params.statistics is not Statistics.BOSON:
+            continue
+        try:
+            m = local_mme.steady_state(params).moments
+        except HeatNetError:
+            pass
+        else:
+            yield (m.nA, m.nB, m.X, m.Y), lambda m=m: gaussian.covariance_local(m)
+        try:
+            state = global_mme.steady_state(params)
+        except HeatNetError:
+            continue
+        X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
+        yield (state.nA, state.nB, X, 0.0), lambda s=state: gaussian.covariance_global(
+            s.basis, s.n_plus, s.n_minus
+        )
+
+
+def _verdict(route):
+    try:
+        return route()
+    except HeatNetError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "draw, seed",
+    [(generic_params, 61), (contrast_params, 62), (extreme_params, 63)],
+    ids=["generic", "contrast", "extreme"],
+)
+def test_moment_route_matches_matrix_route(draw, seed):
+    rows = 0
+    for moments, covariance in _row_moments(draw, seed, 300):
+        matrix = _verdict(lambda: gaussian.correlations(covariance()))
+        closed = _verdict(lambda: gaussian.moment_correlations(*moments))
+        rows += 1
+        if isinstance(matrix, type) or isinstance(closed, type):
+            assert matrix is closed, moments
+            continue
+        assert closed.cor_xAxB == matrix.cor_xAxB
+        assert closed.cor_xApB == matrix.cor_xApB
+        assert closed.cor_pAxB == matrix.cor_pAxB
+        assert closed.cor_pApB == matrix.cor_pApB
+        assert closed.nu_min == pytest.approx(matrix.nu_min, rel=1e-10, abs=0.0)
+        assert closed.nu_min_ppt == pytest.approx(matrix.nu_min_ppt, rel=1e-10, abs=0.0)
+        assert closed.separable is matrix.separable
+    assert rows >= 300
+
+
+_PHYSICAL = (0.7, 0.3, 0.22, -0.11)
+
+
+def _with(index: int, value: float) -> tuple:
+    moments = list(_PHYSICAL)
+    moments[index] = value
+    return tuple(moments)
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [
+        (-0.6, 0.3, 0.0, 0.0),
+        (0.2, 0.3, 0.6, 0.0),
+        (-0.5, -0.5, 0.0, 0.0),
+        (-1.5, 0.5, 0.0, 0.0),
+        (0.5, 0.5, 4.0, 0.0),
+    ]
+    + [_with(i, v) for v in (math.nan, math.inf, -math.inf) for i in range(4)],
+    ids=["below_vacuum", "over_correlated", "zero", "negative_block", "indefinite"]
+    + [f"{v}_{name}" for v in ("nan", "inf", "-inf") for name in ("nA", "nB", "X", "Y")],
+)
+def test_both_routes_reject_unphysical_moments(moments):
+    # negative_block and indefinite mirror test_below_vacuum_noise_is_rejected:
+    # their symplectic moduli clear 1/2, so only the signed lower value fails
+    # them; zero would divide 0/0 without the guard
+    with pytest.raises(UnphysicalCovariance):
+        gaussian.correlations(gaussian.covariance_local(MomentState(*moments)))
+    with pytest.raises(UnphysicalCovariance):
+        gaussian.moment_correlations(*moments)
+
+
+@pytest.mark.parametrize(
+    "draw, seed", [(generic_params, 64), (contrast_params, 65)], ids=["generic", "contrast"]
+)
+def test_physical_rows_are_separable(draw, seed):
+    """With c = hypot(X, Y)/2 and n_> >= n_< the occupations, V is separable
+    iff (n_> + 1) n_< >= c^2 and physical iff nA nB >= c^2; since
+    (n_> + 1) n_< >= n_> n_< = nA nB, every physical row is separable."""
+    for (nA, nB, X, Y), _ in _row_moments(draw, seed, 250):
+        n_big, n_small = max(nA, nB), min(nA, nB)
+        assert (n_big + 1.0) * n_small >= nA * nB >= 0.25 * (X * X + Y * Y)
+        assert gaussian.moment_correlations(nA, nB, X, Y).separable is True

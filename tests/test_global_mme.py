@@ -29,8 +29,8 @@ def test_equal_temperatures_give_bose_einstein_modes():
         basis = normal_mode_basis(params)
         expected_plus = 1.0 / math.expm1(basis.omega_plus / params.T_h)
         expected_minus = 1.0 / math.expm1(basis.omega_minus / params.T_h)
-        assert state.n_plus == pytest.approx(expected_plus, rel=1e-12)
-        assert state.n_minus == pytest.approx(expected_minus, rel=1e-12)
+        assert state.n_plus == pytest.approx(expected_plus, rel=1e-12, abs=0.0)
+        assert state.n_minus == pytest.approx(expected_minus, rel=1e-12, abs=0.0)
         assert abs(state.J_h) <= 1e-12
         assert abs(state.J_c) <= 1e-12
         assert abs(state.sigma) <= 1e-13
@@ -41,8 +41,8 @@ def test_zero_coupling_decouples_baths():
     state = steady_state(params)
     assert state.J_h == pytest.approx(0.0, abs=1e-18)
     assert state.J_c == pytest.approx(0.0, abs=1e-18)
-    assert state.nA == pytest.approx(1.0 / math.expm1(10.0 / 12.0), rel=1e-12)
-    assert state.nB == pytest.approx(1.0 / math.expm1(5.0 / 10.0), rel=1e-12)
+    assert state.nA == pytest.approx(1.0 / math.expm1(10.0 / 12.0), rel=1e-12, abs=0.0)
+    assert state.nB == pytest.approx(1.0 / math.expm1(5.0 / 10.0), rel=1e-12, abs=0.0)
     assert heat_current_closed_form(params) == 0.0
 
 
@@ -87,7 +87,9 @@ def test_closed_form_matches_balance():
     rng = np.random.default_rng(35)
     for _ in range(50):
         params = contrast_params(rng)
-        assert heat_current_closed_form(params) == pytest.approx(steady_state(params).J_h, rel=1e-10)
+        assert heat_current_closed_form(params) == pytest.approx(
+            steady_state(params).J_h, rel=1e-10, abs=0.0
+        )
 
 
 @pytest.mark.parametrize(
@@ -111,10 +113,10 @@ def test_frozen_regression():
     # 50-digit evaluation at omega_h=10, omega_c=5, eps=0.01, T_h=12, T_c=10, kappa=1e-4
     params = NetworkParams(omega_h=10.0, omega_c=5.0, epsilon=1e-2, T_h=12.0, T_c=10.0, kappa=1e-4)
     reference = 8.4497979247571301511e-07
-    assert heat_current_closed_form(params) == pytest.approx(reference, rel=1e-12)
+    assert heat_current_closed_form(params) == pytest.approx(reference, rel=1e-12, abs=0.0)
     # the balance route cancels digits at weak coupling, where the mode
     # occupations are nearly single-bath thermal
-    assert steady_state(params).J_h == pytest.approx(reference, rel=1e-9)
+    assert steady_state(params).J_h == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 def test_occupations_interpolate_between_baths():
@@ -128,8 +130,12 @@ def test_occupations_interpolate_between_baths():
                 (1.0 / math.expm1(omega / params.T_h), 1.0 / math.expm1(omega / params.T_c))
             )
             assert occupations[0] - 1e-12 <= n <= occupations[1] + 1e-12
-        assert state.nA == pytest.approx(basis.c2 * state.n_plus + basis.s2 * state.n_minus, rel=1e-14)
-        assert state.nB == pytest.approx(basis.s2 * state.n_plus + basis.c2 * state.n_minus, rel=1e-14)
+        assert state.nA == pytest.approx(
+            basis.c2 * state.n_plus + basis.s2 * state.n_minus, rel=1e-14, abs=0.0
+        )
+        assert state.nB == pytest.approx(
+            basis.s2 * state.n_plus + basis.c2 * state.n_minus, rel=1e-14, abs=0.0
+        )
 
 
 def test_secular_warning_flags_small_splitting():
