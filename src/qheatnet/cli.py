@@ -1,12 +1,14 @@
 """Command-line front end: point evaluation, parameter sweeps, figure presets.
 
-Output is a flat table, one row per (grid point, treatment), echoing the full
-parameter set so every row stands alone.  Columns that do not apply to a row
-(normal-mode occupations for the local treatment, quadrature correlations for
-two-level nodes) stay empty, and per-row failures land in the final error
-column as the exception class name instead of aborting the sweep.  Floats are
-printed with 17 significant digits so identical invocations are byte
-identical and values round-trip exactly.
+Every command walks one grid: `point` has no axis, `sweep` one or two, and
+the presets are canned sweeps.  Output is a flat table, one row per (grid
+point, treatment), echoing the full parameter set so every row stands alone.
+Columns that do not apply to a row (normal-mode occupations for the local
+treatment, quadrature correlations for two-level nodes) stay empty, and
+per-row failures land in the final error column as the exception class name
+instead of aborting the sweep.  Floats are printed with 17 significant
+digits so identical invocations are byte identical and values round-trip
+exactly.
 
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
@@ -16,8 +18,9 @@ tables they emit are reproducible claims, not just defaults.
 """
 
 import argparse
+import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -53,27 +56,8 @@ COLUMNS = (
     "error",
 )
 
-_STRING_COLUMNS = {"approach", "statistics", "error"}
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    """One swept parameter: name, inclusive range, point count, spacing."""
-
-    name: str
-    start: float
-    stop: float
-    count: int
-    scale: str  # "lin" or "log"
-
-    def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
-
-
-def parse_axis(text: str) -> SweepAxis:
-    """Parse 'name:start:stop:count:lin|log' into a SweepAxis."""
+def parse_axis(text: str) -> tuple[str, np.ndarray]:
+    """Parse 'name:start:stop:count:lin|log' into (name, values)."""
     parts = text.split(":")
     if len(parts) != 5:
         raise ValueError(f"axis must be name:start:stop:count:lin|log, got {text!r}")
@@ -89,7 +73,8 @@ def parse_axis(text: str) -> SweepAxis:
         raise ValueError(f"axis scale must be lin or log, got {scale!r}")
     if scale == "log" and start <= 0:
         raise ValueError(f"log axis needs start > 0, got {start!r}")
-    return SweepAxis(name=name, start=start, stop=stop, count=count, scale=scale)
+    spacing = np.geomspace if scale == "log" else np.linspace
+    return name, spacing(start, stop, count)
 
 
 # --- row construction -------------------------------------------------------
@@ -202,27 +187,24 @@ def run_point(
 
 def sweep_blocks(
     fixed: NetworkParams,
-    axis1_name: str,
-    axis1_values: np.ndarray,
-    axis2_name: str | None,
-    axis2_values: np.ndarray | None,
+    axes: list[tuple[str, np.ndarray]],
     approaches: tuple[str, ...],
     n_max: int = 12,
     with_correlations: bool = True,
 ) -> list[list[dict]]:
-    """Evaluate a grid in deterministic order: axis1 outer, axis2 inner.
+    """Evaluate a grid of up to two (name, values) axes in deterministic order.
 
-    Returns one block of rows per axis1 value; blocks become blank-line
-    separated scanlines in the gnuplot layout.
+    The first axis is the outer loop and the second the inner one; when both
+    name the same parameter the inner value wins.  Returns one block of rows
+    per outer value, or a single block when there is no axis; blocks become
+    blank-line separated scanlines in the gnuplot layout.
     """
+    names = [name for name, _ in axes]
     blocks = []
-    inner = [None] if axis2_values is None else list(axis2_values)
-    for v1 in axis1_values:
+    for outer in itertools.product(*(values for _, values in axes[:1])):
         block: list[dict] = []
-        for v2 in inner:
-            updates = {axis1_name: float(v1)}
-            if axis2_name is not None:
-                updates[axis2_name] = float(v2)
+        for inner in itertools.product(*(values for _, values in axes[1:])):
+            updates = {name: float(v) for name, v in zip(names, outer + inner)}
             params = replace(fixed, **updates)
             block.extend(run_point(params, approaches, n_max, with_correlations))
         blocks.append(block)
@@ -243,15 +225,8 @@ def preset_fig2() -> tuple[tuple[str, ...], list[list[dict]]]:
     are skipped; the map is about sigma only.
     """
     fixed = NetworkParams(omega_c=5.0, epsilon=1e-4, T_c=10.0, kappa=1e-7)
-    blocks = sweep_blocks(
-        fixed,
-        "T_h",
-        np.linspace(10.05, 20.0, 200),
-        "omega_h",
-        np.linspace(0.5, 15.0, 200),
-        ("local",),
-        with_correlations=False,
-    )
+    axes = [("T_h", np.linspace(10.05, 20.0, 200)), ("omega_h", np.linspace(0.5, 15.0, 200))]
+    blocks = sweep_blocks(fixed, axes, ("local",), with_correlations=False)
     for block in blocks:
         for row in block:
             sigma = row["sigma"]
@@ -266,9 +241,7 @@ def preset_fig3() -> tuple[tuple[str, ...], list[list[dict]]]:
     kappa = 1e-4.  Log-spaced, 61 points.
     """
     fixed = NetworkParams(omega_h=10.0, omega_c=5.0, T_h=12.0, T_c=10.0, kappa=1e-4)
-    blocks = sweep_blocks(
-        fixed, "epsilon", np.geomspace(1e-5, 1.0, 61), None, None, ("local", "global")
-    )
+    blocks = sweep_blocks(fixed, [("epsilon", np.geomspace(1e-5, 1.0, 61))], ("local", "global"))
     return COLUMNS, blocks
 
 
@@ -291,18 +264,16 @@ def preset_fig4() -> tuple[tuple[str, ...], list[list[dict]]]:
     kappa = 1e-7.
     """
     fixed = NetworkParams(omega_c=5.0, epsilon=1e-3, T_h=12.0, T_c=10.0, kappa=1e-7)
-    blocks = sweep_blocks(fixed, "omega_h", _fig4_grid(), None, None, ("local", "global"))
+    blocks = sweep_blocks(fixed, [("omega_h", _fig4_grid())], ("local", "global"))
     return COLUMNS, blocks
 
 
 # --- rendering --------------------------------------------------------------
 
 
-def _format_value(value, column: str, gnuplot: bool) -> str:
+def _format_value(value, gnuplot: bool) -> str:
     if value is None:
-        if not gnuplot:
-            return ""
-        return "-" if column in _STRING_COLUMNS else "nan"
+        return "nan" if gnuplot else ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, str):
@@ -318,7 +289,7 @@ def render_csv(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
     lines = [",".join(columns)]
     for block in blocks:
         for row in block:
-            lines.append(",".join(_format_value(row.get(c), c, False) for c in columns))
+            lines.append(",".join(_format_value(row.get(c), False) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -327,7 +298,7 @@ def render_gnuplot(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
     2-D sweep is directly usable as a gnuplot grid."""
     chunks = []
     for block in blocks:
-        lines = [" ".join(_format_value(row.get(c), c, True) for c in columns) for row in block]
+        lines = [" ".join(_format_value(row.get(c), True) for c in columns) for row in block]
         chunks.append("\n".join(lines))
     return "# " + " ".join(columns) + "\n" + "\n\n".join(chunks) + "\n"
 
@@ -359,7 +330,7 @@ def _params_from_args(args: argparse.Namespace) -> NetworkParams:
 
 def _approaches_from_args(args: argparse.Namespace) -> tuple[str, ...]:
     base = ("local", "global") if args.approach == "both" else (args.approach,)
-    if getattr(args, "oracle", False):
+    if args.oracle:
         return base + tuple(f"oracle-{name}" for name in base)
     return base
 
@@ -405,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser(
         "point", parents=[params, approach, output], help="evaluate one parameter set"
     )
-    p_point.set_defaults(handler=_cmd_point)
+    p_point.set_defaults(handler=_cmd_grid, axis1=None, axis2=None)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[params, approach, output], help="sweep one or two parameters"
@@ -414,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--axis1", required=True, help="swept axis as name:start:stop:count:lin|log"
     )
     p_sweep.add_argument("--axis2", help="optional second axis, same format")
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    p_sweep.set_defaults(handler=_cmd_grid)
 
     for name, preset, doc in (
         ("fig2", preset_fig2, "local entropy-production sign map over (omega_h, T_h)"),
@@ -426,23 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_point(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    params = _params_from_args(args)
-    return COLUMNS, [run_point(params, _approaches_from_args(args), args.nmax)]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
-    axis1 = parse_axis(args.axis1)
-    axis2 = parse_axis(args.axis2) if args.axis2 else None
-    blocks = sweep_blocks(
-        _params_from_args(args),
-        axis1.name,
-        axis1.values(),
-        axis2.name if axis2 is not None else None,
-        axis2.values() if axis2 is not None else None,
-        _approaches_from_args(args),
-        args.nmax,
-    )
+def _cmd_grid(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
+    # `point` has no axis, `sweep` one or two; an empty --axis2 means none
+    axes = [parse_axis(spec) for spec in (args.axis1, args.axis2 or None) if spec is not None]
+    blocks = sweep_blocks(_params_from_args(args), axes, _approaches_from_args(args), args.nmax)
     return COLUMNS, blocks
 
 

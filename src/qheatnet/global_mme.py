@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import bath
-from .errors import UnsupportedStatistics
-from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis
+from .model import NetworkParams, NormalModeBasis, normal_mode_basis
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
@@ -72,8 +71,6 @@ class LocalBasisGenerator:
 
 def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
     """Basis, dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
-    if params.statistics is not Statistics.BOSON:
-        raise UnsupportedStatistics("the global treatment is defined for bosonic nodes only")
     basis = normal_mode_basis(params)
     weights = (
         math.exp(-params.beta_h * basis.omega_plus),

@@ -29,7 +29,6 @@ from .errors import (
     NonConvergence,
     StatisticsMismatch,
     TruncationTooSmall,
-    UnsupportedStatistics,
 )
 from .gaussian import CovarianceMatrix
 from .global_mme import DissipationChannel
@@ -142,14 +141,14 @@ def _mode_operators(params: NetworkParams, n_max: int) -> tuple[sp.csr_matrix, s
 def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLiouvillian:
     """Assemble the requested generator on the truncated space.
 
-    For two-level nodes the space is exact and n_max is ignored.  Bosonic
-    truncations below n_max = 2 cannot even hold the cross-channel algebra
-    and are rejected outright; whether a given n_max is large enough for a
-    given parameter set is checked a posteriori by steady_state.
+    For two-level nodes the space is exact and n_max is ignored; the global
+    generator needs normal modes, which `normal_mode_basis` refuses for them
+    with UnsupportedStatistics.  Bosonic truncations below n_max = 2 cannot
+    even hold the cross-channel algebra and are rejected outright; whether a
+    given n_max is large enough for a given parameter set is checked a
+    posteriori by steady_state.
     """
     if params.statistics is Statistics.TLS:
-        if approach is Generator.GLOBAL:
-            raise UnsupportedStatistics("the global treatment is defined for bosonic nodes only")
         n_max = 1
     elif n_max < 2:
         raise TruncationTooSmall(f"bosonic truncation needs n_max >= 2, got {n_max}")

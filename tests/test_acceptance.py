@@ -185,7 +185,7 @@ def test_criterion_08_equilibrium_is_exact_globally_and_violated_locally():
             (state.n_minus, basis.omega_minus),
         ):
             expected = thermal_occupation(omega, params.T_h, Statistics.BOSON)
-            assert occupation == pytest.approx(expected, rel=1e-12)
+            assert occupation == pytest.approx(expected, rel=1e-12, abs=0.0)
     # equal temperatures, detuned nodes: the local current never dies
     pathology = NetworkParams(
         omega_h=10.0, omega_c=5.0, epsilon=1e-3, T_h=10.0, T_c=10.0, kappa=1e-7

@@ -11,14 +11,15 @@ physics is covered by the acceptance tests.
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qheatnet import cli, errors
-from qheatnet.model import NetworkParams
+from qheatnet.model import NetworkParams, Statistics
 
-from _draws import extreme_params
+from _draws import contrast_params, extreme_params, generic_params
 
 EXPECTED_HEADER = (
     "approach,omega_h,omega_c,epsilon,T_h,T_c,kappa,statistics,"
@@ -162,6 +163,51 @@ def test_run_point_never_raises_over_extreme_draws():
                 assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"]), params
 
 
+# Power of lambda each numeric column scales by under the unit scaling below.
+_UNIT_POWERS = {
+    **dict.fromkeys(("n_A", "n_B", "X", "Y", "n_plus", "n_minus"), 0),
+    **dict.fromkeys(("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB"), 0),
+    "J_h": 2,
+    "J_c": 2,
+    "sigma": 1,
+}
+
+
+@pytest.mark.parametrize("draw", [generic_params, contrast_params], ids=["generic", "contrast"])
+def test_rows_obey_unit_scaling(draw):
+    # Frequencies and temperatures times lambda, kappa over lambda^2: every
+    # rate kappa omega^3 (1 + n) scales by lambda, so the steady state is the
+    # same, currents scale by lambda^2 and entropy production by lambda.
+    # Powers of two keep the scaled inputs exact.
+    rng = np.random.default_rng(6001)
+    for i in range(750):
+        statistics = Statistics.TLS if i % 5 == 0 else Statistics.BOSON
+        params = draw(rng, statistics)
+        approaches = ("local",) if statistics is Statistics.TLS else ("local", "global")
+        rows = cli.run_point(params, approaches)
+        for lam in (2.0**-3, 2.0**5):
+            scaled = replace(
+                params,
+                omega_h=lam * params.omega_h,
+                omega_c=lam * params.omega_c,
+                epsilon=lam * params.epsilon,
+                T_h=lam * params.T_h,
+                T_c=lam * params.T_c,
+                kappa=params.kappa / lam**2,
+            )
+            for row, other in zip(rows, cli.run_point(scaled, approaches), strict=True):
+                for column in ("error", "separable", "secular_warning"):
+                    assert other[column] == row[column], (params, lam, column)
+                for column, power in _UNIT_POWERS.items():
+                    if row[column] is None:
+                        assert other[column] is None, (params, lam, column)
+                    else:
+                        expected = lam**power * row[column]
+                        assert other[column] == pytest.approx(expected, rel=1e-13, abs=0.0), (
+                            params, lam, column,
+                        )
+
+
 def test_oracle_rows_agree_with_the_closed_forms(capsys):
     argv = ["point", "--statistics", "tls", "--approach", "local", "--oracle"]
     assert cli.main(argv) == 0
@@ -169,22 +215,35 @@ def test_oracle_rows_agree_with_the_closed_forms(capsys):
     assert [r["approach"] for r in rows] == ["local", "oracle-local"]
     closed, brute = rows
     assert float(brute["J_h"]) == pytest.approx(float(closed["J_h"]), rel=1e-9)
-    assert float(brute["n_A"]) == pytest.approx(float(closed["n_A"]), rel=1e-9)
+    assert float(brute["n_A"]) == pytest.approx(float(closed["n_A"]), rel=1e-9, abs=0.0)
     # quadrature correlations are bosonic; TLS rows leave them empty
     assert brute["cor_xAxB"] == "" and closed["cor_xAxB"] == ""
 
 
-def test_gnuplot_layout(capsys):
-    argv = [
-        "sweep", "--approach", "local", "--gnuplot",
-        "--axis1", "T_h:11:13:3:lin", "--axis2", "omega_h:1:2:2:lin",
-    ]
-    assert cli.main(argv) == 0
+@pytest.mark.parametrize(
+    "argv, n_blocks, block_rows",
+    [
+        (["point"], 1, 2),
+        (["sweep", "--approach", "local", "--axis1", "T_h:11:13:3:lin"], 3, 1),
+        (
+            [
+                "sweep", "--approach", "local",
+                "--axis1", "T_h:11:13:3:lin", "--axis2", "omega_h:1:2:2:lin",
+            ],
+            3,
+            2,
+        ),
+    ],
+    ids=["no_axis", "one_axis", "two_axes"],
+)
+def test_gnuplot_layout(argv, n_blocks, block_rows, capsys):
+    # one block per axis1 value, a single block for a point
+    assert cli.main(argv + ["--gnuplot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# approach omega_h")
     blocks = out[out.index("\n") + 1 :].rstrip("\n").split("\n\n")
-    assert len(blocks) == 3  # one per axis1 value
-    assert all(len(b.splitlines()) == 2 for b in blocks)
+    assert len(blocks) == n_blocks
+    assert all(len(b.splitlines()) == block_rows for b in blocks)
     first = blocks[0].splitlines()[0].split()
     assert len(first) == len(cli.COLUMNS)
     # local rows: no mode populations, no warning, empty error string
@@ -195,10 +254,12 @@ def test_gnuplot_layout(capsys):
 
 
 def test_parse_axis_values():
-    axis = cli.parse_axis("epsilon:1e-3:1:4:log")
-    np.testing.assert_allclose(axis.values(), np.geomspace(1e-3, 1.0, 4))
-    axis = cli.parse_axis("T_h: 1 : 2 : 3 : lin")
-    np.testing.assert_allclose(axis.values(), np.linspace(1.0, 2.0, 3))
+    name, values = cli.parse_axis("epsilon:1e-3:1:4:log")
+    assert name == "epsilon"
+    np.testing.assert_allclose(values, np.geomspace(1e-3, 1.0, 4))
+    name, values = cli.parse_axis("T_h: 1 : 2 : 3 : lin")
+    assert name == "T_h"
+    np.testing.assert_allclose(values, np.linspace(1.0, 2.0, 3))
 
 
 @pytest.mark.parametrize(
@@ -242,7 +303,7 @@ def test_fig3_preset_shape(capsys):
     assert len(rows) == 61 * 2
     assert {r["approach"] for r in rows} == {"local", "global"}
     eps = sorted({float(r["epsilon"]) for r in rows})
-    assert eps[0] == pytest.approx(1e-5) and eps[-1] == pytest.approx(1.0)
+    assert eps[0] == pytest.approx(1e-5, abs=0.0) and eps[-1] == pytest.approx(1.0, abs=0.0)
     assert all(r["error"] == "" for r in rows)
 
 
