@@ -7,11 +7,22 @@ space and extracts steady states, currents and covariances numerically, with
 no shared algebra, so the closed forms can be audited against it.
 
 Superoperators use the column-stacking convention vec(A rho B) = (B^T kron A)
-vec(rho).  The steady state is the nullspace of the generator, pinned to unit
-trace by replacing the first row with the trace functional and solving the
-resulting sparse system directly.  Truncation quality is policed, not
-assumed: the solve must reproduce a small generator residual, the state must
-be positive to round-off, and bosonic states must leave the top Fock level
+vec(rho).  The steady state is the nullspace of the generator, solved on the
+excitation-number sector only: the entries |n><m| with N(n) = N(m), where
+N = N_A + N_B.  The restriction is exact for both generators.  Every
+Hamiltonian term conserves N, and every jump operator (a, b, d+-, and their
+adjoints) shifts it by exactly one, so c rho c' and {c'c, rho} map the
+sector into itself and its complement into itself; the trace lives on the
+sector, so the unique steady state does too (a U(1) symmetry of the
+Liouvillian; Buca & Prosen, New J. Phys. 14, 073007 (2012)).  At n_max = 12
+the sector holds 1 469 of the 28 561 entries of rho.  On the sector the
+nullspace is pinned to unit trace by replacing the first row with the trace
+functional, and the resulting sparse system is solved directly.
+
+Truncation quality is policed, not assumed: the solve must reproduce a
+small residual of the full generator, so a term that breaks the symmetry
+fails it instead of returning a sector-only state; the state must be
+positive to round-off; and bosonic states must leave the top Fock level
 essentially unpopulated.
 """
 
@@ -210,6 +221,12 @@ def _top_level_population(rho: np.ndarray, dim_mode: int) -> float:
 def steady_state(liou: FockLiouvillian) -> np.ndarray:
     """Solve for the unique unit-trace state annihilated by the generator.
 
+    The solve runs on the sector of entries |n><m| with N(n) = N(m), which
+    is exact because every term of both generators conserves N or shifts it
+    on both sides of rho alike (see the module docstring); rho is zero off
+    the sector.  The residual is still taken on the full generator, so a
+    generator that couples the sector to its complement cannot pass.
+
     Raises DegenerateNullspace when the trace-pinned system is singular
     (more than one steady state), NonConvergence when the returned state
     fails the residual or positivity checks, and TruncationTooSmall when a
@@ -217,13 +234,22 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     numbers describe the truncation rather than the network.
     """
     dim = liou.dimension
+    # N of each Hilbert index, read off the built operators so that it
+    # follows their kron order
+    number_op = liou.a.conj().T @ liou.a + liou.b.conj().T @ liou.b
+    number = np.rint(number_op.diagonal().real).astype(int)
+    # rho[n, m] sits at n + dim*m, and nonzero walks (m, n) in that order
+    cols, rows = np.nonzero(number[:, None] == number[None, :])
+    sector = rows + dim * cols
+    diagonal = np.flatnonzero(rows == cols)
     trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, dim * dim, dim + 1))),
-        shape=(1, dim * dim),
+        (np.ones(dim), (np.zeros(dim, dtype=int), diagonal)),
+        shape=(1, sector.size),
         dtype=complex,
     )
-    pinned = sp.vstack([trace_row, liou.generator[1:, :]], format="csc")
-    rhs = np.zeros(dim * dim, dtype=complex)
+    sector_rows = liou.generator[sector[1:]][:, sector]
+    pinned = sp.vstack([trace_row, sector_rows], format="csc")
+    rhs = np.zeros(sector.size, dtype=complex)
     rhs[0] = 1.0
     try:
         solution = splu(pinned).solve(rhs)
@@ -231,13 +257,18 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
         raise DegenerateNullspace(f"trace-pinned generator is singular: {exc}") from exc
     if not np.all(np.isfinite(solution)):
         raise DegenerateNullspace("trace-pinned solve returned non-finite entries")
-    rho = _unvec(solution, dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[rows, cols] = solution
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = float(np.max(np.abs(liou.generator @ _vec(rho))))
     if residual > RESIDUAL_TOLERANCE:
         raise NonConvergence(f"steady-state residual {residual!r} exceeds {RESIDUAL_TOLERANCE}")
-    lowest = float(np.linalg.eigvalsh(rho)[0])
+    # rho is block-diagonal in N, so its spectrum is the union of the blocks'
+    lowest = min(
+        float(np.linalg.eigvalsh(rho[np.ix_(number == n, number == n)])[0])
+        for n in np.unique(number)
+    )
     if lowest < -NEGATIVITY_TOLERANCE:
         raise NonConvergence(f"steady state has eigenvalue {lowest!r} below -{NEGATIVITY_TOLERANCE}")
     if liou.params.statistics is Statistics.BOSON:

@@ -9,13 +9,16 @@ physics is covered by the acceptance tests.
 """
 
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qheatnet
 from qheatnet import cli, errors
 from qheatnet.model import NetworkParams, Statistics
 
@@ -317,11 +320,20 @@ def test_fig4_preset_shape(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child does not inherit pytest's pythonpath, so hand it the
+    # directory the package under test was imported from
+    package_root = str(Path(qheatnet.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+    )
     result = subprocess.run(
         [sys.executable, "-m", "qheatnet", "point", "--approach", "local"],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == EXPECTED_HEADER

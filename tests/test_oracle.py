@@ -13,12 +13,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from _draws import cold_params, generic_params
 from qheatnet import gaussian, global_mme, local_mme, model, oracle
 from qheatnet.errors import (
     DegenerateNullspace,
     GaplessSpectrum,
+    NonConvergence,
     StatisticsMismatch,
     TruncationTooSmall,
     UnsupportedStatistics,
@@ -29,11 +32,87 @@ from qheatnet.oracle import Generator
 COLD_POINT = NetworkParams(
     omega_h=6.0, omega_c=5.0, epsilon=0.5, T_h=1.5, T_c=1.2, kappa=1e-4
 )
+# cold enough that both generators clear the occupancy guard at n_max = 2
+FRIGID_POINT = NetworkParams(
+    omega_h=10.0, omega_c=8.0, epsilon=1.0, T_h=0.7, T_c=0.6, kappa=1e-3
+)
+SECTOR_CASES = [
+    (Statistics.BOSON, Generator.LOCAL, 2),
+    (Statistics.BOSON, Generator.LOCAL, 3),
+    (Statistics.BOSON, Generator.LOCAL, 4),
+    (Statistics.BOSON, Generator.GLOBAL, 2),
+    (Statistics.BOSON, Generator.GLOBAL, 3),
+    (Statistics.BOSON, Generator.GLOBAL, 4),
+    (Statistics.TLS, Generator.LOCAL, 1),
+]
 
 
 def _truncated_thermal(omega: float, temperature: float, n_max: int) -> np.ndarray:
     weights = np.exp(-omega * np.arange(n_max + 1) / temperature)
     return np.diag(weights / weights.sum())
+
+
+def _sector_mask(liou: oracle.FockLiouvillian) -> np.ndarray:
+    """Which column-stacked entries |n><m| have N(n) = N(m).
+
+    Worked out from the kron order a = ladder (x) 1, b = 1 (x) ladder,
+    independently of how the oracle labels its indices.
+    """
+    dim_mode = liou.n_max + 1
+    index = np.arange(liou.dimension)
+    number = index // dim_mode + index % dim_mode
+    return (number[:, None] == number[None, :]).reshape(-1, order="F")
+
+
+def _full_space_steady_state(liou: oracle.FockLiouvillian) -> np.ndarray:
+    """Trace-pinned solve of the whole dim**2 system, as the reference."""
+    dim = liou.dimension
+    trace_row = sp.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(0, dim * dim, dim + 1))),
+        shape=(1, dim * dim),
+        dtype=complex,
+    )
+    pinned = sp.vstack([trace_row, liou.generator[1:, :]], format="csc")
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    rho = splu(pinned).solve(rhs).reshape((dim, dim), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
+def test_generator_does_not_couple_the_sector_to_its_complement(statistics, approach, n_max):
+    params = dataclasses.replace(FRIGID_POINT, statistics=statistics)
+    liou = oracle.build(params, approach, n_max=n_max)
+    inside = _sector_mask(liou)
+    assert 0 < inside.sum() < inside.size
+    assert liou.generator[inside][:, ~inside].count_nonzero() == 0
+    assert liou.generator[~inside][:, inside].count_nonzero() == 0
+
+
+@pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
+def test_sector_solve_matches_the_full_space_solve(statistics, approach, n_max):
+    params = dataclasses.replace(FRIGID_POINT, statistics=statistics)
+    liou = oracle.build(params, approach, n_max=n_max)
+    rho = oracle.steady_state(liou)
+    reference = _full_space_steady_state(liou)
+    assert np.abs(rho - reference).max() <= 1e-14
+    # the reference is not trivially the vacuum
+    assert np.abs(reference[1:, 1:]).max() > 1e-9
+
+
+@pytest.mark.parametrize("breaking", ["squeezing", "quadrature_dissipator"])
+def test_symmetry_breaking_term_fails_the_full_residual(breaking):
+    liou = oracle.build(FRIGID_POINT, Generator.LOCAL, n_max=4)
+    a, ad = liou.a, liou.a.conj().T
+    if breaking == "squeezing":
+        squeeze = 1e-3 * (ad @ ad + a @ a)
+        term = -1j * (oracle._spre(squeeze) - oracle._spost(squeeze))
+    else:
+        term = 1e-3 * oracle._dissipator(a + ad)
+    broken = dataclasses.replace(liou, generator=(liou.generator + term).tocsr())
+    with pytest.raises(NonConvergence):
+        oracle.steady_state(broken)
 
 
 @pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
