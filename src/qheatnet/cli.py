@@ -10,6 +10,15 @@ instead of aborting the sweep.  Floats are printed with 17 significant
 digits so identical invocations are byte identical and values round-trip
 exactly.
 
+A grid is checked and evaluated as a whole.  `validate` checks each field
+on its own, so each axis value is validated once instead of each point; a
+rejected value is a usage error before anything is computed.  The local
+rows of the whole grid come from one call of the local kernel; the global
+and oracle rows are solved point by point.  The table is rendered column by
+column over runs of whole blocks about a thousand rows long: a column
+holding one object throughout a run is formatted once, and so is each
+distinct non-zero float.
+
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
 epsilon sweep comparing both treatments, and the omega_h sweep through
@@ -19,6 +28,7 @@ tables they emit are reproducible claims, not just defaults.
 
 import argparse
 import itertools
+import math
 import sys
 from dataclasses import replace
 
@@ -102,14 +112,41 @@ def _fill_correlations(row: dict, report) -> None:
     row["separable"] = report.separable
 
 
-def _local_row(params: NetworkParams, with_correlations: bool) -> dict:
-    row = _base_row("local", params)
-    state = local_mme.steady_state(params)
-    m = state.moments
-    row.update(n_A=m.nA, n_B=m.nB, X=m.X, Y=m.Y, J_h=state.J_h, J_c=state.J_c, sigma=state.sigma)
-    if with_correlations and params.statistics is Statistics.BOSON:
-        _fill_correlations(row, moment_correlations(m.nA, m.nB, m.X, m.Y))
-    return row
+def _local_rows(
+    points: dict[str, list], statistics: Statistics, with_correlations: bool
+) -> list[dict]:
+    """Local rows for parallel parameter columns, from one call of the grid kernel."""
+    states = local_mme.steady_states(
+        *(np.array(points[name]) for name in _FLOAT_KEYS), statistics.delta
+    )
+    correlated = with_correlations and statistics is Statistics.BOSON
+    blank = dict.fromkeys(COLUMNS)
+    blank.update(approach="local", statistics=statistics.value, error="")
+    rows = []
+    for echo, error, moments, J_h, J_c, sigma in zip(
+        zip(*(points[name] for name in _FLOAT_KEYS)),
+        states.errors,
+        states.moments.tolist(),
+        states.J_h.tolist(),
+        states.J_c.tolist(),
+        states.sigma.tolist(),
+    ):
+        row = blank.copy()
+        row["omega_h"], row["omega_c"], row["epsilon"], row["T_h"], row["T_c"], row["kappa"] = echo
+        if error is None and correlated:
+            try:
+                report = moment_correlations(*moments)
+            except HeatNetError as exc:
+                error = exc
+        if error is not None:
+            row["error"] = type(error).__name__
+        else:
+            row["n_A"], row["n_B"], row["X"], row["Y"] = moments
+            row["J_h"], row["J_c"], row["sigma"] = J_h, J_c, sigma
+            if correlated:
+                _fill_correlations(row, report)
+        rows.append(row)
+    return rows
 
 
 def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
@@ -171,7 +208,8 @@ def run_point(
     for approach in approaches:
         try:
             if approach == "local":
-                row = _local_row(params, with_correlations)
+                point = {name: [getattr(params, name)] for name in _FLOAT_KEYS}
+                row = _local_rows(point, params.statistics, with_correlations)[0]
             elif approach == "global":
                 row = _global_row(params, with_correlations)
             elif approach in ("oracle-local", "oracle-global"):
@@ -183,6 +221,30 @@ def run_point(
             row["error"] = type(exc).__name__
         rows.append(row)
     return rows
+
+
+def _check_axes(fixed: NetworkParams, axes: list[tuple[str, np.ndarray]]) -> None:
+    """Validate each axis value once; raise the error of the first invalid grid point.
+
+    `validate` checks each field on its own, so only a point with a rejected
+    axis value can be invalid.  Those points are built in grid order until
+    one raises; an outer value that the inner axis overrides never does.
+    """
+    names = [name for name, _ in axes]
+    rejected = [[_invalid(fixed, name, value) for value in values] for name, values in axes]
+    if not any(map(any, rejected)):
+        return
+    for index in itertools.product(*(range(len(values)) for _, values in axes)):
+        if any(rejected[k][i] for k, i in enumerate(index)):
+            replace(fixed, **{names[k]: float(axes[k][1][i]) for k, i in enumerate(index)})
+
+
+def _invalid(fixed: NetworkParams, name: str, value) -> bool:
+    try:
+        replace(fixed, **{name: float(value)})
+    except HeatNetError:
+        return True
+    return False
 
 
 def sweep_blocks(
@@ -197,18 +259,44 @@ def sweep_blocks(
     The first axis is the outer loop and the second the inner one; when both
     name the same parameter the inner value wins.  Returns one block of rows
     per outer value, or a single block when there is no axis; blocks become
-    blank-line separated scanlines in the gnuplot layout.
+    blank-line separated scanlines in the gnuplot layout.  Each point's rows
+    follow the order of `approaches`.
+
+    The local rows of the whole grid come from one kernel call; the other
+    treatments run point by point through run_point.
     """
-    names = [name for name, _ in axes]
-    blocks = []
-    for outer in itertools.product(*(values for _, values in axes[:1])):
-        block: list[dict] = []
-        for inner in itertools.product(*(values for _, values in axes[1:])):
-            updates = {name: float(v) for name, v in zip(names, outer + inner)}
-            params = replace(fixed, **updates)
-            block.extend(run_point(params, approaches, n_max, with_correlations))
-        blocks.append(block)
-    return blocks
+    _check_axes(fixed, axes)
+    shape = [len(values) for _, values in axes]
+    count = math.prod(shape)
+    inner = shape[1] if len(axes) == 2 else 1
+    # One entry per grid point, outer axis slowest; a value that does not
+    # change along a block is one shared object there.
+    points = {name: [getattr(fixed, name)] * count for name in _FLOAT_KEYS}
+    if axes:
+        name, values = axes[0]
+        points[name] = [value for value in values.tolist() for _ in range(inner)]
+    if len(axes) == 2:
+        name, values = axes[1]
+        points[name] = values.tolist() * shape[0]
+    local = []
+    if "local" in approaches:
+        local = _local_rows(points, fixed.statistics, with_correlations)
+    others = tuple(approach for approach in approaches if approach != "local")
+    per_point = [
+        run_point(
+            replace(fixed, **{name: points[name][i] for name in _FLOAT_KEYS}),
+            others,
+            n_max,
+            with_correlations,
+        )
+        for i in range(count if others else 0)
+    ]
+    # one sequence of rows per treatment, in the order of `approaches`
+    by_other = iter(zip(*per_point))
+    columns = [local if approach == "local" else next(by_other) for approach in approaches]
+    rows = [row for point_rows in zip(*columns) for row in point_rows]
+    width = inner * len(approaches)
+    return [rows[k * width : (k + 1) * width] for k in range(shape[0] if axes else 1)]
 
 
 # --- figure presets ---------------------------------------------------------
@@ -285,22 +373,60 @@ def _format_value(value, gnuplot: bool) -> str:
     return format(float(value), ".17g")
 
 
+def _format_column(values: list, gnuplot: bool) -> list[str]:
+    """_format_value over a column, formatting a shared object or a repeated float once."""
+    first = values[0] if values else None
+    if all(value is first for value in values):
+        return [_format_value(first, gnuplot)] * len(values)
+    if set(map(type, values)) == {float}:
+        distinct = dict.fromkeys(values)
+        # a table keyed by value would print -0.0 as 0
+        if 0.0 not in distinct:
+            texts = {value: format(value, ".17g") for value in distinct}
+            return list(map(texts.__getitem__, values))
+    return [_format_value(value, gnuplot) for value in values]
+
+
+# Rows formatted together: enough that small blocks share the per-column
+# work, few enough that the string columns stay small next to the table.
+_CHUNK_ROWS = 1000
+
+
+def _block_texts(columns: tuple[str, ...], blocks: list[list[dict]], gnuplot: bool):
+    """Yield each block's lines, joined by newlines.
+
+    Cells are formatted column by column over runs of whole blocks that
+    hold at least _CHUNK_ROWS rows (the last run may hold fewer).
+    """
+    separator = " " if gnuplot else ","
+    run: list[list[dict]] = []
+    size = 0
+    for index, block in enumerate(blocks):
+        run.append(block)
+        size += len(block)
+        if size < _CHUNK_ROWS and index + 1 < len(blocks):
+            continue
+        rows = [row for member in run for row in member]
+        cells = [
+            _format_column(list(map(dict.get, rows, itertools.repeat(column))), gnuplot)
+            for column in columns
+        ]
+        lines = map(separator.join, zip(*cells))
+        for member in run:
+            yield "\n".join(itertools.islice(lines, len(member)))
+        run, size = [], 0
+
+
 def render_csv(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
-    lines = [",".join(columns)]
-    for block in blocks:
-        for row in block:
-            lines.append(",".join(_format_value(row.get(c), False) for c in columns))
-    return "\n".join(lines) + "\n"
+    texts = filter(None, _block_texts(columns, blocks, False))
+    return "\n".join([",".join(columns), *texts]) + "\n"
 
 
 def render_gnuplot(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
     """Whitespace-separated table; blocks become blank-line separated so a
     2-D sweep is directly usable as a gnuplot grid."""
-    chunks = []
-    for block in blocks:
-        lines = [" ".join(_format_value(row.get(c), True) for c in columns) for row in block]
-        chunks.append("\n".join(lines))
-    return "# " + " ".join(columns) + "\n" + "\n\n".join(chunks) + "\n"
+    texts = _block_texts(columns, blocks, True)
+    return "# " + " ".join(columns) + "\n" + "\n\n".join(texts) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

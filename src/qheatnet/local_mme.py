@@ -24,6 +24,17 @@ and J_c symmetrically from the cold generator, so the first law J_h + J_c = 0
 is an output check, not an input assumption.  The entropy production rate is
 sigma = -J_h/T_h - J_c/T_c; it changes sign with exp(beta_c omega_c) -
 exp(beta_h omega_h), which is the whole point of auditing this treatment.
+
+One kernel, `steady_states`, serves single points and grids alike: it takes
+parameter columns, assembles the drift matrices as one (N, 4, 4) stack and
+solves them in one batched call; `steady_state` and `affine_system` are its
+size-1 cases.  The rates and the weights w_l are evaluated per row with
+`math`: numpy's exp, expm1 and cube differ from `math`'s in the last bit on
+a few percent of inputs, which would change the 17-digit tables the CLI
+prints.  Everything after them is plain + - * / in the order of the scalar
+formulas above, and numpy rounds those exactly as Python floats do.  A
+failing row (a rate that overflows, a singular drift matrix) carries its
+typed error in the result and never stops the other rows.
 """
 
 import math
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bath
-from .errors import SingularSystem
+from .errors import HeatNetError, NegativeFrequency, RateOverflow, SingularSystem
 from .model import NetworkParams
 
 
@@ -64,53 +75,128 @@ class LocalSteadyState:
     sigma: float
 
 
-def _coefficients(params: NetworkParams) -> tuple[float, float, float, float, float, float]:
-    gamma_h, gamma_c = bath.local_rates(params)
-    w_h = math.exp(-params.beta_h * params.omega_h)
-    w_c = math.exp(-params.beta_c * params.omega_c)
-    G_h = gamma_h * (1.0 + params.delta * w_h)
-    G_c = gamma_c * (1.0 + params.delta * w_c)
+@dataclass(frozen=True)
+class LocalSteadyStates:
+    """Column form of LocalSteadyState: row i belongs to the i-th parameter set.
+
+    A row that failed has its typed error in `errors` and meaningless
+    numbers; every other row's entry there is None.
+    """
+
+    moments: np.ndarray  # (N, 4) rows of (nA, nB, X, Y)
+    J_h: np.ndarray
+    J_c: np.ndarray
+    sigma: np.ndarray
+    errors: list[HeatNetError | None]
+
+
+def _coefficients(
+    omega_h: float, omega_c: float, T_h: float, T_c: float, kappa: float, delta: float
+) -> tuple[float, float, float, float, float, float]:
+    """gamma_h, gamma_c, w_h, w_c, G_h, G_c of one parameter set, in Python floats."""
+    gamma_h, gamma_c = bath.rate(omega_h, T_h, kappa), bath.rate(omega_c, T_c, kappa)
+    w_h = math.exp(-(1.0 / T_h) * omega_h)
+    w_c = math.exp(-(1.0 / T_c) * omega_c)
+    G_h = gamma_h * (1.0 + delta * w_h)
+    G_c = gamma_c * (1.0 + delta * w_c)
     return gamma_h, gamma_c, w_h, w_c, G_h, G_c
+
+
+_FAILED = (math.nan,) * 6  # the coefficients of a row whose rate failed
+
+# Like Python floats, the column arithmetic overflows to inf and makes NaN
+# without a warning.
+_SILENT = {"over": "ignore", "invalid": "ignore"}
+
+
+@np.errstate(**_SILENT)
+def _assemble(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta):
+    """Stacks A (N, 4, 4) and v (N, 4) of dx/dt = A x + v, the G columns and the row errors.
+
+    The coefficients are computed row by row (see the module docstring); a
+    row whose rate fails keeps its error and NaN coefficients.
+    """
+    rows, errors = [], []
+    for point in zip(*(c.tolist() for c in (omega_h, omega_c, T_h, T_c, kappa))):
+        try:
+            rows.append(_coefficients(*point, delta))
+            errors.append(None)
+        except (NegativeFrequency, RateOverflow) as exc:
+            rows.append(_FAILED)
+            errors.append(exc)
+    gamma_h, gamma_c, w_h, w_c, G_h, G_c = np.array(rows).reshape(-1, 6).T
+    zero = np.zeros_like(G_h)
+    gap = omega_h - omega_c
+    damp = 0.5 * (G_h + G_c)
+    A = np.array(
+        [
+            [-G_h, zero, zero, -epsilon],
+            [zero, -G_c, zero, epsilon],
+            [zero, zero, -damp, gap],
+            [2.0 * epsilon, -2.0 * epsilon, -gap, -damp],
+        ]
+    ).transpose(2, 0, 1)
+    v = np.array([gamma_h * w_h, gamma_c * w_c, zero, zero]).T
+    return A, v, G_h, G_c, errors
+
+
+def _point(params: NetworkParams) -> tuple:
+    """The length-1 columns and delta of one parameter set, in steady_states' order."""
+    values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
+    return (*np.array(values)[:, None], params.delta)
+
+
+def _raise_first(errors: list[HeatNetError | None]) -> None:
+    if errors[0] is not None:
+        raise errors[0]
 
 
 def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix A and inhomogeneity v of dx/dt = A x + v for x = (nA, nB, X, Y)."""
-    gamma_h, gamma_c, w_h, w_c, G_h, G_c = _coefficients(params)
-    eps = params.epsilon
-    gap = params.omega_h - params.omega_c
-    damp = 0.5 * (G_h + G_c)
-    A = np.array(
-        [
-            [-G_h, 0.0, 0.0, -eps],
-            [0.0, -G_c, 0.0, eps],
-            [0.0, 0.0, -damp, gap],
-            [2.0 * eps, -2.0 * eps, -gap, -damp],
-        ]
+    A, v, _, _, errors = _assemble(*_point(params))
+    _raise_first(errors)
+    return A[0], v[0]
+
+
+@np.errstate(**_SILENT)
+def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> LocalSteadyStates:
+    """Steady states of the local moment system for equal-length parameter columns.
+
+    delta is the statistics' sign, shared by every row.  The N drift
+    matrices are solved in one batched call.  A singular one fails the whole
+    batch; the rows are then solved one by one, so that only the singular
+    rows fail.
+    """
+    omega_h, omega_c, epsilon, T_h, T_c, kappa = (
+        np.asarray(c, dtype=float) for c in (omega_h, omega_c, epsilon, T_h, T_c, kappa)
     )
-    v = np.array([gamma_h * w_h, gamma_c * w_c, 0.0, 0.0])
-    return A, v
-
-
-def _currents(
-    params: NetworkParams, A: np.ndarray, v: np.ndarray, x: np.ndarray
-) -> tuple[float, float]:
-    # A's diagonal holds -G_h, -G_c and v holds gamma_h w_h, gamma_c w_c.
-    G_h, G_c = -A[0, 0], -A[1, 1]
-    J_h = params.omega_h * (v[0] - G_h * x[0]) - 0.5 * params.epsilon * G_h * x[2]
-    J_c = params.omega_c * (v[1] - G_c * x[1]) - 0.5 * params.epsilon * G_c * x[2]
-    return float(J_h), float(J_c)
+    A, v, G_h, G_c, errors = _assemble(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta)
+    try:
+        x = np.linalg.solve(A, -v[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(v.shape, math.nan)
+        for i, error in enumerate(errors):
+            if error is None:
+                try:
+                    x[i] = np.linalg.solve(A[i], -v[i])
+                except np.linalg.LinAlgError as exc:
+                    errors[i] = SingularSystem(f"moment drift matrix is singular: {exc}")
+    J_h = omega_h * (v[:, 0] - G_h * x[:, 0]) - 0.5 * epsilon * G_h * x[:, 2]
+    J_c = omega_c * (v[:, 1] - G_c * x[:, 1]) - 0.5 * epsilon * G_c * x[:, 2]
+    sigma = -J_h / T_h - J_c / T_c
+    return LocalSteadyStates(moments=x, J_h=J_h, J_c=J_c, sigma=sigma, errors=errors)
 
 
 def steady_state(params: NetworkParams) -> LocalSteadyState:
     """Unique steady state of the local generator's moment system."""
-    A, v = affine_system(params)
-    try:
-        x = np.linalg.solve(A, -v)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"moment drift matrix is singular: {exc}") from exc
-    J_h, J_c = _currents(params, A, v, x)
-    sigma = -J_h / params.T_h - J_c / params.T_c
-    return LocalSteadyState(moments=MomentState.from_array(x), J_h=J_h, J_c=J_c, sigma=sigma)
+    states = steady_states(*_point(params))
+    _raise_first(states.errors)
+    return LocalSteadyState(
+        moments=MomentState.from_array(states.moments[0]),
+        J_h=float(states.J_h[0]),
+        J_c=float(states.J_c[0]),
+        sigma=float(states.sigma[0]),
+    )
 
 
 def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
@@ -127,7 +213,9 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
     kappa.  Independent of steady_state(), which solves the 4x4 system.
     """
-    _, _, w_h, w_c, G_h, G_c = _coefficients(params)
+    _, _, w_h, w_c, G_h, G_c = _coefficients(
+        params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta
+    )
     four_eps_sq = 4.0 * params.epsilon**2
     S = G_h + G_c
     Q = S * S + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * (params.omega_h - params.omega_c) ** 2

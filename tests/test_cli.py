@@ -337,3 +337,230 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == EXPECTED_HEADER
+
+
+# --- grid rows against point rows --------------------------------------------
+
+
+def _assert_same_row(got: dict, want: dict, where) -> None:
+    # bit for bit: floats by ==, plus the sign of zero and NaN-ness
+    assert got.keys() == want.keys(), where
+    for column, value in want.items():
+        other = got[column]
+        if isinstance(value, float) and isinstance(other, float):
+            if math.isnan(value):
+                assert math.isnan(other), (where, column, other, value)
+            else:
+                assert other == value, (where, column, other, value)
+                assert math.copysign(1.0, other) == math.copysign(1.0, value), (where, column)
+        else:
+            assert type(other) is type(value) and other == value, (where, column, other, value)
+
+
+def _assert_grid_matches_points(fixed, axes, approaches, with_correlations=True) -> list[dict]:
+    blocks = cli.sweep_blocks(fixed, axes, approaches, with_correlations=with_correlations)
+    names = [name for name, _ in axes]
+    outer = axes[0][1] if axes else [None]
+    inner = axes[1][1] if len(axes) == 2 else [None]
+    assert len(blocks) == len(outer)
+    rows = []
+    for block, a in zip(blocks, outer):
+        assert len(block) == len(inner) * len(approaches)
+        for k, b in enumerate(inner):
+            values = [v for v in (a, b) if v is not None]
+            params = replace(fixed, **{n: float(v) for n, v in zip(names, values)})
+            want = cli.run_point(params, approaches, with_correlations=with_correlations)
+            got = block[k * len(approaches) : (k + 1) * len(approaches)]
+            for row, expected in zip(got, want, strict=True):
+                _assert_same_row(row, expected, (params, row["approach"]))
+            rows.extend(got)
+    return rows
+
+
+def _grid_axes(base: NetworkParams, two: bool) -> list[tuple[str, np.ndarray]]:
+    # kappa over six decades; omega_h through and away from omega_c; every
+    # value stays inside the domain
+    axes = [("kappa", base.kappa * np.geomspace(1e-3, 1e3, 4))]
+    if two:
+        axes.append(("omega_h", np.array([0.5 * base.omega_h, base.omega_c, 2.0 * base.omega_h])))
+    return axes
+
+
+@pytest.mark.parametrize("approaches", [("local",), ("local", "global")], ids=["local", "both"])
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS], ids=["boson", "tls"])
+@pytest.mark.parametrize(
+    "draw", [generic_params, contrast_params, extreme_params], ids=["generic", "contrast", "extreme"]
+)
+def test_grid_rows_equal_point_rows(draw, statistics, approaches):
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        base = draw(rng) if draw is extreme_params else draw(rng, statistics)
+        base = replace(base, statistics=statistics)
+        for two in (False, True):
+            _assert_grid_matches_points(base, _grid_axes(base, two), approaches)
+        _assert_grid_matches_points(base, [], approaches, with_correlations=False)
+
+
+def test_a_singular_point_fails_alone():
+    # kappa = 1e-320 leaves the drift matrix numerically singular
+    fixed = NetworkParams(omega_h=0.01, omega_c=0.02, epsilon=0.0)
+    axis = cli.parse_axis("kappa:1e-320:1e-7:5:log")
+    rows = _assert_grid_matches_points(fixed, [axis], ("local",))
+    assert [row["error"] for row in rows] == ["SingularSystem"] + [""] * 4
+    assert rows[0]["n_A"] is None and rows[0]["J_h"] is None
+    assert all(math.isfinite(row["J_h"]) for row in rows[1:])
+
+
+def test_rate_overflow_rows_fail_alone():
+    axis = cli.parse_axis("omega_h:1:1e200:3:log")
+    rows = _assert_grid_matches_points(NetworkParams(), [axis], ("local", "global"))
+    assert [row["error"] for row in rows] == ["", "", "", "", "RateOverflow", "RateOverflow"]
+    assert all(row["J_h"] is None for row in rows[4:])
+
+
+# --- rendering against the per-cell reference ----------------------------------
+
+
+def _reference_value(value, gnuplot: bool) -> str:
+    # the renderer as it was before block rendering, cell by cell
+    if value is None:
+        return "nan" if gnuplot else ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, str):
+        if gnuplot and value == "":
+            return "-"
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def _reference_csv(columns, blocks) -> str:
+    lines = [",".join(columns)]
+    for block in blocks:
+        for row in block:
+            lines.append(",".join(_reference_value(row.get(c), False) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_gnuplot(columns, blocks) -> str:
+    chunks = []
+    for block in blocks:
+        lines = [" ".join(_reference_value(row.get(c), True) for c in columns) for row in block]
+        chunks.append("\n".join(lines))
+    return "# " + " ".join(columns) + "\n" + "\n\n".join(chunks) + "\n"
+
+
+def _point_blocks(fixed, axes, approaches, with_correlations=True) -> list[list[dict]]:
+    # the grid point by point through run_point, outer axis slowest
+    (outer_name, outer), (inner_name, inner) = (axes + [(None, [None])])[:2]
+    blocks = []
+    for a in outer:
+        block = []
+        for b in inner:
+            updates = {outer_name: float(a)}
+            if inner_name is not None:
+                updates[inner_name] = float(b)
+            block.extend(cli.run_point(replace(fixed, **updates), approaches, 12, with_correlations))
+        blocks.append(block)
+    return blocks
+
+
+def _assert_renders_like_reference(new_columns, new_blocks, columns, blocks) -> None:
+    assert cli.render_csv(new_columns, new_blocks) == _reference_csv(columns, blocks)
+    assert cli.render_gnuplot(new_columns, new_blocks) == _reference_gnuplot(columns, blocks)
+
+
+def test_fig3_and_fig4_bytes_match_the_point_path():
+    # the presets' frozen grids, rebuilt here point by point
+    fig3 = _point_blocks(
+        NetworkParams(omega_h=10.0, omega_c=5.0, T_h=12.0, T_c=10.0, kappa=1e-4),
+        [("epsilon", np.geomspace(1e-5, 1.0, 61))],
+        ("local", "global"),
+    )
+    _assert_renders_like_reference(*cli.preset_fig3(), cli.COLUMNS, fig3)
+    omega_h = np.concatenate(
+        [np.linspace(0.5, 4.4, 40), np.linspace(4.5, 5.5, 101), np.linspace(5.6, 15.0, 95)]
+    )
+    fig4 = _point_blocks(
+        NetworkParams(omega_c=5.0, epsilon=1e-3, T_h=12.0, T_c=10.0, kappa=1e-7),
+        [("omega_h", omega_h)],
+        ("local", "global"),
+    )
+    _assert_renders_like_reference(*cli.preset_fig4(), cli.COLUMNS, fig4)
+
+
+def test_fig2_bytes_match_the_point_path_on_every_tenth_scanline():
+    columns, blocks = cli.preset_fig2()
+    stride = slice(None, None, 10)
+    reference = _point_blocks(
+        NetworkParams(omega_c=5.0, epsilon=1e-4, T_c=10.0, kappa=1e-7),
+        [("T_h", np.linspace(10.05, 20.0, 200)[stride]), ("omega_h", np.linspace(0.5, 15.0, 200))],
+        ("local",),
+        with_correlations=False,
+    )
+    for block in reference:
+        for row in block:
+            row["sigma_sign"] = int(np.sign(row["sigma"]))
+    _assert_renders_like_reference(columns, blocks[stride], columns, reference)
+
+
+def test_renderer_edge_cells():
+    # constant, mixed and zero-signed columns in one block
+    columns = ("name", "none", "mixed", "zeros", "repeat", "flag", "count", "error")
+    block = [
+        dict(name="local", none=None, mixed=1.5, zeros=-0.0, repeat=0.1, flag=True, count=3,
+             error=""),
+        dict(name="global", none=None, mixed=None, zeros=0.0, repeat=0.1, flag=False, count=-1,
+             error="RateOverflow"),
+        dict(name="local", none=None, mixed=-0.0, zeros=-0.0, repeat=0.30000000000000004,
+             flag=True, count=0, error=""),
+        dict(name="local", none=None, mixed=math.nan, zeros=2.0, repeat=0.1, flag=None,
+             count=None, error=""),
+    ]
+    blocks = [block, block[:1], []]
+    _assert_renders_like_reference(columns, blocks, columns, blocks)
+    csv = cli.render_csv(columns, blocks).splitlines()
+    assert csv[1] == "local,,1.5,-0,0.10000000000000001,1,3,"
+    assert csv[3] == "local,,-0,-0,0.30000000000000004,1,0,"
+    gnuplot = cli.render_gnuplot(columns, blocks).splitlines()
+    assert gnuplot[2] == "global nan nan 0 0.10000000000000001 0 -1 RateOverflow"
+    assert gnuplot[4] == "local nan nan 2 0.10000000000000001 nan nan -"
+
+
+@pytest.mark.parametrize("gnuplot", [False, True], ids=["csv", "gnuplot"])
+def test_negative_zero_coupling_prints_its_sign(gnuplot, capsys):
+    argv = ["point", "--epsilon", "-0.0", "--approach", "local"]
+    assert cli.main(argv + (["--gnuplot"] if gnuplot else [])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = lines[1].split(" " if gnuplot else ",")
+    assert cells[cli.COLUMNS.index("epsilon")] == "-0"
+    assert cells[cli.COLUMNS.index("error")] == ("-" if gnuplot else "")
+
+
+@pytest.mark.parametrize(
+    "axes, named",
+    [
+        (["--axis1", "T_h:10:20:3:lin", "--axis2", "kappa:-1:1:3:lin"], "kappa"),
+        # the first grid point is bad on both axes; validate names T_h first
+        (["--axis1", "T_h:-10:20:3:lin", "--axis2", "kappa:-1:1:3:lin"], "T_h"),
+        (["--axis1", "T_h:1:20:3:lin", "--axis2", "T_h:-1:2:3:lin"], "T_h"),
+    ],
+    ids=["inner", "both", "same_name"],
+)
+def test_a_bad_axis_value_is_a_usage_error(axes, named, capsys):
+    assert cli.main(["sweep", *axes]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "positive finite" in captured.err
+    assert captured.out == ""
+
+
+def test_an_outer_axis_the_inner_one_overrides_is_not_checked(capsys):
+    # the inner value wins a shared name, so outer kappa <= 0 never reaches a point
+    argv = ["sweep", "--approach", "local", "--axis1", "kappa:-10:20:3:lin",
+            "--axis2", "kappa:1e-7:2e-7:2:lin"]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [float(r["kappa"]) for r in rows] == [1e-7, 2e-7] * 3
+    assert all(r["error"] == "" for r in rows)

@@ -1,15 +1,23 @@
 """Local-treatment moment system: steady state, closed form, conservation laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.local_mme import MomentState, affine_system, heat_current_closed_form, steady_state
+from qheatnet.errors import HeatNetError
+from qheatnet.local_mme import (
+    MomentState,
+    affine_system,
+    heat_current_closed_form,
+    steady_state,
+    steady_states,
+)
 from qheatnet.model import NetworkParams, Statistics, thermal_occupation
 
-from _draws import contrast_params, generic_params
+from _draws import contrast_params, extreme_params, generic_params
 
 
 def _hand_rhs(params, state):
@@ -172,3 +180,67 @@ def test_steady_state_attracts(statistics):
     for _ in range(100):
         A, _ = affine_system(generic_params(rng, statistics))
         assert np.max(np.linalg.eigvals(A).real) < 0.0
+
+
+def _reference_point(params):
+    # one 4x4 solve per call, written as the scalar code was before the grid
+    # kernel; the kernel must reproduce it bit for bit
+    gamma_h, gamma_c = bath.local_rates(params)
+    w_h = math.exp(-params.beta_h * params.omega_h)
+    w_c = math.exp(-params.beta_c * params.omega_c)
+    G_h = gamma_h * (1.0 + params.delta * w_h)
+    G_c = gamma_c * (1.0 + params.delta * w_c)
+    eps, gap, damp = params.epsilon, params.omega_h - params.omega_c, 0.5 * (G_h + G_c)
+    A = np.array(
+        [
+            [-G_h, 0.0, 0.0, -eps],
+            [0.0, -G_c, 0.0, eps],
+            [0.0, 0.0, -damp, gap],
+            [2.0 * eps, -2.0 * eps, -gap, -damp],
+        ]
+    )
+    v = np.array([gamma_h * w_h, gamma_c * w_c, 0.0, 0.0])
+    x = np.linalg.solve(A, -v)
+    J_h = params.omega_h * (v[0] - G_h * x[0]) - 0.5 * params.epsilon * G_h * x[2]
+    J_c = params.omega_c * (v[1] - G_c * x[1]) - 0.5 * params.epsilon * G_c * x[2]
+    sigma = -float(J_h) / params.T_h - float(J_c) / params.T_c
+    return [*x.tolist(), float(J_h), float(J_c), sigma]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+def test_grid_kernel_reproduces_the_scalar_solve_bit_for_bit(statistics):
+    rng = np.random.default_rng(8080)
+    points = [
+        replace(draw(rng), statistics=statistics)
+        for draw in (generic_params, contrast_params, extreme_params)
+        for _ in range(300)
+    ]
+    # a numerically singular drift matrix and an overflowing rate, mid-column
+    points[100:100] = [
+        NetworkParams(omega_h=0.01, omega_c=0.02, epsilon=0.0, kappa=1e-320, statistics=statistics),
+        NetworkParams(omega_h=1e200, statistics=statistics),
+    ]
+    columns = [
+        np.array([getattr(p, name) for p in points])
+        for name in ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
+    ]
+    states = steady_states(*columns, statistics.delta)
+    failed = []
+    for i, params in enumerate(points):
+        try:
+            want = _reference_point(params)
+        except (HeatNetError, np.linalg.LinAlgError) as exc:
+            failed.append(i)
+            singular = isinstance(exc, np.linalg.LinAlgError)
+            expected = "SingularSystem" if singular else type(exc).__name__
+            assert type(states.errors[i]).__name__ == expected, params
+            continue
+        assert states.errors[i] is None, params
+        got = [*states.moments[i], states.J_h[i], states.J_c[i], states.sigma[i]]
+        assert _bits(got) == _bits(want), params
+    assert failed == [100, 101]
+
