@@ -2,14 +2,16 @@
 
 Everything else in this package works with closed moment equations or
 detailed-balance occupations derived by hand.  This module rebuilds both
-generators as explicit sparse superoperators on a truncated two-node Fock
-space and extracts steady states, currents and covariances numerically, with
-no shared algebra, so the closed forms can be audited against it.
+generators on a truncated two-node Fock space and extracts steady states,
+currents and covariances numerically, with no shared algebra, so the closed
+forms can be audited against it.
 
-Superoperators use the column-stacking convention vec(A rho B) = (B^T kron A)
-vec(rho).  The steady state is the nullspace of the generator, solved on the
-excitation-number sector only: the entries |n><m| with N(n) = N(m), where
-N = N_A + N_B.  The restriction is exact for both generators.  Every
+A generator is kept as its terms (L, R, w), each the map rho -> w L rho R;
+`apply` evaluates them on rho and `superoperator`, the one place that knows
+how rho is stacked into a vector, assembles them on a set of its entries.
+The steady state is the nullspace of the generator, assembled and solved on
+the excitation-number sector only: the entries |n><m| with N(n) = N(m),
+where N = N_A + N_B.  The restriction is exact for both generators.  Every
 Hamiltonian term conserves N, and every jump operator (a, b, d+-, and their
 adjoints) shifts it by exactly one, so c rho c' and {c'c, rho} map the
 sector into itself and its complement into itself; the trace lives on the
@@ -19,11 +21,11 @@ the sector holds 1 469 of the 28 561 entries of rho.  On the sector the
 nullspace is pinned to unit trace by replacing the first row with the trace
 functional, and the resulting sparse system is solved directly.
 
-Truncation quality is policed, not assumed: the solve must reproduce a
-small residual of the full generator, so a term that breaks the symmetry
-fails it instead of returning a sector-only state; the state must be
-positive to round-off; and bosonic states must leave the top Fock level
-essentially unpopulated.
+Truncation quality is policed, not assumed: the residual, sum w L rho R over
+all of rho, must be small, so a term that breaks the symmetry fails it
+instead of returning a sector-only state; the state must be positive to
+round-off; and bosonic states must leave the top Fock level essentially
+unpopulated.
 """
 
 import math
@@ -59,82 +61,96 @@ class Generator(Enum):
     GLOBAL = "global"
 
 
+Term = tuple[sp.spmatrix, sp.spmatrix, complex]
+
+
 @dataclass(frozen=True)
 class FockLiouvillian:
-    """A generator assembled on the truncated two-node space.
+    """A generator on the truncated two-node space, kept as its terms.
 
-    dimension is the Hilbert-space dimension, so the superoperators are
-    dimension**2 square.  hot_part and cold_part are the two bath dissipators
-    alone; generator is the full right-hand side including the commutator.
+    terms is the full right-hand side including the commutator; hot and cold
+    are the two bath dissipators alone.  The generator, hot_part and
+    cold_part properties assemble them as dimension**2-square matrices.
     """
 
     params: NetworkParams
     n_max: int
     dimension: int
-    generator: sp.csr_matrix
-    hot_part: sp.csr_matrix
-    cold_part: sp.csr_matrix
+    terms: tuple[Term, ...]
+    hot: tuple[Term, ...]
+    cold: tuple[Term, ...]
     hamiltonian: sp.csr_matrix
     a: sp.csr_matrix
     b: sp.csr_matrix
 
+    @property
+    def generator(self) -> sp.csr_matrix:
+        return superoperator(self.terms, self.dimension)
 
-def _spre(op: sp.spmatrix) -> sp.csr_matrix:
-    dim = op.shape[0]
-    return sp.kron(sp.identity(dim, format="csr"), op, format="csr")
+    @property
+    def hot_part(self) -> sp.csr_matrix:
+        return superoperator(self.hot, self.dimension)
 
-
-def _spost(op: sp.spmatrix) -> sp.csr_matrix:
-    dim = op.shape[0]
-    return sp.kron(op.T, sp.identity(dim, format="csr"), format="csr")
-
-
-def _sandwich(left: sp.spmatrix, right: sp.spmatrix) -> sp.csr_matrix:
-    # vec(L rho R) = (R^T kron L) vec(rho)
-    return sp.kron(right.T, left, format="csr")
+    @property
+    def cold_part(self) -> sp.csr_matrix:
+        return superoperator(self.cold, self.dimension)
 
 
-def _dissipator(op: sp.spmatrix) -> sp.csr_matrix:
-    """D[c]: rho -> c rho c' - {c'c, rho}/2 as a superoperator."""
-    opd = op.conj().T
-    anti = (opd @ op).tocsr()
-    return _sandwich(op, opd) - 0.5 * (_spre(anti) + _spost(anti))
+def superoperator(
+    terms: tuple[Term, ...], dim: int, index: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """The matrix of rho -> sum w L rho R on a set of column-stacked entries.
+
+    rho[n, m] sits at n + dim*m, so a term sends that entry to i + dim*j with
+    weight w L[i, n] R[m, j].  Only the entries listed in index (all dim**2
+    when None) are taken as inputs and kept as outputs, in that order.
+    """
+    if index is None:
+        index = np.arange(dim * dim)
+    n, m = index % dim, index // dim
+    rows, cols, vals = [], [], []
+    for left, right, weight in terms:
+        # entry k of lq is L[i, n] for input q = lq.col[k]; row k of rk is row m of R
+        lq = sp.csc_matrix(left)[:, n].tocoo()
+        rk = sp.csr_matrix(right)[m[lq.col]].tocoo()
+        rows.append(lq.row[rk.row] + dim * rk.col)
+        cols.append(lq.col[rk.row])
+        vals.append(weight * lq.data[rk.row] * rk.data)
+    triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(triplets, shape=(dim * dim, index.size), dtype=complex)[index]
 
 
-def _thermal_channel(op: sp.spmatrix, boltzmann: float) -> sp.csr_matrix:
-    """Downward channel on op plus its Boltzmann-weighted upward partner."""
-    return _dissipator(op) + boltzmann * _dissipator(op.conj().T)
+def apply(terms: tuple[Term, ...], rho: np.ndarray) -> np.ndarray:
+    """sum w L rho R over the terms, straight from the operators."""
+    return sum(weight * (left @ rho @ right) for left, right, weight in terms)
 
 
-def _cross_kernel(left: sp.spmatrix, right: sp.spmatrix) -> sp.csr_matrix:
-    """rho -> l rho r' + r rho l' - {l'r + r'l, rho}/2 for commuting modes."""
-    ld, rd = left.conj().T, right.conj().T
-    anti = (ld @ right + rd @ left).tocsr()
-    return (
-        _sandwich(left, rd) + _sandwich(right, ld) - 0.5 * (_spre(anti) + _spost(anti))
-    )
+def _thermal_channel(pairs: tuple, rate: float, boltzmann: float) -> tuple[Term, ...]:
+    """A downward channel plus its Boltzmann-weighted upward partner.
 
-
-def _cross_channel(a: sp.spmatrix, b: sp.spmatrix, boltzmann: float) -> sp.csr_matrix:
-    return _cross_kernel(a, b) + boltzmann * _cross_kernel(a.conj().T, b.conj().T)
+    Downward is rho -> rate (sum x rho y' - {sum y'x, rho}/2) over the (x, y)
+    pairs: D[c] is the pair (c, c), the cross kernel of commuting modes x and
+    y the pairs (x, y) and (y, x).  Upward uses the adjoints at rate * boltzmann.
+    """
+    up = rate * boltzmann
+    jumps = tuple((x, y.conj().T, rate) for x, y in pairs)
+    jumps += tuple((x.conj().T, y, up) for x, y in pairs)
+    anti = sum(rate * (y.conj().T @ x) + up * (y @ x.conj().T) for x, y in pairs).tocsr()
+    eye = sp.identity(anti.shape[0], format="csr")
+    return jumps + ((anti, eye, -0.5), (eye, anti, -0.5))
 
 
 def channel_superoperator(
     a: sp.spmatrix, b: sp.spmatrix, channels: tuple[DissipationChannel, ...]
 ) -> sp.csr_matrix:
     """Assemble a node-basis channel table into a superoperator matrix."""
-    dim2 = a.shape[0] ** 2
-    total = sp.csr_matrix((dim2, dim2), dtype=complex)
+    pairs = {"a": ((a, a),), "b": ((b, b),), "cross": ((a, b), (b, a))}
+    terms = ()
     for channel in channels:
-        if channel.kind == "a":
-            total = total + channel.weight * _thermal_channel(a, channel.boltzmann)
-        elif channel.kind == "b":
-            total = total + channel.weight * _thermal_channel(b, channel.boltzmann)
-        elif channel.kind == "cross":
-            total = total + channel.weight * _cross_channel(a, b, channel.boltzmann)
-        else:
+        if channel.kind not in pairs:
             raise ValueError(f"unknown channel kind {channel.kind!r}")
-    return total
+        terms += _thermal_channel(pairs[channel.kind], channel.weight, channel.boltzmann)
+    return superoperator(terms, a.shape[0])
 
 
 def _mode_operators(params: NetworkParams, n_max: int) -> tuple[sp.csr_matrix, sp.csr_matrix, int]:
@@ -172,8 +188,8 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
     ).tocsr()
     if approach is Generator.LOCAL:
         gamma_h, gamma_c = bath.local_rates(params)
-        hot = gamma_h * _thermal_channel(a, math.exp(-params.beta_h * params.omega_h))
-        cold = gamma_c * _thermal_channel(b, math.exp(-params.beta_c * params.omega_c))
+        hot = _thermal_channel(((a, a),), gamma_h, math.exp(-params.beta_h * params.omega_h))
+        cold = _thermal_channel(((b, b),), gamma_c, math.exp(-params.beta_c * params.omega_c))
     else:
         # Assembled straight from the rotated mode operators, not from the
         # node-basis channel table, so the two stay independent routes.
@@ -185,32 +201,25 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
         x_h_m = math.exp(-params.beta_h * basis.omega_minus)
         x_c_p = math.exp(-params.beta_c * basis.omega_plus)
         x_c_m = math.exp(-params.beta_c * basis.omega_minus)
-        hot = gh_p * basis.c2 * _thermal_channel(d_plus, x_h_p) + gh_m * basis.s2 * _thermal_channel(
-            d_minus, x_h_m
+        hot = _thermal_channel(((d_plus, d_plus),), gh_p * basis.c2, x_h_p) + _thermal_channel(
+            ((d_minus, d_minus),), gh_m * basis.s2, x_h_m
         )
-        cold = gc_p * basis.s2 * _thermal_channel(d_plus, x_c_p) + gc_m * basis.c2 * _thermal_channel(
-            d_minus, x_c_m
+        cold = _thermal_channel(((d_plus, d_plus),), gc_p * basis.s2, x_c_p) + _thermal_channel(
+            ((d_minus, d_minus),), gc_m * basis.c2, x_c_m
         )
-    commutator = -1j * (_spre(hamiltonian) - _spost(hamiltonian))
+    eye = sp.identity(dimension, format="csr")
+    commutator = ((hamiltonian, eye, -1j), (eye, hamiltonian, 1j))
     return FockLiouvillian(
         params=params,
         n_max=n_max,
         dimension=dimension,
-        generator=(commutator + hot + cold).tocsr(),
-        hot_part=hot.tocsr(),
-        cold_part=cold.tocsr(),
+        terms=commutator + hot + cold,
+        hot=hot,
+        cold=cold,
         hamiltonian=hamiltonian,
         a=a,
         b=b,
     )
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
-def _unvec(x: np.ndarray, dim: int) -> np.ndarray:
-    return x.reshape((dim, dim), order="F")
 
 
 def _top_level_population(rho: np.ndarray, dim_mode: int) -> float:
@@ -221,11 +230,11 @@ def _top_level_population(rho: np.ndarray, dim_mode: int) -> float:
 def steady_state(liou: FockLiouvillian) -> np.ndarray:
     """Solve for the unique unit-trace state annihilated by the generator.
 
-    The solve runs on the sector of entries |n><m| with N(n) = N(m), which
-    is exact because every term of both generators conserves N or shifts it
-    on both sides of rho alike (see the module docstring); rho is zero off
-    the sector.  The residual is still taken on the full generator, so a
-    generator that couples the sector to its complement cannot pass.
+    Only the sector of entries |n><m| with N(n) = N(m) is assembled and
+    solved, which is exact because every term of both generators conserves N
+    or shifts it on both sides of rho alike (see the module docstring); rho
+    is zero off the sector.  The residual applies the terms to all of rho,
+    so a generator that couples the sector to its complement cannot pass.
 
     Raises DegenerateNullspace when the trace-pinned system is singular
     (more than one steady state), NonConvergence when the returned state
@@ -241,13 +250,8 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     # rho[n, m] sits at n + dim*m, and nonzero walks (m, n) in that order
     cols, rows = np.nonzero(number[:, None] == number[None, :])
     sector = rows + dim * cols
-    diagonal = np.flatnonzero(rows == cols)
-    trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), diagonal)),
-        shape=(1, sector.size),
-        dtype=complex,
-    )
-    sector_rows = liou.generator[sector[1:]][:, sector]
+    trace_row = sp.csr_matrix((rows == cols).astype(complex))
+    sector_rows = superoperator(liou.terms, dim, sector)[1:]
     pinned = sp.vstack([trace_row, sector_rows], format="csc")
     rhs = np.zeros(sector.size, dtype=complex)
     rhs[0] = 1.0
@@ -261,7 +265,7 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     rho[rows, cols] = solution
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    residual = float(np.max(np.abs(liou.generator @ _vec(rho))))
+    residual = float(np.max(np.abs(apply(liou.terms, rho))))
     if residual > RESIDUAL_TOLERANCE:
         raise NonConvergence(f"steady-state residual {residual!r} exceeds {RESIDUAL_TOLERANCE}")
     # rho is block-diagonal in N, so its spectrum is the union of the blocks'
@@ -308,13 +312,9 @@ def mode_populations(liou: FockLiouvillian, rho: np.ndarray) -> tuple[float, flo
 
 def heat_current(liou: FockLiouvillian, rho: np.ndarray, which: str) -> float:
     """Energy flow into the system through one bath, Tr[H D_bath(rho)]."""
-    parts = {"hot": liou.hot_part, "cold": liou.cold_part}
-    try:
-        part = parts[which]
-    except KeyError:
-        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}") from None
-    drho = _unvec(part @ _vec(rho), liou.dimension)
-    return float(np.trace(liou.hamiltonian @ drho).real)
+    if which not in ("hot", "cold"):
+        raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
+    return float(np.trace(liou.hamiltonian @ apply(getattr(liou, which), rho)).real)
 
 
 def quadrature_covariance(liou: FockLiouvillian, rho: np.ndarray) -> CovarianceMatrix:

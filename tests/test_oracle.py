@@ -101,16 +101,46 @@ def test_sector_solve_matches_the_full_space_solve(statistics, approach, n_max):
     assert np.abs(reference[1:, 1:]).max() > 1e-9
 
 
+@pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
+def test_sector_assembly_matches_the_sliced_full_generator(statistics, approach, n_max):
+    params = dataclasses.replace(FRIGID_POINT, statistics=statistics)
+    liou = oracle.build(params, approach, n_max=n_max)
+    sector = np.flatnonzero(_sector_mask(liou))
+    direct = oracle.superoperator(liou.terms, liou.dimension, sector)
+    sliced = liou.generator[sector][:, sector]
+    assert direct.shape == sliced.shape
+    assert (direct != sliced).nnz == 0
+
+
+@pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
+def test_applying_the_terms_matches_the_assembled_generator(approach):
+    liou = oracle.build(COLD_POINT, approach, n_max=6)
+    dim = liou.dimension
+    rng = np.random.default_rng(58)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = rho + rho.conj().T
+    assert np.abs(rho[~_sector_mask(liou).reshape((dim, dim), order="F")]).min() > 0
+    applied = oracle.apply(liou.terms, rho)
+    assembled = (liou.generator @ rho.reshape(-1, order="F")).reshape((dim, dim), order="F")
+    assert np.abs(applied - assembled).max() <= 1e-14 * np.abs(assembled).max()
+
+
+def _commutator(op: sp.spmatrix) -> tuple:
+    eye = sp.identity(op.shape[0], format="csr")
+    return ((op, eye, -1j), (eye, op, 1j))
+
+
 @pytest.mark.parametrize("breaking", ["squeezing", "quadrature_dissipator"])
 def test_symmetry_breaking_term_fails_the_full_residual(breaking):
     liou = oracle.build(FRIGID_POINT, Generator.LOCAL, n_max=4)
     a, ad = liou.a, liou.a.conj().T
     if breaking == "squeezing":
-        squeeze = 1e-3 * (ad @ ad + a @ a)
-        term = -1j * (oracle._spre(squeeze) - oracle._spost(squeeze))
+        extra = _commutator(1e-3 * (ad @ ad + a @ a))
     else:
-        term = 1e-3 * oracle._dissipator(a + ad)
-    broken = dataclasses.replace(liou, generator=(liou.generator + term).tocsr())
+        x = a + ad
+        eye = sp.identity(liou.dimension, format="csr")
+        extra = ((x, x, 1e-3), (x @ x, eye, -5e-4), (eye, x @ x, -5e-4))
+    broken = dataclasses.replace(liou, terms=liou.terms + extra)
     with pytest.raises(NonConvergence):
         oracle.steady_state(broken)
 
@@ -248,6 +278,13 @@ def test_channel_table_reassembles_the_global_generator():
     assert np.abs((via_table - liou.hot_part).toarray()).max() <= 1e-12
 
 
+def test_channel_table_rejects_an_unknown_kind():
+    liou = oracle.build(COLD_POINT, Generator.LOCAL, n_max=2)
+    channel = global_mme.DissipationChannel(kind="c", weight=1.0, boltzmann=0.5)
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        oracle.channel_superoperator(liou.a, liou.b, (channel,))
+
+
 def test_warm_point_trips_the_occupancy_guard():
     # omega/T ~ 0.8 leaves ~1e-5 of the population on the top Fock level
     # at n_max = 12, far above what the residual alone would reveal
@@ -258,10 +295,7 @@ def test_warm_point_trips_the_occupancy_guard():
 
 def test_commutator_alone_has_degenerate_nullspace():
     liou = oracle.build(COLD_POINT, Generator.LOCAL, n_max=4)
-    commutator = -1j * (
-        oracle._spre(liou.hamiltonian) - oracle._spost(liou.hamiltonian)
-    )
-    broken = dataclasses.replace(liou, generator=commutator.tocsr())
+    broken = dataclasses.replace(liou, terms=_commutator(liou.hamiltonian))
     with pytest.raises(DegenerateNullspace):
         oracle.steady_state(broken)
 
