@@ -6,15 +6,14 @@ transition at frequency Omega >= 0 into a bath at temperature T is
     gamma(Omega) = kappa * Omega**3 / (1 - exp(-Omega/T)),
 
 which already contains the bath occupation; matching upward rates follow by
-the detailed-balance factor exp(-Omega/T), applied by the generators.  The
-local treatment evaluates rates at the bare node frequencies, the global one
-at the dressed normal-mode frequencies omega_+-.
+the detailed-balance factor exp(-Omega/T), applied by the generators.
+`rate` is the one function here: the local treatment calls it at the bare
+node frequencies, the global one at the dressed normal-mode frequencies.
 """
 
 import math
 
 from .errors import NegativeFrequency, RateOverflow
-from .model import NetworkParams, NormalModeBasis
 
 
 def rate(omega: float, T: float, kappa: float) -> float:
@@ -41,19 +40,3 @@ def rate(omega: float, T: float, kappa: float) -> float:
         raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
     return value
 
-
-def local_rates(params: NetworkParams) -> tuple[float, float]:
-    """(gamma_h, gamma_c) evaluated at the bare node frequencies."""
-    kappa = params.kappa
-    return rate(params.omega_h, params.T_h, kappa), rate(params.omega_c, params.T_c, kappa)
-
-
-def dressed_rates(params: NetworkParams, basis: NormalModeBasis) -> tuple[float, float, float, float]:
-    """(gamma_h^+, gamma_h^-, gamma_c^+, gamma_c^-) at the normal-mode frequencies."""
-    T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
-    return (
-        rate(basis.omega_plus, T_h, kappa),
-        rate(basis.omega_minus, T_h, kappa),
-        rate(basis.omega_plus, T_c, kappa),
-        rate(basis.omega_minus, T_c, kappa),
-    )

@@ -72,13 +72,20 @@ class LocalBasisGenerator:
 def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
     """Basis, dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
     basis = normal_mode_basis(params)
+    T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
+    rates = (
+        bath.rate(basis.omega_plus, T_h, kappa),
+        bath.rate(basis.omega_minus, T_h, kappa),
+        bath.rate(basis.omega_plus, T_c, kappa),
+        bath.rate(basis.omega_minus, T_c, kappa),
+    )
     weights = (
         math.exp(-params.beta_h * basis.omega_plus),
         math.exp(-params.beta_h * basis.omega_minus),
         math.exp(-params.beta_c * basis.omega_plus),
         math.exp(-params.beta_c * basis.omega_minus),
     )
-    return basis, bath.dressed_rates(params, basis), weights
+    return basis, rates, weights
 
 
 def _mode_balance(

@@ -59,11 +59,6 @@ class MomentState:
     def as_array(self) -> np.ndarray:
         return np.array([self.nA, self.nB, self.X, self.Y], dtype=float)
 
-    @classmethod
-    def from_array(cls, vec) -> "MomentState":
-        nA, nB, X, Y = (float(v) for v in vec)
-        return cls(nA=nA, nB=nB, X=X, Y=Y)
-
 
 @dataclass(frozen=True)
 class LocalSteadyState:
@@ -192,7 +187,7 @@ def steady_state(params: NetworkParams) -> LocalSteadyState:
     states = steady_states(*_point(params))
     _raise_first(states.errors)
     return LocalSteadyState(
-        moments=MomentState.from_array(states.moments[0]),
+        moments=MomentState(*states.moments[0].tolist()),
         J_h=float(states.J_h[0]),
         J_c=float(states.J_c[0]),
         sigma=float(states.sigma[0]),

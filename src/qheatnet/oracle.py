@@ -3,8 +3,10 @@
 Everything else in this package works with closed moment equations or
 detailed-balance occupations derived by hand.  This module rebuilds both
 generators on a truncated two-node Fock space and extracts steady states,
-currents and covariances numerically, with no shared algebra, so the closed
-forms can be audited against it.
+currents and covariances numerically, sharing only bath.rate and
+normal_mode_basis with the closed forms, so they can be audited against it.
+Each bath is a table of channels (jump operator c, frequency omega, weight),
+and a channel is D[c] at bath.rate(omega) * weight plus its upward partner.
 
 A generator is kept as its terms (L, R, w), each the map rho -> w L rho R;
 `apply` evaluates them on rho and `superoperator`, the one place that knows
@@ -140,6 +142,16 @@ def _thermal_channel(pairs: tuple, rate: float, boltzmann: float) -> tuple[Term,
     return jumps + ((anti, eye, -0.5), (eye, anti, -0.5))
 
 
+def _bath_terms(table: tuple, T: float, kappa: float) -> tuple[Term, ...]:
+    """One bath's terms: D[c] at bath.rate(omega) * weight per channel (c, omega, weight)."""
+    terms = ()
+    for jump, omega, weight in table:
+        rate = bath.rate(omega, T, kappa) * weight
+        # beta * omega rounded as the closed forms round it, not omega / T
+        terms += _thermal_channel(((jump, jump),), rate, math.exp(-(1.0 / T) * omega))
+    return terms
+
+
 def channel_superoperator(
     a: sp.spmatrix, b: sp.spmatrix, channels: tuple[DissipationChannel, ...]
 ) -> sp.csr_matrix:
@@ -187,26 +199,19 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
         + params.epsilon * (ad @ b + a @ bd)
     ).tocsr()
     if approach is Generator.LOCAL:
-        gamma_h, gamma_c = bath.local_rates(params)
-        hot = _thermal_channel(((a, a),), gamma_h, math.exp(-params.beta_h * params.omega_h))
-        cold = _thermal_channel(((b, b),), gamma_c, math.exp(-params.beta_c * params.omega_c))
+        hot_table = ((a, params.omega_h, 1.0),)
+        cold_table = ((b, params.omega_c, 1.0),)
     else:
         # Assembled straight from the rotated mode operators, not from the
         # node-basis channel table, so the two stay independent routes.
         basis = normal_mode_basis(params)
-        gh_p, gh_m, gc_p, gc_m = bath.dressed_rates(params, basis)
         d_plus = basis.c * a + basis.s * b
         d_minus = basis.c * b - basis.s * a
-        x_h_p = math.exp(-params.beta_h * basis.omega_plus)
-        x_h_m = math.exp(-params.beta_h * basis.omega_minus)
-        x_c_p = math.exp(-params.beta_c * basis.omega_plus)
-        x_c_m = math.exp(-params.beta_c * basis.omega_minus)
-        hot = _thermal_channel(((d_plus, d_plus),), gh_p * basis.c2, x_h_p) + _thermal_channel(
-            ((d_minus, d_minus),), gh_m * basis.s2, x_h_m
-        )
-        cold = _thermal_channel(((d_plus, d_plus),), gc_p * basis.s2, x_c_p) + _thermal_channel(
-            ((d_minus, d_minus),), gc_m * basis.c2, x_c_m
-        )
+        wp, wm = basis.omega_plus, basis.omega_minus
+        hot_table = ((d_plus, wp, basis.c2), (d_minus, wm, basis.s2))
+        cold_table = ((d_plus, wp, basis.s2), (d_minus, wm, basis.c2))
+    hot = _bath_terms(hot_table, params.T_h, params.kappa)
+    cold = _bath_terms(cold_table, params.T_c, params.kappa)
     eye = sp.identity(dimension, format="csr")
     commutator = ((hamiltonian, eye, -1j), (eye, hamiltonian, 1j))
     return FockLiouvillian(

@@ -7,9 +7,7 @@ import pytest
 
 from qheatnet import bath
 from qheatnet.errors import NegativeFrequency, RateOverflow
-from qheatnet.model import NetworkParams, Statistics, normal_mode_basis
-
-from _draws import generic_params
+from qheatnet.model import NetworkParams, normal_mode_basis
 
 
 def test_rate_frozen_value():
@@ -67,35 +65,13 @@ def test_rate_overflow_is_typed(kappa, omega):
         bath.rate(omega, 1.0, kappa)
 
 
-def test_local_rates_wiring():
-    params = NetworkParams(omega_h=7.0, omega_c=3.0, T_h=11.0, T_c=2.0, kappa=1e-6)
-    gamma_h, gamma_c = bath.local_rates(params)
-    assert gamma_h == bath.rate(7.0, 11.0, 1e-6)
-    assert gamma_c == bath.rate(3.0, 2.0, 1e-6)
-
-
-def test_dressed_rates_wiring():
-    rng = np.random.default_rng(23)
-    params = generic_params(rng)
-    basis = normal_mode_basis(params)
-    gh_p, gh_m, gc_p, gc_m = bath.dressed_rates(params, basis)
-    T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
-    assert gh_p == bath.rate(basis.omega_plus, T_h, kappa)
-    assert gh_m == bath.rate(basis.omega_minus, T_h, kappa)
-    assert gc_p == bath.rate(basis.omega_plus, T_c, kappa)
-    assert gc_m == bath.rate(basis.omega_minus, T_c, kappa)
-
-
 def test_dressed_rates_bracket_local_rate():
-    # omega_- < omega_h,omega_c < omega_+ and the response is monotone
+    # omega_- < omega_h < omega_+ and the response is monotone
     params = NetworkParams(omega_h=6.0, omega_c=5.0, epsilon=1.0, T_h=12.0, T_c=10.0, kappa=1e-5)
     basis = normal_mode_basis(params)
-    gh_p, gh_m, _, _ = bath.dressed_rates(params, basis)
-    gamma_h, _ = bath.local_rates(params)
-    assert gh_m < gamma_h < gh_p
-
-
-def test_statistics_do_not_enter_rates():
-    boson = NetworkParams(statistics=Statistics.BOSON)
-    tls = NetworkParams(statistics=Statistics.TLS)
-    assert bath.local_rates(boson) == bath.local_rates(tls)
+    assert basis.omega_minus < params.omega_h < basis.omega_plus
+    gamma_minus, gamma_h, gamma_plus = (
+        bath.rate(omega, params.T_h, params.kappa)
+        for omega in (basis.omega_minus, params.omega_h, basis.omega_plus)
+    )
+    assert gamma_minus < gamma_h < gamma_plus

@@ -19,16 +19,17 @@ import numpy as np
 import pytest
 
 import qheatnet
-from qheatnet import cli, errors
+from qheatnet import cli, errors, oracle
 from qheatnet.model import NetworkParams, Statistics
 
-from _draws import contrast_params, extreme_params, generic_params
+from _draws import cold_params, contrast_params, extreme_params, generic_params
 
 EXPECTED_HEADER = (
     "approach,omega_h,omega_c,epsilon,T_h,T_c,kappa,statistics,"
     "n_A,n_B,X,Y,n_plus,n_minus,J_h,J_c,sigma,"
     "cor_xAxB,cor_xApB,cor_pAxB,cor_pApB,separable,secular_warning,error"
 )
+CORRELATION_COLUMNS = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB")
 
 
 def _rows(text: str) -> list[dict]:
@@ -221,6 +222,48 @@ def test_oracle_rows_agree_with_the_closed_forms(capsys):
     assert float(brute["n_A"]) == pytest.approx(float(closed["n_A"]), rel=1e-9, abs=0.0)
     # quadrature correlations are bosonic; TLS rows leave them empty
     assert brute["cor_xAxB"] == "" and closed["cor_xAxB"] == ""
+
+
+def test_bosonic_oracle_rows_agree_with_the_closed_form_rows():
+    # the oracle rows' mode populations and measured correlations, checked
+    # against the closed-form rows and rendered like the reference renderer
+    rng = np.random.default_rng(6006)
+    shared = ("n_A", "n_B", "X", "Y", "J_h", "J_c", *CORRELATION_COLUMNS)
+    approaches = ("local", "global", "oracle-local", "oracle-global")
+    for _ in range(6):
+        params = cold_params(rng)
+        n_max = oracle.suggested_nmax(params, oracle.Generator.GLOBAL)
+        rows = cli.run_point(params, approaches, n_max)
+        assert [row["error"] for row in rows] == [""] * 4
+        local, global_, oracle_local, oracle_global = rows
+        for closed, brute, columns in (
+            (local, oracle_local, shared),
+            (global_, oracle_global, shared + ("n_plus", "n_minus")),
+        ):
+            for column in columns:
+                assert brute[column] == pytest.approx(closed[column], rel=0.0, abs=1e-8), (
+                    params, brute["approach"], column,
+                )
+            assert brute["separable"] == closed["separable"]
+        assert all(isinstance(oracle_local[c], np.float64) for c in CORRELATION_COLUMNS)
+        _assert_renders_like_reference(cli.COLUMNS, [rows], cli.COLUMNS, [rows])
+
+
+def test_gapless_oracle_row_leaves_the_mode_columns_empty():
+    # epsilon**2 = omega_h omega_c: the local generator is fine, d+- do not exist
+    params = NetworkParams(omega_h=1.0, omega_c=1.0, epsilon=1.0, T_h=0.3, T_c=0.25)
+    local, brute = cli.run_point(params, ("local", "oracle-local"), n_max=8)
+    assert brute["error"] == ""
+    assert brute["n_plus"] is None and brute["n_minus"] is None
+    for column in ("n_A", "n_B", "J_h", *CORRELATION_COLUMNS):
+        assert brute[column] == pytest.approx(local[column], rel=0.0, abs=1e-8), column
+
+
+def test_unknown_approach_raises():
+    with pytest.raises(ValueError, match="unknown approach"):
+        cli.run_point(NetworkParams(), ("bogus",))
+    with pytest.raises(ValueError, match="unknown approach"):
+        cli.sweep_blocks(NetworkParams(), [], ("local", "bogus"))
 
 
 @pytest.mark.parametrize(

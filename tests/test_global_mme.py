@@ -167,7 +167,9 @@ def test_channel_table_weights():
     for _ in range(50):
         params = generic_params(rng)
         basis = normal_mode_basis(params)
-        gh_p, gh_m, gc_p, gc_m = bath.dressed_rates(params, basis)
+        T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
+        gh_p, gh_m = bath.rate(basis.omega_plus, T_h, kappa), bath.rate(basis.omega_minus, T_h, kappa)
+        gc_p, gc_m = bath.rate(basis.omega_plus, T_c, kappa), bath.rate(basis.omega_minus, T_c, kappa)
         table = local_basis_generator(params)
         for channels, k_plus, k_minus in (
             (table.hot, gh_p * basis.c2, gh_m * basis.s2),
@@ -205,7 +207,8 @@ def test_channel_table_boltzmann_factors():
 
 def test_channel_table_collapses_at_zero_coupling():
     params = NetworkParams(omega_h=10.0, omega_c=5.0, epsilon=0.0, T_h=12.0, T_c=10.0, kappa=1e-5)
-    gamma_h, gamma_c = bath.local_rates(params)
+    gamma_h = bath.rate(params.omega_h, params.T_h, params.kappa)
+    gamma_c = bath.rate(params.omega_c, params.T_c, params.kappa)
     table = local_basis_generator(params)
     hot = {(ch.kind, round(ch.weight, 18)) for ch in table.hot if ch.weight != 0.0}
     cold = {(ch.kind, round(ch.weight, 18)) for ch in table.cold if ch.weight != 0.0}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import HeatNetError
+from qheatnet.errors import HeatNetError, RateOverflow
 from qheatnet.local_mme import (
     MomentState,
     affine_system,
@@ -23,7 +23,8 @@ from _draws import contrast_params, extreme_params, generic_params
 def _hand_rhs(params, state):
     # the four moment equations written out longhand, independent of the
     # matrix assembly under test
-    gamma_h, gamma_c = bath.local_rates(params)
+    gamma_h = bath.rate(params.omega_h, params.T_h, params.kappa)
+    gamma_c = bath.rate(params.omega_c, params.T_c, params.kappa)
     w_h = math.exp(-params.omega_h / params.T_h)
     w_c = math.exp(-params.omega_c / params.T_c)
     G_h = gamma_h * (1.0 + params.delta * w_h)
@@ -110,6 +111,16 @@ def test_closed_form_matches_solve_at_extremes(params):
     assert prefactor >= 0.0
 
 
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+def test_size_one_calls_raise_the_row_error(statistics):
+    # the kernel carries the error in its row; the size-1 calls raise it
+    params = NetworkParams(omega_h=1e200, statistics=statistics)
+    with pytest.raises(RateOverflow):
+        steady_state(params)
+    with pytest.raises(RateOverflow):
+        affine_system(params)
+
+
 def test_current_sign_follows_exponential_contrast():
     # J_h carries the sign of e^(beta_c omega_c) - e^(beta_h omega_h); sigma
     # additionally carries the sign of the inverse-temperature difference
@@ -185,7 +196,8 @@ def test_steady_state_attracts(statistics):
 def _reference_point(params):
     # one 4x4 solve per call, written as the scalar code was before the grid
     # kernel; the kernel must reproduce it bit for bit
-    gamma_h, gamma_c = bath.local_rates(params)
+    gamma_h = bath.rate(params.omega_h, params.T_h, params.kappa)
+    gamma_c = bath.rate(params.omega_c, params.T_c, params.kappa)
     w_h = math.exp(-params.beta_h * params.omega_h)
     w_c = math.exp(-params.beta_c * params.omega_c)
     G_h = gamma_h * (1.0 + params.delta * w_h)

@@ -203,6 +203,11 @@ def test_params_from_mapping_rejects_bad_statistics():
         params_from_mapping({"statistics": "fermion"})
 
 
+def test_params_from_mapping_rejects_unknown_key():
+    with pytest.raises(ValueError, match="unknown parameter 'bogus'"):
+        params_from_mapping({"bogus": "1"})
+
+
 def test_params_from_mapping_validates():
     with pytest.raises(NonPositiveParameter):
         params_from_mapping({"kappa": "0"})

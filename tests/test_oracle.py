@@ -300,6 +300,27 @@ def test_commutator_alone_has_degenerate_nullspace():
         oracle.steady_state(broken)
 
 
+def _tls_with_hot_channel(rate: float, boltzmann: float) -> oracle.FockLiouvillian:
+    # the two-level local generator with its hot dissipator swapped for another
+    params = dataclasses.replace(COLD_POINT, statistics=Statistics.TLS)
+    liou = oracle.build(params, Generator.LOCAL)
+    hot = oracle._thermal_channel(((liou.a, liou.a),), rate, boltzmann)
+    return dataclasses.replace(liou, terms=_commutator(liou.hamiltonian) + hot + liou.cold)
+
+
+def test_non_positive_steady_state_fails_the_positivity_guard():
+    # a negative upward weight keeps the trace but not positivity
+    broken = _tls_with_hot_channel(1e-4, -0.5)
+    with pytest.raises(NonConvergence, match="eigenvalue"):
+        oracle.steady_state(broken)
+
+
+def test_non_finite_solution_is_a_degenerate_nullspace():
+    broken = _tls_with_hot_channel(1e300, 0.5)
+    with pytest.raises(DegenerateNullspace, match="non-finite entries"):
+        oracle.steady_state(broken)
+
+
 def test_global_tls_is_rejected():
     params = dataclasses.replace(COLD_POINT, statistics=Statistics.TLS)
     with pytest.raises(UnsupportedStatistics):
