@@ -12,12 +12,14 @@ exactly.
 
 A grid is checked and evaluated as a whole.  `validate` checks each field
 on its own, so each axis value is validated once instead of each point; a
-rejected value is a usage error before anything is computed.  The local
-rows of the whole grid come from one call of the local kernel; the global
-and oracle rows are solved point by point.  The table is rendered column by
-column over runs of whole blocks about a thousand rows long: a column
-holding one object throughout a run is formatted once, and so is each
-distinct non-zero float.
+rejected value is a usage error before anything is computed.  Its rows are
+one table of named columns, a list each.  The local rows of the whole grid
+come from one call of the local kernel and fill whole columns; the global
+and oracle rows are solved point by point and written into them.  Blocks
+are views of row ranges of that table whose rows read as dicts.  The table
+is rendered column by column over runs of whole blocks about a thousand
+rows long: a column holding one object throughout a run is formatted once,
+and so is each distinct non-zero float.
 
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
@@ -29,8 +31,11 @@ tables they emit are reproducible claims, not just defaults.
 import argparse
 import itertools
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -39,31 +44,14 @@ from .errors import GaplessSpectrum, HeatNetError
 from .gaussian import correlations, moment_correlations
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
+# Each group of result columns is filled together by a treatment.
+_MOMENTS = ("n_A", "n_B", "X", "Y")
+_CURRENTS = ("J_h", "J_c", "sigma")
+_CORRELATIONS = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "separable")
+
 COLUMNS = (
-    "approach",
-    "omega_h",
-    "omega_c",
-    "epsilon",
-    "T_h",
-    "T_c",
-    "kappa",
-    "statistics",
-    "n_A",
-    "n_B",
-    "X",
-    "Y",
-    "n_plus",
-    "n_minus",
-    "J_h",
-    "J_c",
-    "sigma",
-    "cor_xAxB",
-    "cor_xApB",
-    "cor_pAxB",
-    "cor_pApB",
-    "separable",
-    "secular_warning",
-    "error",
+    "approach", *_FLOAT_KEYS, "statistics", *_MOMENTS, "n_plus", "n_minus", *_CURRENTS,
+    *_CORRELATIONS, "secular_warning", "error",
 )
 
 def parse_axis(text: str) -> tuple[str, np.ndarray]:
@@ -87,114 +75,107 @@ def parse_axis(text: str) -> tuple[str, np.ndarray]:
     return name, spacing(start, stop, count)
 
 
-# --- row construction -------------------------------------------------------
+# --- the column table -------------------------------------------------------
+
+_report_values = operator.attrgetter(*_CORRELATIONS)
 
 
-def _base_row(approach: str, params: NetworkParams) -> dict:
-    row = dict.fromkeys(COLUMNS, None)
-    row["approach"] = approach
-    row["omega_h"] = params.omega_h
-    row["omega_c"] = params.omega_c
-    row["epsilon"] = params.epsilon
-    row["T_h"] = params.T_h
-    row["T_c"] = params.T_c
-    row["kappa"] = params.kappa
-    row["statistics"] = params.statistics.value
-    row["error"] = ""
-    return row
+class Block(Sequence):
+    """Rows start..stop of a grid's column table, read as one dict per row.
 
+    `table` maps each column name to a list with one value per row of the
+    whole grid.  block[i] builds a fresh {column: value} dict, so writing to
+    it leaves the table alone.
+    """
 
-def _fill_correlations(row: dict, report) -> None:
-    row["cor_xAxB"] = report.cor_xAxB
-    row["cor_xApB"] = report.cor_xApB
-    row["cor_pAxB"] = report.cor_pAxB
-    row["cor_pApB"] = report.cor_pApB
-    row["separable"] = report.separable
+    __slots__ = ("table", "start", "stop")
+
+    def __init__(self, table: dict[str, list], start: int, stop: int) -> None:
+        self.table, self.start, self.stop = table, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        row = range(self.start, self.stop)[index]
+        return {name: values[row] for name, values in self.table.items()}
 
 
 def _local_rows(
-    points: dict[str, list], statistics: Statistics, with_correlations: bool
-) -> list[dict]:
-    """Local rows for parallel parameter columns, from one call of the grid kernel."""
+    table: dict[str, list], rows: slice, points: dict[str, list], statistics: Statistics,
+    with_correlations: bool,
+) -> None:
+    """Fill the local rows of a grid from one call of the grid kernel."""
     states = local_mme.steady_states(
         *(np.array(points[name]) for name in _FLOAT_KEYS), statistics.delta
     )
-    correlated = with_correlations and statistics is Statistics.BOSON
-    blank = dict.fromkeys(COLUMNS)
-    blank.update(approach="local", statistics=statistics.value, error="")
-    rows = []
-    for echo, error, moments, J_h, J_c, sigma in zip(
-        zip(*(points[name] for name in _FLOAT_KEYS)),
-        states.errors,
-        states.moments.tolist(),
-        states.J_h.tolist(),
-        states.J_c.tolist(),
-        states.sigma.tolist(),
-    ):
-        row = blank.copy()
-        row["omega_h"], row["omega_c"], row["epsilon"], row["T_h"], row["T_c"], row["kappa"] = echo
-        if error is None and correlated:
-            try:
-                report = moment_correlations(*moments)
-            except HeatNetError as exc:
-                error = exc
+    columns = np.column_stack([states.moments, states.J_h, states.J_c, states.sigma]).T.tolist()
+    errors = states.errors
+    reports = []  # the correlation cells, row by row
+    if with_correlations and statistics is Statistics.BOSON:
+        for i, moments in enumerate(zip(*columns[:4])):
+            report = (None,) * len(_CORRELATIONS)
+            if errors[i] is None:
+                try:
+                    report = _report_values(moment_correlations(*moments))
+                except HeatNetError as exc:
+                    errors[i] = exc
+            reports.append(report)
+    for i, error in enumerate(errors):
         if error is not None:
-            row["error"] = type(error).__name__
-        else:
-            row["n_A"], row["n_B"], row["X"], row["Y"] = moments
-            row["J_h"], row["J_c"], row["sigma"] = J_h, J_c, sigma
-            if correlated:
-                _fill_correlations(row, report)
-        rows.append(row)
-    return rows
+            for column in columns:
+                column[i] = None
+    for name, column in zip(_MOMENTS + _CURRENTS + _CORRELATIONS, columns + list(zip(*reports))):
+        table[name][rows] = column
+    table["error"][rows] = ["" if error is None else type(error).__name__ for error in errors]
 
 
-def _global_row(params: NetworkParams, with_correlations: bool) -> dict:
-    row = _base_row("global", params)
+_GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning", *_CORRELATIONS)
+_ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus", *_CORRELATIONS)
+
+
+def _global_values(params: NetworkParams, n_max: int, with_correlations: bool) -> tuple:
+    """The values of one global row, in the order of _GLOBAL_COLUMNS."""
     state = global_mme.steady_state(params)
     X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
-    row.update(
-        n_A=state.nA,
-        n_B=state.nB,
-        X=X,
-        Y=0.0,
-        n_plus=state.n_plus,
-        n_minus=state.n_minus,
-        J_h=state.J_h,
-        J_c=state.J_c,
-        sigma=state.sigma,
-        secular_warning=state.secular_warning,
+    values = (
+        state.nA, state.nB, X, 0.0, state.n_plus, state.n_minus,
+        state.J_h, state.J_c, state.sigma, state.secular_warning,
     )
     if with_correlations:
-        _fill_correlations(row, moment_correlations(state.nA, state.nB, X, 0.0))
-    return row
+        values += _report_values(moment_correlations(state.nA, state.nB, X, 0.0))
+    return values
 
 
-def _oracle_row(approach: str, params: NetworkParams, n_max: int, with_correlations: bool) -> dict:
-    row = _base_row(approach, params)
-    generator = oracle.Generator.GLOBAL if approach.endswith("global") else oracle.Generator.LOCAL
+def _oracle_values(
+    generator: oracle.Generator, params: NetworkParams, n_max: int, with_correlations: bool
+) -> tuple:
+    """One oracle row in the order of _ORACLE_COLUMNS; only bosonic rows go past sigma."""
     liou = oracle.build(params, generator, n_max)
     rho = oracle.steady_state(liou)
     m = oracle.moments(liou, rho)
     J_h = oracle.heat_current(liou, rho, "hot")
     J_c = oracle.heat_current(liou, rho, "cold")
-    row.update(
-        n_A=m.nA,
-        n_B=m.nB,
-        X=m.X,
-        Y=m.Y,
-        J_h=J_h,
-        J_c=J_c,
-        sigma=-J_h / params.T_h - J_c / params.T_c,
-    )
+    values = (m.nA, m.nB, m.X, m.Y, J_h, J_c, -J_h / params.T_h - J_c / params.T_c)
     if params.statistics is Statistics.BOSON:
         try:
-            row["n_plus"], row["n_minus"] = oracle.mode_populations(liou, rho)
+            values += oracle.mode_populations(liou, rho)
         except GaplessSpectrum:
-            pass  # moments are fine, the mode decomposition just does not exist
+            values += (None, None)  # moments are fine, the mode decomposition just does not exist
         if with_correlations:
-            _fill_correlations(row, correlations(oracle.quadrature_covariance(liou, rho)))
-    return row
+            values += _report_values(correlations(oracle.quadrature_covariance(liou, rho)))
+    return values
+
+
+# The treatments solved point by point: the columns they fill and the values
+# of one point's row.  Local rows come from the grid kernel instead.
+_POINT_TREATMENTS = {
+    "global": (_GLOBAL_COLUMNS, _global_values),
+    "oracle-local": (_ORACLE_COLUMNS, partial(_oracle_values, oracle.Generator.LOCAL)),
+    "oracle-global": (_ORACLE_COLUMNS, partial(_oracle_values, oracle.Generator.GLOBAL)),
+}
 
 
 def run_point(
@@ -202,25 +183,9 @@ def run_point(
     approaches: tuple[str, ...],
     n_max: int = 12,
     with_correlations: bool = True,
-) -> list[dict]:
+) -> Block:
     """One row per requested treatment; failures become the row's error column."""
-    rows = []
-    for approach in approaches:
-        try:
-            if approach == "local":
-                point = {name: [getattr(params, name)] for name in _FLOAT_KEYS}
-                row = _local_rows(point, params.statistics, with_correlations)[0]
-            elif approach == "global":
-                row = _global_row(params, with_correlations)
-            elif approach in ("oracle-local", "oracle-global"):
-                row = _oracle_row(approach, params, n_max, with_correlations)
-            else:
-                raise ValueError(f"unknown approach {approach!r}")
-        except HeatNetError as exc:
-            row = _base_row(approach, params)
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return rows
+    return sweep_blocks(params, [], approaches, n_max, with_correlations)[0]
 
 
 def _check_axes(fixed: NetworkParams, axes: list[tuple[str, np.ndarray]]) -> None:
@@ -253,18 +218,24 @@ def sweep_blocks(
     approaches: tuple[str, ...],
     n_max: int = 12,
     with_correlations: bool = True,
-) -> list[list[dict]]:
+) -> list[Block]:
     """Evaluate a grid of up to two (name, values) axes in deterministic order.
 
     The first axis is the outer loop and the second the inner one; when both
-    name the same parameter the inner value wins.  Returns one block of rows
-    per outer value, or a single block when there is no axis; blocks become
-    blank-line separated scanlines in the gnuplot layout.  Each point's rows
-    follow the order of `approaches`.
+    name the same parameter the inner value wins.  The rows form one column
+    table, point by point and each point's rows in the order of
+    `approaches`.  Returns one Block of it per outer value, or a single
+    block when there is no axis; blocks become blank-line separated
+    scanlines in the gnuplot layout, and their rows read as dicts.
 
     The local rows of the whole grid come from one kernel call; the other
-    treatments run point by point through run_point.
+    treatments are solved point by point and write into the same columns.
     """
+    local = [k for k, approach in enumerate(approaches) if approach == "local"]
+    try:
+        by_point = [(k, *_POINT_TREATMENTS[a]) for k, a in enumerate(approaches) if a != "local"]
+    except KeyError as exc:
+        raise ValueError(f"unknown approach {exc.args[0]!r}") from None
     _check_axes(fixed, axes)
     shape = [len(values) for _, values in axes]
     count = math.prod(shape)
@@ -278,31 +249,36 @@ def sweep_blocks(
     if len(axes) == 2:
         name, values = axes[1]
         points[name] = values.tolist() * shape[0]
-    local = []
-    if "local" in approaches:
-        local = _local_rows(points, fixed.statistics, with_correlations)
-    others = tuple(approach for approach in approaches if approach != "local")
-    per_point = [
-        run_point(
-            replace(fixed, **{name: points[name][i] for name in _FLOAT_KEYS}),
-            others,
-            n_max,
-            with_correlations,
-        )
-        for i in range(count if others else 0)
-    ]
-    # one sequence of rows per treatment, in the order of `approaches`
-    by_other = iter(zip(*per_point))
-    columns = [local if approach == "local" else next(by_other) for approach in approaches]
-    rows = [row for point_rows in zip(*columns) for row in point_rows]
-    width = inner * len(approaches)
-    return [rows[k * width : (k + 1) * width] for k in range(shape[0] if axes else 1)]
+    width = len(approaches)
+    blank = {"statistics": fixed.statistics.value, "error": ""}  # None in every other column
+    table = {name: [blank.get(name)] * (count * width) for name in COLUMNS}
+    table["approach"] = list(approaches) * count
+    for k in range(width):
+        for name in _FLOAT_KEYS:
+            table[name][k::width] = points[name]
+    for k in local:
+        _local_rows(table, slice(k, None, width), points, fixed.statistics, with_correlations)
+    names = [name for name, _ in axes]
+    # a point's NetworkParams is built only for the treatments solved point by point
+    for i in range(count if by_point else 0):
+        params = replace(fixed, **{name: points[name][i] for name in names}) if names else fixed
+        for k, columns, solve in by_point:
+            row = i * width + k
+            try:
+                values = solve(params, n_max, with_correlations)
+            except HeatNetError as exc:
+                table["error"][row] = type(exc).__name__
+                continue
+            for name, value in zip(columns, values):
+                table[name][row] = value
+    size = inner * width
+    return [Block(table, k * size, (k + 1) * size) for k in range(shape[0] if axes else 1)]
 
 
 # --- figure presets ---------------------------------------------------------
 
 
-def preset_fig2() -> tuple[tuple[str, ...], list[list[dict]]]:
+def preset_fig2() -> tuple[tuple[str, ...], list[Block]]:
     """Sign map of the local entropy production over (omega_h, T_h).
 
     Fixed constants: T_c = 10, omega_c = 5, epsilon = 1e-4, kappa = 1e-7.
@@ -315,14 +291,12 @@ def preset_fig2() -> tuple[tuple[str, ...], list[list[dict]]]:
     fixed = NetworkParams(omega_c=5.0, epsilon=1e-4, T_c=10.0, kappa=1e-7)
     axes = [("T_h", np.linspace(10.05, 20.0, 200)), ("omega_h", np.linspace(0.5, 15.0, 200))]
     blocks = sweep_blocks(fixed, axes, ("local",), with_correlations=False)
-    for block in blocks:
-        for row in block:
-            sigma = row["sigma"]
-            row["sigma_sign"] = None if sigma is None else int(np.sign(sigma))
+    table = blocks[0].table
+    table["sigma_sign"] = [None if v is None else int(np.sign(v)) for v in table["sigma"]]
     return COLUMNS + ("sigma_sign",), blocks
 
 
-def preset_fig3() -> tuple[tuple[str, ...], list[list[dict]]]:
+def preset_fig3() -> tuple[tuple[str, ...], list[Block]]:
     """Both treatments across the coupling range epsilon in [1e-5, 1].
 
     Fixed constants: T_h = 12, T_c = 10, omega_h = 10, omega_c = 5,
@@ -345,7 +319,7 @@ def _fig4_grid() -> np.ndarray:
     )
 
 
-def preset_fig4() -> tuple[tuple[str, ...], list[list[dict]]]:
+def preset_fig4() -> tuple[tuple[str, ...], list[Block]]:
     """Both treatments across omega_h through resonance with omega_c.
 
     Fixed constants: T_h = 12, T_c = 10, omega_c = 5, epsilon = 1e-3,
@@ -392,37 +366,36 @@ def _format_column(values: list, gnuplot: bool) -> list[str]:
 _CHUNK_ROWS = 1000
 
 
-def _block_texts(columns: tuple[str, ...], blocks: list[list[dict]], gnuplot: bool):
+def _block_texts(columns: tuple[str, ...], blocks: list[Block], gnuplot: bool):
     """Yield each block's lines, joined by newlines.
 
     Cells are formatted column by column over runs of whole blocks that
     hold at least _CHUNK_ROWS rows (the last run may hold fewer).
     """
     separator = " " if gnuplot else ","
-    run: list[list[dict]] = []
+    run: list[Block] = []
     size = 0
     for index, block in enumerate(blocks):
         run.append(block)
         size += len(block)
         if size < _CHUNK_ROWS and index + 1 < len(blocks):
             continue
-        rows = [row for member in run for row in member]
-        cells = [
-            _format_column(list(map(dict.get, rows, itertools.repeat(column))), gnuplot)
-            for column in columns
-        ]
+        cells = []
+        for column in columns:
+            values = itertools.chain.from_iterable(b.table[column][b.start : b.stop] for b in run)
+            cells.append(_format_column(list(values), gnuplot))
         lines = map(separator.join, zip(*cells))
         for member in run:
             yield "\n".join(itertools.islice(lines, len(member)))
         run, size = [], 0
 
 
-def render_csv(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
+def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
     texts = filter(None, _block_texts(columns, blocks, False))
     return "\n".join([",".join(columns), *texts]) + "\n"
 
 
-def render_gnuplot(columns: tuple[str, ...], blocks: list[list[dict]]) -> str:
+def render_gnuplot(columns: tuple[str, ...], blocks: list[Block]) -> str:
     """Whitespace-separated table; blocks become blank-line separated so a
     2-D sweep is directly usable as a gnuplot grid."""
     texts = _block_texts(columns, blocks, True)
@@ -523,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_grid(args: argparse.Namespace) -> tuple[tuple[str, ...], list[list[dict]]]:
+def _cmd_grid(args: argparse.Namespace) -> tuple[tuple[str, ...], list[Block]]:
     # `point` has no axis, `sweep` one or two; an empty --axis2 means none
     axes = [parse_axis(spec) for spec in (args.axis1, args.axis2 or None) if spec is not None]
     blocks = sweep_blocks(_params_from_args(args), axes, _approaches_from_args(args), args.nmax)

@@ -30,7 +30,7 @@ class RateOverflow(HeatNetError):
 
 
 class SingularSystem(HeatNetError):
-    """The 4x4 moment drift matrix was numerically singular; unreachable for positive rates."""
+    """A steady-state system is singular: a singular 4x4 drift matrix, or a decay rate of 0."""
 
 
 class StatisticsMismatch(HeatNetError):

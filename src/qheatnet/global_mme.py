@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import bath
+from .errors import SingularSystem
 from .model import NetworkParams, NormalModeBasis, normal_mode_basis
 
 # Warn when the mode splitting is within this factor of the fastest rate.
@@ -98,6 +99,8 @@ def _mode_balance(
     total up-pumping k_l x_l against total decay k_l (1 - x_l).
     """
     loss = k_h * (1.0 - x_h) + k_c * (1.0 - x_c)
+    if loss == 0.0:  # x_l rounds to 1 on both channels, or both rates underflow
+        raise SingularSystem(f"the mode at omega = {omega!r} has no net decay")
     n = (k_h * x_h + k_c * x_c) / loss
     J_h = omega * k_h * (x_h - (1.0 - x_h) * n)
     J_c = omega * k_c * (x_c - (1.0 - x_c) * n)
@@ -148,7 +151,10 @@ def heat_current_closed_form(params: NetworkParams) -> float:
         return omega * c_h * c_c * (x_h - x_c) / (c_h * (1.0 - x_c) / g_h + c_c * (1.0 - x_h) / g_c)
 
     wp, wm = basis.omega_plus, basis.omega_minus
-    return term(wp, gh_p, gc_p, xh_p, xc_p, c2, s2) + term(wm, gh_m, gc_m, xh_m, xc_m, s2, c2)
+    try:
+        return term(wp, gh_p, gc_p, xh_p, xc_p, c2, s2) + term(wm, gh_m, gc_m, xh_m, xc_m, s2, c2)
+    except ZeroDivisionError as exc:
+        raise SingularSystem(f"closed-form current divides by zero: {exc}") from exc
 
 
 def local_basis_generator(params: NetworkParams) -> LocalBasisGenerator:

@@ -213,7 +213,10 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     )
     four_eps_sq = 4.0 * params.epsilon**2
     S = G_h + G_c
-    Q = S * S + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * (params.omega_h - params.omega_c) ** 2
     thermal = (1.0 + params.delta * w_h) * (1.0 + params.delta * w_c)
-    s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
+    try:
+        Q = S * S + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * (params.omega_h - params.omega_c) ** 2
+        s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
+    except ZeroDivisionError as exc:
+        raise SingularSystem(f"closed-form current divides by zero: {exc}") from exc
     return (w_h - w_c) * s, w_h * w_c * s

@@ -259,11 +259,52 @@ def test_gapless_oracle_row_leaves_the_mode_columns_empty():
         assert brute[column] == pytest.approx(local[column], rel=0.0, abs=1e-8), column
 
 
-def test_unknown_approach_raises():
-    with pytest.raises(ValueError, match="unknown approach"):
+def test_unknown_approach_raises(monkeypatch):
+    # the approaches are checked before anything is solved
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before the approaches were checked")
+
+    monkeypatch.setattr(cli.local_mme, "steady_states", fail)
+    monkeypatch.setattr(cli.global_mme, "steady_state", fail)
+    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
         cli.run_point(NetworkParams(), ("bogus",))
-    with pytest.raises(ValueError, match="unknown approach"):
-        cli.sweep_blocks(NetworkParams(), [], ("local", "bogus"))
+    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
+        cli.sweep_blocks(NetworkParams(), [], ("local", "global", "bogus"))
+
+
+# --- blocks: views of one column table -----------------------------------------
+
+
+def test_run_point_is_the_zero_axis_block():
+    approaches = ("local", "global", "oracle-local")
+    params = NetworkParams(epsilon=0.3)
+    (block,) = cli.sweep_blocks(params, [], approaches, n_max=6)
+    rows = cli.run_point(params, approaches, n_max=6)
+    assert (rows.start, rows.stop) == (block.start, block.stop) == (0, 3)
+    assert rows.table.keys() == block.table.keys() and tuple(block.table) == cli.COLUMNS
+    for row, expected in zip(rows, block, strict=True):
+        _assert_same_row(row, expected, row["approach"])
+
+
+def test_block_rows_are_copies_of_the_table():
+    axis = cli.parse_axis("T_h:11:13:3:lin")
+    blocks = cli.sweep_blocks(NetworkParams(), [axis], ("local", "global"))
+    table = blocks[0].table
+    assert all(block.table is table for block in blocks)
+    assert [(block.start, block.stop) for block in blocks] == [(0, 2), (2, 4), (4, 6)]
+    assert all(len(values) == 6 for values in table.values())
+    csv, gnuplot = cli.render_csv(cli.COLUMNS, blocks), cli.render_gnuplot(cli.COLUMNS, blocks)
+    snapshot = {name: list(values) for name, values in table.items()}
+    row = blocks[1][-1]
+    assert row == blocks[1][1] and row["approach"] == "global" and row["T_h"] == 12.0
+    assert blocks[1][0:2] == [blocks[1][0], row] and blocks[1][::-1][0] == row
+    row["J_h"], row["error"] = 1.0, "Edited"
+    row["extra"] = 0.0
+    assert table == snapshot and blocks[1][1] != row
+    assert cli.render_csv(cli.COLUMNS, blocks) == csv
+    assert cli.render_gnuplot(cli.COLUMNS, blocks) == gnuplot
+    with pytest.raises(IndexError):
+        blocks[1][2]
 
 
 @pytest.mark.parametrize(
@@ -445,13 +486,24 @@ def test_grid_rows_equal_point_rows(draw, statistics, approaches):
 
 
 def test_a_singular_point_fails_alone():
-    # kappa = 1e-320 leaves the drift matrix numerically singular
+    # kappa = 1e-320 leaves the drift matrix numerically singular, and the
+    # global modes without decay
     fixed = NetworkParams(omega_h=0.01, omega_c=0.02, epsilon=0.0)
     axis = cli.parse_axis("kappa:1e-320:1e-7:5:log")
-    rows = _assert_grid_matches_points(fixed, [axis], ("local",))
-    assert [row["error"] for row in rows] == ["SingularSystem"] + [""] * 4
-    assert rows[0]["n_A"] is None and rows[0]["J_h"] is None
-    assert all(math.isfinite(row["J_h"]) for row in rows[1:])
+    rows = _assert_grid_matches_points(fixed, [axis], ("local", "global"))
+    assert [row["error"] for row in rows] == ["SingularSystem"] * 2 + [""] * 8
+    assert all(row["n_A"] is None and row["J_h"] is None for row in rows[:2])
+    assert all(math.isfinite(row["J_h"]) for row in rows[2:])
+
+
+def test_weights_that_round_to_1_give_a_singular_global_row(capsys):
+    # exp(-omega/T) is exactly 1 at T = 1e17, so neither mode decays
+    assert cli.main(["point", "--T-h", "1e17", "--T-c", "1e17"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    global_row = _rows(captured.out)[1]
+    assert global_row["approach"] == "global" and global_row["error"] == "SingularSystem"
+    assert global_row["J_h"] == ""
 
 
 def test_rate_overflow_rows_fail_alone():
@@ -551,18 +603,18 @@ def test_fig2_bytes_match_the_point_path_on_every_tenth_scanline():
 
 def test_renderer_edge_cells():
     # constant, mixed and zero-signed columns in one block
-    columns = ("name", "none", "mixed", "zeros", "repeat", "flag", "count", "error")
-    block = [
-        dict(name="local", none=None, mixed=1.5, zeros=-0.0, repeat=0.1, flag=True, count=3,
-             error=""),
-        dict(name="global", none=None, mixed=None, zeros=0.0, repeat=0.1, flag=False, count=-1,
-             error="RateOverflow"),
-        dict(name="local", none=None, mixed=-0.0, zeros=-0.0, repeat=0.30000000000000004,
-             flag=True, count=0, error=""),
-        dict(name="local", none=None, mixed=math.nan, zeros=2.0, repeat=0.1, flag=None,
-             count=None, error=""),
-    ]
-    blocks = [block, block[:1], []]
+    table = {
+        "name": ["local", "global", "local", "local"],
+        "none": [None] * 4,
+        "mixed": [1.5, None, -0.0, math.nan],
+        "zeros": [-0.0, 0.0, -0.0, 2.0],
+        "repeat": [0.1, 0.1, 0.30000000000000004, 0.1],
+        "flag": [True, False, True, None],
+        "count": [3, -1, 0, None],
+        "error": ["", "RateOverflow", "", ""],
+    }
+    columns = tuple(table)
+    blocks = [cli.Block(table, 0, 4), cli.Block(table, 0, 1), cli.Block(table, 4, 4)]
     _assert_renders_like_reference(columns, blocks, columns, blocks)
     csv = cli.render_csv(columns, blocks).splitlines()
     assert csv[1] == "local,,1.5,-0,0.10000000000000001,1,3,"

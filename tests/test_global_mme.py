@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import GaplessSpectrum, UnsupportedStatistics
+from qheatnet.errors import GaplessSpectrum, SingularSystem, UnsupportedStatistics
 from qheatnet.global_mme import (
     heat_current_closed_form,
     local_basis_generator,
@@ -159,6 +159,20 @@ def test_tls_rejected_everywhere():
 def test_gapless_rejected():
     with pytest.raises(GaplessSpectrum):
         steady_state(NetworkParams(omega_h=1.0, omega_c=1.0, epsilon=1.0))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [NetworkParams(T_h=1e17, T_c=1e17), NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320)],
+    ids=["weights_round_to_1", "rates_underflow"],
+)
+def test_a_mode_without_decay_is_a_singular_system(params):
+    # exp(-omega/T) rounds to 1 on both channels, or both rates round to 0:
+    # a mode's balance and the closed form would divide by zero
+    with pytest.raises(SingularSystem):
+        steady_state(params)
+    with pytest.raises(SingularSystem):
+        heat_current_closed_form(params)
 
 
 def test_channel_table_weights():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import HeatNetError, RateOverflow
+from qheatnet.errors import HeatNetError, RateOverflow, SingularSystem
 from qheatnet.local_mme import (
     MomentState,
     affine_system,
@@ -119,6 +119,17 @@ def test_size_one_calls_raise_the_row_error(statistics):
         steady_state(params)
     with pytest.raises(RateOverflow):
         affine_system(params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [NetworkParams(T_h=1e17, T_c=1e17), NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320)],
+    ids=["weights_round_to_1", "rates_underflow"],
+)
+def test_closed_form_with_a_zero_rate_is_a_singular_system(params):
+    # G_l rounds to 0, so S / G_l in the closed form would divide by zero
+    with pytest.raises(SingularSystem):
+        heat_current_closed_form(params)
 
 
 def test_current_sign_follows_exponential_contrast():
