@@ -11,15 +11,15 @@ digits so identical invocations are byte identical and values round-trip
 exactly.
 
 A grid is checked and evaluated as a whole.  `validate` checks each field
-on its own, so each axis value is validated once instead of each point; a
-rejected value is a usage error before anything is computed.  Its rows are
-one table of named columns, a list each.  The local rows of the whole grid
-come from one call of the local kernel and fill whole columns; the global
-and oracle rows are solved point by point and written into them.  Blocks
-are views of row ranges of that table whose rows read as dicts.  The table
-is rendered column by column over runs of whole blocks about a thousand
-rows long: a column holding one object throughout a run is formatted once,
-and so is each distinct non-zero float.
+on its own, so each axis value is validated once, outer axis first, and a
+rejected value is a usage error before anything is computed.  Each
+treatment gives its result columns for the whole grid and a typed error or
+None per row; one writer puts them into one table of named columns, adding
+the Gaussian columns of bosonic local and global rows.  Blocks are views of
+row ranges of that table whose rows read as dicts.  The table is rendered
+column by column over runs of whole blocks about a thousand rows long: a
+column holding one object throughout a run is formatted once, and so is
+each distinct non-zero float.
 
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from . import global_mme, local_mme, oracle
-from .errors import GaplessSpectrum, HeatNetError
+from .errors import GaplessSpectrum, HeatNetError, UnphysicalCovariance
 from .gaussian import correlations, moment_correlations
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
@@ -103,54 +103,29 @@ class Block(Sequence):
         return {name: values[row] for name, values in self.table.items()}
 
 
-def _local_rows(
-    table: dict[str, list], rows: slice, points: dict[str, list], statistics: Statistics,
-    with_correlations: bool,
-) -> None:
-    """Fill the local rows of a grid from one call of the grid kernel."""
-    states = local_mme.steady_states(
-        *(np.array(points[name]) for name in _FLOAT_KEYS), statistics.delta
-    )
+def _local_columns(delta: float, points: dict[str, list], params: list) -> tuple[dict, list]:
+    """The local rows of a grid from one call of the grid kernel."""
+    states = local_mme.steady_states(*(np.array(points[name]) for name in _FLOAT_KEYS), delta)
     columns = np.column_stack([states.moments, states.J_h, states.J_c, states.sigma]).T.tolist()
-    errors = states.errors
-    reports = []  # the correlation cells, row by row
-    if with_correlations and statistics is Statistics.BOSON:
-        for i, moments in enumerate(zip(*columns[:4])):
-            report = (None,) * len(_CORRELATIONS)
-            if errors[i] is None:
-                try:
-                    report = _report_values(moment_correlations(*moments))
-                except HeatNetError as exc:
-                    errors[i] = exc
-            reports.append(report)
-    for i, error in enumerate(errors):
-        if error is not None:
-            for column in columns:
-                column[i] = None
-    for name, column in zip(_MOMENTS + _CURRENTS + _CORRELATIONS, columns + list(zip(*reports))):
-        table[name][rows] = column
-    table["error"][rows] = ["" if error is None else type(error).__name__ for error in errors]
+    return dict(zip(_MOMENTS + _CURRENTS, columns)), states.errors
 
 
-_GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning", *_CORRELATIONS)
+_GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning")
 _ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus", *_CORRELATIONS)
 
 
-def _global_values(params: NetworkParams, n_max: int, with_correlations: bool) -> tuple:
+def _global_values(params: NetworkParams) -> tuple:
     """The values of one global row, in the order of _GLOBAL_COLUMNS."""
     state = global_mme.steady_state(params)
     X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
-    values = (
+    return (
         state.nA, state.nB, X, 0.0, state.n_plus, state.n_minus,
         state.J_h, state.J_c, state.sigma, state.secular_warning,
     )
-    if with_correlations:
-        values += _report_values(moment_correlations(state.nA, state.nB, X, 0.0))
-    return values
 
 
 def _oracle_values(
-    generator: oracle.Generator, params: NetworkParams, n_max: int, with_correlations: bool
+    generator: oracle.Generator, n_max: int, with_correlations: bool, params: NetworkParams
 ) -> tuple:
     """One oracle row in the order of _ORACLE_COLUMNS; only bosonic rows go past sigma."""
     liou = oracle.build(params, generator, n_max)
@@ -169,13 +144,63 @@ def _oracle_values(
     return values
 
 
-# The treatments solved point by point: the columns they fill and the values
-# of one point's row.  Local rows come from the grid kernel instead.
-_POINT_TREATMENTS = {
-    "global": (_GLOBAL_COLUMNS, _global_values),
-    "oracle-local": (_ORACLE_COLUMNS, partial(_oracle_values, oracle.Generator.LOCAL)),
-    "oracle-global": (_ORACLE_COLUMNS, partial(_oracle_values, oracle.Generator.GLOBAL)),
-}
+def _point_columns(names: tuple[str, ...], values, points: dict, params: list) -> tuple[dict, list]:
+    """The rows of a treatment solved point by point; values(params) is one row of `names`."""
+    rows, errors = [], []
+    for point in params:
+        try:
+            rows.append(values(point))
+            errors.append(None)
+        except HeatNetError as exc:
+            rows.append((None,) * len(names))
+            errors.append(exc)
+    # a row may stop short of the last names (see _oracle_values); zip keeps what all rows have
+    return dict(zip(names, map(list, zip(*rows)))), errors
+
+
+def _treatments(approaches, fixed: NetworkParams, n_max: int, with_correlations: bool) -> list:
+    """Each approach as (columns, gaussian); an unknown one raises ValueError.
+
+    columns(points, params) gives the approach's result columns by name for the
+    whole grid and a typed error or None per row.  With `gaussian`, _write adds
+    the rows' correlation columns from their moments.
+    """
+    gaussian = with_correlations and fixed.statistics is Statistics.BOSON
+    known = {
+        "local": (partial(_local_columns, fixed.delta), gaussian),
+        "global": (partial(_point_columns, _GLOBAL_COLUMNS, _global_values), gaussian),
+    }
+    for generator in oracle.Generator:
+        row = partial(_oracle_values, generator, n_max, with_correlations)
+        known[f"oracle-{generator.value}"] = (partial(_point_columns, _ORACLE_COLUMNS, row), False)
+    try:
+        return [known[approach] for approach in approaches]
+    except KeyError as exc:
+        raise ValueError(f"unknown approach {exc.args[0]!r}") from None
+
+
+def _write(table: dict, rows: slice, columns: dict, errors: list, gaussian: bool) -> None:
+    """Write one treatment's columns and errors into its rows of the table.
+
+    With `gaussian` the correlation columns come from each row's own
+    moments, and a row they find unphysical fails.  A failed row keeps only
+    its parameters and its error.
+    """
+    if gaussian:
+        reports = [(None,) * len(_CORRELATIONS)] * len(errors)
+        for i, moments in enumerate(zip(*(columns[name] for name in _MOMENTS))):
+            if errors[i] is None:
+                try:
+                    reports[i] = _report_values(moment_correlations(*moments))
+                except UnphysicalCovariance as exc:
+                    errors[i] = exc
+        columns.update(zip(_CORRELATIONS, map(list, zip(*reports))))
+    failed = [i for i, error in enumerate(errors) if error is not None]
+    for name, column in columns.items():
+        for i in failed:
+            column[i] = None
+        table[name][rows] = column
+    table["error"][rows] = ["" if error is None else type(error).__name__ for error in errors]
 
 
 def run_point(
@@ -189,27 +214,15 @@ def run_point(
 
 
 def _check_axes(fixed: NetworkParams, axes: list[tuple[str, np.ndarray]]) -> None:
-    """Validate each axis value once; raise the error of the first invalid grid point.
+    """Validate each axis value once, outer axis first; raise at the first rejected one.
 
-    `validate` checks each field on its own, so only a point with a rejected
-    axis value can be invalid.  Those points are built in grid order until
-    one raises; an outer value that the inner axis overrides never does.
+    `validate` checks each field on its own, so this covers every grid point;
+    an outer axis that the inner one overrides is skipped.
     """
-    names = [name for name, _ in axes]
-    rejected = [[_invalid(fixed, name, value) for value in values] for name, values in axes]
-    if not any(map(any, rejected)):
-        return
-    for index in itertools.product(*(range(len(values)) for _, values in axes)):
-        if any(rejected[k][i] for k, i in enumerate(index)):
-            replace(fixed, **{names[k]: float(axes[k][1][i]) for k, i in enumerate(index)})
-
-
-def _invalid(fixed: NetworkParams, name: str, value) -> bool:
-    try:
-        replace(fixed, **{name: float(value)})
-    except HeatNetError:
-        return True
-    return False
+    for k, (name, values) in enumerate(axes):
+        if name not in dict(axes[k + 1 :]):
+            for value in values.tolist():
+                replace(fixed, **{name: value})
 
 
 def sweep_blocks(
@@ -228,14 +241,10 @@ def sweep_blocks(
     block when there is no axis; blocks become blank-line separated
     scanlines in the gnuplot layout, and their rows read as dicts.
 
-    The local rows of the whole grid come from one kernel call; the other
-    treatments are solved point by point and write into the same columns.
+    Each approach gives its columns for the whole grid (see _treatments),
+    and _write puts them into the table.
     """
-    local = [k for k, approach in enumerate(approaches) if approach == "local"]
-    try:
-        by_point = [(k, *_POINT_TREATMENTS[a]) for k, a in enumerate(approaches) if a != "local"]
-    except KeyError as exc:
-        raise ValueError(f"unknown approach {exc.args[0]!r}") from None
+    treatments = _treatments(approaches, fixed, n_max, with_correlations)
     _check_axes(fixed, axes)
     shape = [len(values) for _, values in axes]
     count = math.prod(shape)
@@ -244,33 +253,21 @@ def sweep_blocks(
     # change along a block is one shared object there.
     points = {name: [getattr(fixed, name)] * count for name in _FLOAT_KEYS}
     if axes:
-        name, values = axes[0]
-        points[name] = [value for value in values.tolist() for _ in range(inner)]
+        points[axes[0][0]] = [value for value in axes[0][1].tolist() for _ in range(inner)]
     if len(axes) == 2:
-        name, values = axes[1]
-        points[name] = values.tolist() * shape[0]
+        points[axes[1][0]] = axes[1][1].tolist() * shape[0]
+    # each point's NetworkParams, built once and only if a treatment is solved point by point
+    params = [fixed] if not axes else []
+    if axes and any(approach != "local" for approach in approaches):
+        params = [replace(fixed, **{n: points[n][i] for n in dict(axes)}) for i in range(count)]
     width = len(approaches)
     blank = {"statistics": fixed.statistics.value, "error": ""}  # None in every other column
     table = {name: [blank.get(name)] * (count * width) for name in COLUMNS}
     table["approach"] = list(approaches) * count
-    for k in range(width):
+    for k, (columns, gaussian) in enumerate(treatments):
         for name in _FLOAT_KEYS:
             table[name][k::width] = points[name]
-    for k in local:
-        _local_rows(table, slice(k, None, width), points, fixed.statistics, with_correlations)
-    names = [name for name, _ in axes]
-    # a point's NetworkParams is built only for the treatments solved point by point
-    for i in range(count if by_point else 0):
-        params = replace(fixed, **{name: points[name][i] for name in names}) if names else fixed
-        for k, columns, solve in by_point:
-            row = i * width + k
-            try:
-                values = solve(params, n_max, with_correlations)
-            except HeatNetError as exc:
-                table["error"][row] = type(exc).__name__
-                continue
-            for name, value in zip(columns, values):
-                table[name][row] = value
+        _write(table, slice(k, None, width), *columns(points, params), gaussian)
     size = inner * width
     return [Block(table, k * size, (k + 1) * size) for k in range(shape[0] if axes else 1)]
 

@@ -37,6 +37,7 @@ failing row (a rate that overflows, a singular drift matrix) carries its
 typed error in the result and never stops the other rows.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -159,8 +160,8 @@ def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> L
 
     delta is the statistics' sign, shared by every row.  The N drift
     matrices are solved in one batched call.  A singular one fails the whole
-    batch; the rows are then solved one by one, so that only the singular
-    rows fail.
+    batch; the rows are then solved one by one.  A row whose moments come
+    out non-finite, from an exact zero pivot or not, fails as singular.
     """
     omega_h, omega_c, epsilon, T_h, T_c, kappa = (
         np.asarray(c, dtype=float) for c in (omega_h, omega_c, epsilon, T_h, T_c, kappa)
@@ -172,10 +173,11 @@ def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> L
         x = np.full(v.shape, math.nan)
         for i, error in enumerate(errors):
             if error is None:
-                try:
+                with contextlib.suppress(np.linalg.LinAlgError):  # x[i] stays NaN
                     x[i] = np.linalg.solve(A[i], -v[i])
-                except np.linalg.LinAlgError as exc:
-                    errors[i] = SingularSystem(f"moment drift matrix is singular: {exc}")
+    for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
+        if errors[i] is None:  # finite coefficients, moments that are not
+            errors[i] = SingularSystem("moment drift matrix is singular to working precision")
     J_h = omega_h * (v[:, 0] - G_h * x[:, 0]) - 0.5 * epsilon * G_h * x[:, 2]
     J_c = omega_c * (v[:, 1] - G_c * x[:, 1]) - 0.5 * epsilon * G_c * x[:, 2]
     sigma = -J_h / T_h - J_c / T_c

@@ -20,7 +20,8 @@ import pytest
 
 import qheatnet
 from qheatnet import cli, errors, oracle
-from qheatnet.model import NetworkParams, Statistics
+from qheatnet.gaussian import moment_correlations
+from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
 from _draws import cold_params, contrast_params, extreme_params, generic_params
 
@@ -270,6 +271,9 @@ def test_unknown_approach_raises(monkeypatch):
         cli.run_point(NetworkParams(), ("bogus",))
     with pytest.raises(ValueError, match="unknown approach 'bogus'"):
         cli.sweep_blocks(NetworkParams(), [], ("local", "global", "bogus"))
+    # and before the axes are validated
+    with pytest.raises(ValueError, match="unknown approach 'bogus'"):
+        cli.sweep_blocks(NetworkParams(), [("kappa", np.array([-1.0, 1.0]))], ("bogus",))
 
 
 # --- blocks: views of one column table -----------------------------------------
@@ -496,6 +500,28 @@ def test_a_singular_point_fails_alone():
     assert all(math.isfinite(row["J_h"]) for row in rows[2:])
 
 
+def test_a_local_solve_singular_to_working_precision_fails_its_row(capsys):
+    # two-level nodes at kappa ~ 1e-320: the solved moments are inf and NaN
+    values = {
+        "omega_h": 7.101498345015055, "omega_c": 0.013147191079549564,
+        "epsilon": 1.6957597259418116e-278, "T_h": 704760091.1234993,
+        "T_c": 1.3713246728250014e-06, "kappa": 1.241e-320,
+    }
+    argv = ["point", "--statistics", "tls"]
+    for name, value in values.items():
+        argv += [f"--{name.replace('_', '-')}", repr(value)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    local_row = _rows(captured.out)[0]
+    assert local_row["approach"] == "local" and local_row["error"] == "SingularSystem"
+    assert all(local_row[c] == "" for c in ("n_A", "n_B", "X", "Y", "J_h", "J_c", "sigma"))
+    fixed = NetworkParams(**values, statistics=Statistics.TLS)
+    axis = ("kappa", np.array([fixed.kappa, 1e-7]))
+    rows = _assert_grid_matches_points(fixed, [axis], ("local",))
+    assert [row["error"] for row in rows] == ["SingularSystem", ""]
+
+
 def test_weights_that_round_to_1_give_a_singular_global_row(capsys):
     # exp(-omega/T) is exactly 1 at T = 1e17, so neither mode decays
     assert cli.main(["point", "--T-h", "1e17", "--T-c", "1e17"]) == 0
@@ -504,6 +530,56 @@ def test_weights_that_round_to_1_give_a_singular_global_row(capsys):
     global_row = _rows(captured.out)[1]
     assert global_row["approach"] == "global" and global_row["error"] == "SingularSystem"
     assert global_row["J_h"] == ""
+
+
+_GAUSSIAN_COLUMNS = (*CORRELATION_COLUMNS, "separable")
+_RESULT_COLUMNS = tuple(
+    c for c in cli.COLUMNS if c not in (*_FLOAT_KEYS, "approach", "statistics", "error")
+)
+
+
+def _gaussian_grid() -> tuple[NetworkParams, list]:
+    # global moments do not depend on kappa, so the axes leave it alone
+    base = NetworkParams(omega_h=6.0, omega_c=5.0, epsilon=0.3, T_h=1.5, T_c=1.2, kappa=1e-4)
+    return base, [("T_h", np.linspace(1.3, 2.0, 4)), ("omega_h", np.array([3.0, 5.0, 6.0]))]
+
+
+def test_gaussian_cells_are_the_moment_correlations_of_the_row():
+    base, axes = _gaussian_grid()
+    rows = [row for block in cli.sweep_blocks(base, axes, ("local", "global")) for row in block]
+    assert len(rows) == 24 and all(row["error"] == "" for row in rows)
+    for row in rows:
+        report = moment_correlations(row["n_A"], row["n_B"], row["X"], row["Y"])
+        want = {c: getattr(report, c) for c in _GAUSSIAN_COLUMNS}
+        _assert_same_row({c: row[c] for c in _GAUSSIAN_COLUMNS}, want, row)
+    # two-level nodes have no quadratures, and the cells can be switched off
+    tls = replace(base, statistics=Statistics.TLS)
+    for params, with_correlations in ((tls, True), (base, False)):
+        blocks = cli.sweep_blocks(params, axes, ("local", "global"), 12, with_correlations)
+        assert all(row[c] is None for block in blocks for row in block for c in _GAUSSIAN_COLUMNS)
+
+
+@pytest.mark.parametrize("approach", ["local", "global"])
+def test_an_unphysical_covariance_empties_only_its_row(approach, monkeypatch):
+    base, axes = _gaussian_grid()
+    want = [row for block in cli.sweep_blocks(base, axes, ("local", "global")) for row in block]
+    target = [row for row in want if row["approach"] == approach][5]
+    moments = tuple(target[c] for c in ("n_A", "n_B", "X", "Y"))
+    calls = []
+
+    def fail_on_target(*args):
+        calls.append(args)
+        if args == moments:
+            raise errors.UnphysicalCovariance("chosen call")
+        return moment_correlations(*args)
+
+    monkeypatch.setattr(cli, "moment_correlations", fail_on_target)
+    got = [row for block in cli.sweep_blocks(base, axes, ("local", "global")) for row in block]
+    assert len(calls) == len(want) and calls.count(moments) == 1
+    index = want.index(target)
+    emptied = {**target, **dict.fromkeys(_RESULT_COLUMNS), "error": "UnphysicalCovariance"}
+    for i, (row, expected) in enumerate(zip(got, want, strict=True)):
+        _assert_same_row(row, emptied if i == index else expected, (i, row["approach"]))
 
 
 def test_rate_overflow_rows_fail_alone():
@@ -638,11 +714,12 @@ def test_negative_zero_coupling_prints_its_sign(gnuplot, capsys):
     "axes, named",
     [
         (["--axis1", "T_h:10:20:3:lin", "--axis2", "kappa:-1:1:3:lin"], "kappa"),
-        # the first grid point is bad on both axes; validate names T_h first
+        # both axes have a rejected value; the outer axis is checked first
         (["--axis1", "T_h:-10:20:3:lin", "--axis2", "kappa:-1:1:3:lin"], "T_h"),
+        (["--axis1", "kappa:-1:1:3:lin", "--axis2", "T_h:-10:20:3:lin"], "kappa"),
         (["--axis1", "T_h:1:20:3:lin", "--axis2", "T_h:-1:2:3:lin"], "T_h"),
     ],
-    ids=["inner", "both", "same_name"],
+    ids=["inner", "both", "both_outer_kappa", "same_name"],
 )
 def test_a_bad_axis_value_is_a_usage_error(axes, named, capsys):
     assert cli.main(["sweep", *axes]) == 2

@@ -132,6 +132,28 @@ def test_closed_form_with_a_zero_rate_is_a_singular_system(params):
         heat_current_closed_form(params)
 
 
+# gamma_c underflows to 0 and G_h is subnormal: the drift matrix is singular to
+# working precision, but LAPACK meets no exact zero pivot
+SINGULAR_TLS = NetworkParams(
+    omega_h=7.101498345015055, omega_c=0.013147191079549564, epsilon=1.6957597259418116e-278,
+    T_h=704760091.1234993, T_c=1.3713246728250014e-06, kappa=1.241e-320,
+    statistics=Statistics.TLS,
+)
+
+
+def test_non_finite_moments_are_a_singular_system():
+    with pytest.raises(SingularSystem, match="working precision"):
+        steady_state(SINGULAR_TLS)
+    points = [SINGULAR_TLS, replace(SINGULAR_TLS, kappa=1e-7)]
+    columns = [
+        np.array([getattr(p, name) for p in points])
+        for name in ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
+    ]
+    states = steady_states(*columns, Statistics.TLS.delta)
+    assert isinstance(states.errors[0], SingularSystem) and states.errors[1] is None
+    assert np.isfinite(states.moments[1]).all()
+
+
 def test_current_sign_follows_exponential_contrast():
     # J_h carries the sign of e^(beta_c omega_c) - e^(beta_h omega_h); sigma
     # additionally carries the sign of the inverse-temperature difference
