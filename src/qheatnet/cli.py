@@ -15,7 +15,7 @@ on its own, so each axis value is validated once, outer axis first, and a
 rejected value is a usage error before anything is computed.  Each
 treatment gives its result columns for the whole grid and a typed error or
 None per row; one writer puts them into one table of named columns, adding
-the Gaussian columns of bosonic local and global rows.  Blocks are views of
+the Gaussian columns of bosonic rows from their moments.  Blocks are views of
 row ranges of that table whose rows read as dicts.  The table is rendered
 column by column over runs of whole blocks about a thousand rows long: a
 column holding one object throughout a run is formatted once, and so is
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import global_mme, local_mme, oracle
 from .errors import GaplessSpectrum, HeatNetError, UnphysicalCovariance
-from .gaussian import correlations, moment_correlations
+from .gaussian import moment_correlations
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
 # Each group of result columns is filled together by a treatment.
@@ -111,7 +111,7 @@ def _local_columns(delta: float, points: dict[str, list], params: list) -> tuple
 
 
 _GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning")
-_ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus", *_CORRELATIONS)
+_ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus")
 
 
 def _global_values(params: NetworkParams) -> tuple:
@@ -124,9 +124,7 @@ def _global_values(params: NetworkParams) -> tuple:
     )
 
 
-def _oracle_values(
-    generator: oracle.Generator, n_max: int, with_correlations: bool, params: NetworkParams
-) -> tuple:
+def _oracle_values(generator: oracle.Generator, n_max: int, params: NetworkParams) -> tuple:
     """One oracle row in the order of _ORACLE_COLUMNS; only bosonic rows go past sigma."""
     liou = oracle.build(params, generator, n_max)
     rho = oracle.steady_state(liou)
@@ -139,8 +137,6 @@ def _oracle_values(
             values += oracle.mode_populations(liou, rho)
         except GaplessSpectrum:
             values += (None, None)  # moments are fine, the mode decomposition just does not exist
-        if with_correlations:
-            values += _report_values(correlations(oracle.quadrature_covariance(liou, rho)))
     return values
 
 
@@ -171,8 +167,8 @@ def _treatments(approaches, fixed: NetworkParams, n_max: int, with_correlations:
         "global": (partial(_point_columns, _GLOBAL_COLUMNS, _global_values), gaussian),
     }
     for generator in oracle.Generator:
-        row = partial(_oracle_values, generator, n_max, with_correlations)
-        known[f"oracle-{generator.value}"] = (partial(_point_columns, _ORACLE_COLUMNS, row), False)
+        columns = partial(_point_columns, _ORACLE_COLUMNS, partial(_oracle_values, generator, n_max))
+        known[f"oracle-{generator.value}"] = (columns, gaussian)
     try:
         return [known[approach] for approach in approaches]
     except KeyError as exc:

@@ -33,10 +33,6 @@ class SingularSystem(HeatNetError):
     """A steady-state system is singular: a singular 4x4 drift matrix, or a decay rate of 0."""
 
 
-class StatisticsMismatch(HeatNetError):
-    """Gaussian (covariance) machinery was applied to two-level-system moments."""
-
-
 class UnphysicalCovariance(HeatNetError):
     """A covariance matrix violates the uncertainty bound (symplectic eigenvalue below 1/2)."""
 

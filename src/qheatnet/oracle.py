@@ -3,7 +3,7 @@
 Everything else in this package works with closed moment equations or
 detailed-balance occupations derived by hand.  This module rebuilds both
 generators on a truncated two-node Fock space and extracts steady states,
-currents and covariances numerically, sharing only bath.rate and
+moments and currents numerically, sharing only bath.rate and
 normal_mode_basis with the closed forms, so they can be audited against it.
 Each bath is a table of channels (jump operator c, frequency omega, weight),
 and a channel is D[c] at bath.rate(omega) * weight plus its upward partner.
@@ -19,9 +19,14 @@ adjoints) shifts it by exactly one, so c rho c' and {c'c, rho} map the
 sector into itself and its complement into itself; the trace lives on the
 sector, so the unique steady state does too (a U(1) symmetry of the
 Liouvillian; Buca & Prosen, New J. Phys. 14, 073007 (2012)).  At n_max = 12
-the sector holds 1 469 of the 28 561 entries of rho.  On the sector the
-nullspace is pinned to unit trace by replacing the first row with the trace
-functional, and the resulting sparse system is solved directly.
+the sector holds 1 469 of the 28 561 entries of rho.  Grouped by N, the
+sector generator is block-tridiagonal: the Hamiltonian and the
+anticommutators keep N and each c rho c' moves it by one on both sides.  So
+the steady state is a matrix continued fraction (Risken, The Fokker-Planck
+Equation, ch. 9): with the vacuum block fixed to 1, each block N follows
+from block N - 1 through a map eliminated downward from the top block, and
+the trace is normalised at the end.  The vacuum's own equation is the one
+that trace conservation makes redundant.
 
 Truncation quality is policed, not assumed: the residual, sum w L rho R over
 all of rho, must be small, so a term that breaks the symmetry fails it
@@ -36,16 +41,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import bath
-from .errors import (
-    DegenerateNullspace,
-    NonConvergence,
-    StatisticsMismatch,
-    TruncationTooSmall,
-)
-from .gaussian import CovarianceMatrix
+from .errors import DegenerateNullspace, NonConvergence, TruncationTooSmall
 from .global_mme import DissipationChannel
 from .local_mme import MomentState
 from .model import NetworkParams, Statistics, normal_mode_basis
@@ -105,21 +103,31 @@ def superoperator(
 
     rho[n, m] sits at n + dim*m, so a term sends that entry to i + dim*j with
     weight w L[i, n] R[m, j].  Only the entries listed in index (all dim**2
-    when None) are taken as inputs and kept as outputs, in that order.
+    when None) are taken as inputs and kept as outputs, in that order.  Each
+    input is joined with the pairs of L's column n and R's row m, input by
+    input and L-major within it, so duplicates sum in a fixed order.
     """
     if index is None:
         index = np.arange(dim * dim)
     n, m = index % dim, index // dim
+    position = np.full(dim * dim, -1)
+    position[index] = np.arange(index.size)
     rows, cols, vals = [], [], []
     for left, right, weight in terms:
-        # entry k of lq is L[i, n] for input q = lq.col[k]; row k of rk is row m of R
-        lq = sp.csc_matrix(left)[:, n].tocoo()
-        rk = sp.csr_matrix(right)[m[lq.col]].tocoo()
-        rows.append(lq.row[rk.row] + dim * rk.col)
-        cols.append(lq.col[rk.row])
-        vals.append(weight * lq.data[rk.row] * rk.data)
+        lc, rr = sp.csc_matrix(left), sp.csr_matrix(right)
+        l_count, r_count = np.diff(lc.indptr)[n], np.diff(rr.indptr)[m]
+        pairs = l_count * r_count
+        q = np.repeat(np.arange(index.size), pairs)
+        offset = np.arange(q.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        kl = lc.indptr[n][q] + offset // r_count[q]
+        kr = rr.indptr[m][q] + offset % r_count[q]
+        out = position[lc.indices[kl] + dim * rr.indices[kr]]
+        kept = out >= 0
+        rows.append(out[kept])
+        cols.append(q[kept])
+        vals.append((weight * lc.data[kl] * rr.data[kr])[kept])
     triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sp.csr_matrix(triplets, shape=(dim * dim, index.size), dtype=complex)[index]
+    return sp.csr_matrix(triplets, shape=(index.size, index.size), dtype=complex)
 
 
 def apply(terms: tuple[Term, ...], rho: np.ndarray) -> np.ndarray:
@@ -238,46 +246,56 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     Only the sector of entries |n><m| with N(n) = N(m) is assembled and
     solved, which is exact because every term of both generators conserves N
     or shifts it on both sides of rho alike (see the module docstring); rho
-    is zero off the sector.  The residual applies the terms to all of rho,
-    so a generator that couples the sector to its complement cannot pass.
+    is zero off the sector.  The sector is numbered block by block in N, and
+    the block x_N of rho follows from the vacuum x_0 = 1 as x_N = S_N x_N-1,
+    with S_N = -(A_N,N + A_N,N+1 S_N+1)^-1 A_N,N-1 eliminated downward from
+    the top block of the sector generator A.  Each band of blocks is cut from
+    A when the elimination reaches it; entries outside the three central
+    block diagonals are dropped.  The residual applies the terms to all of
+    rho, so a generator that couples blocks further apart, or the sector to
+    its complement, cannot pass.
 
-    Raises DegenerateNullspace when the trace-pinned system is singular
-    (more than one steady state), NonConvergence when the returned state
-    fails the residual or positivity checks, and TruncationTooSmall when a
-    bosonic state noticeably populates the top Fock level, which means the
-    numbers describe the truncation rather than the network.
+    Raises DegenerateNullspace when a diagonal block of the elimination is
+    singular or the recursion returns non-finite entries (no unique steady
+    state), NonConvergence when the returned state fails the residual or
+    positivity checks, and TruncationTooSmall when a bosonic state
+    noticeably populates the top Fock level, which means the numbers
+    describe the truncation rather than the network.
     """
     dim = liou.dimension
     # N of each Hilbert index, read off the built operators so that it
     # follows their kron order
     number_op = liou.a.conj().T @ liou.a + liou.b.conj().T @ liou.b
     number = np.rint(number_op.diagonal().real).astype(int)
-    # rho[n, m] sits at n + dim*m, and nonzero walks (m, n) in that order
-    cols, rows = np.nonzero(number[:, None] == number[None, :])
-    sector = rows + dim * cols
-    trace_row = sp.csr_matrix((rows == cols).astype(complex))
-    sector_rows = superoperator(liou.terms, dim, sector)[1:]
-    pinned = sp.vstack([trace_row, sector_rows], format="csc")
-    rhs = np.zeros(sector.size, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        solution = splu(pinned).solve(rhs)
-    except RuntimeError as exc:
-        raise DegenerateNullspace(f"trace-pinned generator is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise DegenerateNullspace("trace-pinned solve returned non-finite entries")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[rows, cols] = solution
+    blocks = [np.flatnonzero(number == n) for n in range(number.max() + 1)]
+    # block N holds rho[n, m] at n + dim*m for n, m in blocks[N], column-stacked
+    sector = np.concatenate([(s[:, None] + dim * s).ravel(order="F") for s in blocks])
+    edges = np.cumsum([0] + [s.size**2 for s in blocks])
+    generator = superoperator(liou.terms, dim, sector)
+    below = np.zeros((0, edges[-1] - edges[-2]))  # S of the empty block above the top
+    steps = []
+    for n in range(len(blocks) - 1, 0, -1):
+        band = generator[edges[n] : edges[n + 1], edges[n - 1] : edges[min(n + 2, len(blocks))]]
+        lower, diagonal, upper = np.split(band.toarray(), edges[n : n + 2] - edges[n - 1], axis=1)
+        try:
+            below = -np.linalg.solve(diagonal + upper @ below, lower)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateNullspace(f"block N = {n} of the sector generator is singular") from exc
+        steps.append(below)
+    x = np.ones(1, dtype=complex)
+    solution = [x] + [x := step @ x for step in reversed(steps)]
+    flat = np.zeros(dim * dim, dtype=complex)
+    flat[sector] = np.concatenate(solution)
+    if not np.all(np.isfinite(flat)):
+        raise DegenerateNullspace("block recursion returned non-finite entries")
+    rho = flat.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = float(np.max(np.abs(apply(liou.terms, rho))))
     if residual > RESIDUAL_TOLERANCE:
         raise NonConvergence(f"steady-state residual {residual!r} exceeds {RESIDUAL_TOLERANCE}")
     # rho is block-diagonal in N, so its spectrum is the union of the blocks'
-    lowest = min(
-        float(np.linalg.eigvalsh(rho[np.ix_(number == n, number == n)])[0])
-        for n in np.unique(number)
-    )
+    lowest = min(float(np.linalg.eigvalsh(rho[np.ix_(s, s)])[0]) for s in blocks)
     if lowest < -NEGATIVITY_TOLERANCE:
         raise NonConvergence(f"steady state has eigenvalue {lowest!r} below -{NEGATIVITY_TOLERANCE}")
     if liou.params.statistics is Statistics.BOSON:
@@ -320,30 +338,6 @@ def heat_current(liou: FockLiouvillian, rho: np.ndarray, which: str) -> float:
     if which not in ("hot", "cold"):
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
     return float(np.trace(liou.hamiltonian @ apply(getattr(liou, which), rho)).real)
-
-
-def quadrature_covariance(liou: FockLiouvillian, rho: np.ndarray) -> CovarianceMatrix:
-    """Symmetrized covariance of (x_A, p_A, x_B, p_B), first moments subtracted.
-
-    Computed directly from operator expectations, with no Gaussian or
-    no-squeezing assumption, so it doubles as a check of both.
-    """
-    if liou.params.statistics is not Statistics.BOSON:
-        raise StatisticsMismatch("quadrature covariance is defined for bosonic nodes only")
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    quads = (
-        inv_sqrt2 * (liou.a + liou.a.conj().T),
-        -1j * inv_sqrt2 * (liou.a - liou.a.conj().T),
-        inv_sqrt2 * (liou.b + liou.b.conj().T),
-        -1j * inv_sqrt2 * (liou.b - liou.b.conj().T),
-    )
-    means = [_expectation(q, rho).real for q in quads]
-    cov = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            sym = 0.5 * _expectation(quads[i] @ quads[j] + quads[j] @ quads[i], rho).real
-            cov[i, j] = cov[j, i] = sym - means[i] * means[j]
-    return CovarianceMatrix(cov)
 
 
 def gibbs_state(liou: FockLiouvillian, temperature: float) -> np.ndarray:

@@ -17,12 +17,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from _draws import cold_params, generic_params
-from qheatnet import gaussian, global_mme, local_mme, model, oracle
+from qheatnet import global_mme, local_mme, model, oracle
 from qheatnet.errors import (
     DegenerateNullspace,
     GaplessSpectrum,
     NonConvergence,
-    StatisticsMismatch,
     TruncationTooSmall,
     UnsupportedStatistics,
 )
@@ -45,6 +44,11 @@ SECTOR_CASES = [
     (Statistics.BOSON, Generator.GLOBAL, 4),
     (Statistics.TLS, Generator.LOCAL, 1),
 ]
+# the frigid cases plus a warmer point whose blocks all carry weight
+SOLVE_CASES = [
+    pytest.param(dataclasses.replace(FRIGID_POINT, statistics=s), g, n, id=f"{s}-{g}-{n}")
+    for s, g, n in SECTOR_CASES
+] + [pytest.param(COLD_POINT, g, 8, id=f"cold-{g}-8") for g in Generator]
 
 
 def _truncated_thermal(omega: float, temperature: float, n_max: int) -> np.ndarray:
@@ -90,15 +94,32 @@ def test_generator_does_not_couple_the_sector_to_its_complement(statistics, appr
     assert liou.generator[~inside][:, inside].count_nonzero() == 0
 
 
-@pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
-def test_sector_solve_matches_the_full_space_solve(statistics, approach, n_max):
-    params = dataclasses.replace(FRIGID_POINT, statistics=statistics)
+@pytest.mark.parametrize("params,approach,n_max", SOLVE_CASES)
+def test_sector_solve_matches_the_full_space_solve(params, approach, n_max):
     liou = oracle.build(params, approach, n_max=n_max)
     rho = oracle.steady_state(liou)
     reference = _full_space_steady_state(liou)
     assert np.abs(rho - reference).max() <= 1e-14
     # the reference is not trivially the vacuum
     assert np.abs(reference[1:, 1:]).max() > 1e-9
+
+
+@pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
+def test_sector_generator_is_block_tridiagonal_in_n(approach):
+    # numbered by N = N_A + N_B, the sector couples each block only to N - 1, N, N + 1
+    rng = np.random.default_rng(59)
+    draws = [(cold_params(rng), 12) for _ in range(3)]
+    if approach is Generator.LOCAL:
+        draws.append((dataclasses.replace(COLD_POINT, statistics=Statistics.TLS), 1))
+    for params, n_max in draws:
+        liou = oracle.build(params, approach, n_max=n_max)
+        dim_mode = liou.n_max + 1
+        index = np.arange(liou.dimension)
+        sector = np.flatnonzero(_sector_mask(liou))
+        block = (index // dim_mode + index % dim_mode)[sector % liou.dimension]
+        coupled = oracle.superoperator(liou.terms, liou.dimension, sector).tocoo()
+        assert coupled.nnz > 0
+        assert np.abs(block[coupled.row] - block[coupled.col]).max() <= 1
 
 
 @pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
@@ -251,23 +272,16 @@ def test_moments_converge_in_truncation():
     assert solved[0] == pytest.approx(solved[1], abs=1e-10)
 
 
-def test_quadrature_covariance_matches_moment_assembly():
+@pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
+def test_moments_that_change_n_vanish_exactly(approach):
+    # rho is block-diagonal in N, so the four moments fix the quadrature
+    # covariance: first moments and the anomalous ones are exactly zero
     params = cold_params(np.random.default_rng(55))
-    liou = oracle.build(params, Generator.LOCAL, n_max=12)
+    liou = oracle.build(params, approach, n_max=12)
     rho = oracle.steady_state(liou)
-    direct = oracle.quadrature_covariance(liou, rho)
-    assembled = gaussian.covariance_local(oracle.moments(liou, rho))
-    np.testing.assert_allclose(
-        direct.matrix, assembled.matrix, rtol=0.0, atol=1e-10
-    )
-
-
-def test_quadrature_covariance_rejects_tls():
-    params = dataclasses.replace(COLD_POINT, statistics=Statistics.TLS)
-    liou = oracle.build(params, Generator.LOCAL)
-    rho = oracle.steady_state(liou)
-    with pytest.raises(StatisticsMismatch):
-        oracle.quadrature_covariance(liou, rho)
+    a, b = liou.a, liou.b
+    for op in (a, b, a @ a, b @ b, a @ b):
+        assert np.trace(op @ rho) == 0.0
 
 
 def test_channel_table_reassembles_the_global_generator():
@@ -315,10 +329,13 @@ def test_non_positive_steady_state_fails_the_positivity_guard():
         oracle.steady_state(broken)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_solution_is_a_degenerate_nullspace():
-    broken = _tls_with_hot_channel(1e300, 0.5)
+    # at rate 1e300 the block solve stays finite and the residual guard rejects it
+    with pytest.raises(NonConvergence, match="residual"):
+        oracle.steady_state(_tls_with_hot_channel(1e300, 0.5))
     with pytest.raises(DegenerateNullspace, match="non-finite entries"):
-        oracle.steady_state(broken)
+        oracle.steady_state(_tls_with_hot_channel(math.inf, 0.5))
 
 
 def test_global_tls_is_rejected():
