@@ -14,8 +14,11 @@ A grid is checked and evaluated as a whole.  `validate` checks each field
 on its own, so each axis value is validated once, outer axis first, and a
 rejected value is a usage error before anything is computed.  Each
 treatment gives its result columns for the whole grid and a typed error or
-None per row; one writer puts them into one table of named columns, adding
-the Gaussian columns of bosonic rows from their moments.  Blocks are views of
+None per row: the local and global treatments from one kernel call over the
+grid's parameter columns, the Fock oracle point by point, and only the oracle
+needs a NetworkParams per point.  One writer puts the columns into one table
+of named columns, adding the Gaussian columns of bosonic rows from their
+moments in one call over the treatment's rows.  Blocks are views of
 row ranges of that table whose rows read as dicts.  The table is rendered
 column by column over runs of whole blocks about a thousand rows long: a
 column holding one object throughout a run is formatted once, and so is
@@ -31,7 +34,6 @@ tables they emit are reproducible claims, not just defaults.
 import argparse
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -40,8 +42,8 @@ from functools import partial
 import numpy as np
 
 from . import global_mme, local_mme, oracle
-from .errors import GaplessSpectrum, HeatNetError, UnphysicalCovariance
-from .gaussian import moment_correlations
+from .errors import GaplessSpectrum, HeatNetError, by_row
+from .gaussian import moment_correlation_columns
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
 # Each group of result columns is filled together by a treatment.
@@ -76,8 +78,6 @@ def parse_axis(text: str) -> tuple[str, np.ndarray]:
 
 
 # --- the column table -------------------------------------------------------
-
-_report_values = operator.attrgetter(*_CORRELATIONS)
 
 
 class Block(Sequence):
@@ -114,14 +114,11 @@ _GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning"
 _ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus")
 
 
-def _global_values(params: NetworkParams) -> tuple:
-    """The values of one global row, in the order of _GLOBAL_COLUMNS."""
-    state = global_mme.steady_state(params)
-    X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
-    return (
-        state.nA, state.nB, X, 0.0, state.n_plus, state.n_minus,
-        state.J_h, state.J_c, state.sigma, state.secular_warning,
-    )
+def _global_columns(statistics: Statistics, points: dict[str, list], params: list) -> tuple:
+    """The global rows of a grid from one call of the grid kernel."""
+    s = global_mme.steady_states(*(points[name] for name in _FLOAT_KEYS), statistics)
+    values = (s.nA, s.nB, s.X, s.Y, s.n_plus, s.n_minus, s.J_h, s.J_c, s.sigma, s.secular_warning)
+    return dict(zip(_GLOBAL_COLUMNS, values)), s.errors
 
 
 def _oracle_values(generator: oracle.Generator, n_max: int, params: NetworkParams) -> tuple:
@@ -140,35 +137,33 @@ def _oracle_values(generator: oracle.Generator, n_max: int, params: NetworkParam
     return values
 
 
-def _point_columns(names: tuple[str, ...], values, points: dict, params: list) -> tuple[dict, list]:
-    """The rows of a treatment solved point by point; values(params) is one row of `names`."""
-    rows, errors = [], []
-    for point in params:
-        try:
-            rows.append(values(point))
-            errors.append(None)
-        except HeatNetError as exc:
-            rows.append((None,) * len(names))
-            errors.append(exc)
-    # a row may stop short of the last names (see _oracle_values); zip keeps what all rows have
-    return dict(zip(names, map(list, zip(*rows)))), errors
+def _oracle_columns(generator: oracle.Generator, n_max: int, points: dict, params: list) -> tuple:
+    """The rows of an oracle treatment, solved point by point.
+
+    A failed row holds NaN, like a failed row of the kernels, until _write empties it.
+    """
+    values = partial(_oracle_values, generator, n_max)
+    # a row may stop short of the last names (see _oracle_values)
+    columns, errors = by_row(values, (params,), (math.nan,) * len(_ORACLE_COLUMNS))
+    return dict(zip(_ORACLE_COLUMNS, columns)), errors
 
 
 def _treatments(approaches, fixed: NetworkParams, n_max: int, with_correlations: bool) -> list:
     """Each approach as (columns, gaussian); an unknown one raises ValueError.
 
     columns(points, params) gives the approach's result columns by name for the
-    whole grid and a typed error or None per row.  With `gaussian`, _write adds
-    the rows' correlation columns from their moments.
+    whole grid and a typed error or None per row.  The local and global kernels
+    read the parameter columns in `points`; only the oracle reads `params`, one
+    NetworkParams per point.  With `gaussian`, _write adds the rows'
+    correlation columns from their moments.
     """
     gaussian = with_correlations and fixed.statistics is Statistics.BOSON
     known = {
         "local": (partial(_local_columns, fixed.delta), gaussian),
-        "global": (partial(_point_columns, _GLOBAL_COLUMNS, _global_values), gaussian),
+        "global": (partial(_global_columns, fixed.statistics), gaussian),
     }
     for generator in oracle.Generator:
-        columns = partial(_point_columns, _ORACLE_COLUMNS, partial(_oracle_values, generator, n_max))
-        known[f"oracle-{generator.value}"] = (columns, gaussian)
+        known[f"oracle-{generator.value}"] = (partial(_oracle_columns, generator, n_max), gaussian)
     try:
         return [known[approach] for approach in approaches]
     except KeyError as exc:
@@ -179,18 +174,13 @@ def _write(table: dict, rows: slice, columns: dict, errors: list, gaussian: bool
     """Write one treatment's columns and errors into its rows of the table.
 
     With `gaussian` the correlation columns come from each row's own
-    moments, and a row they find unphysical fails.  A failed row keeps only
-    its parameters and its error.
+    moments, and a row they find unphysical fails unless it failed already.
+    A failed row keeps only its parameters and its first error.
     """
     if gaussian:
-        reports = [(None,) * len(_CORRELATIONS)] * len(errors)
-        for i, moments in enumerate(zip(*(columns[name] for name in _MOMENTS))):
-            if errors[i] is None:
-                try:
-                    reports[i] = _report_values(moment_correlations(*moments))
-                except UnphysicalCovariance as exc:
-                    errors[i] = exc
-        columns.update(zip(_CORRELATIONS, map(list, zip(*reports))))
+        cells = moment_correlation_columns(*(columns[name] for name in _MOMENTS))
+        columns.update((name, getattr(cells, name)) for name in _CORRELATIONS)
+        errors = [error if error is not None else new for error, new in zip(errors, cells.errors)]
     failed = [i for i, error in enumerate(errors) if error is not None]
     for name, column in columns.items():
         for i in failed:
@@ -252,9 +242,9 @@ def sweep_blocks(
         points[axes[0][0]] = [value for value in axes[0][1].tolist() for _ in range(inner)]
     if len(axes) == 2:
         points[axes[1][0]] = axes[1][1].tolist() * shape[0]
-    # each point's NetworkParams, built once and only if a treatment is solved point by point
+    # each point's NetworkParams, built once and only for the oracle, which solves point by point
     params = [fixed] if not axes else []
-    if axes and any(approach != "local" for approach in approaches):
+    if axes and any(approach.startswith("oracle-") for approach in approaches):
         params = [replace(fixed, **{n: points[n][i] for n in dict(axes)}) for i in range(count)]
     width = len(approaches)
     blank = {"statistics": fixed.statistics.value, "error": ""}  # None in every other column

@@ -1,4 +1,4 @@
-"""Error taxonomy shared by all modules."""
+"""Error taxonomy shared by all modules, and the rule that a failing row fails alone."""
 
 
 class HeatNetError(Exception):
@@ -47,3 +47,22 @@ class DegenerateNullspace(HeatNetError):
 
 class NonConvergence(HeatNetError):
     """The extracted null vector failed a residual, trace or positivity check."""
+
+
+def by_row(function, columns, failed: tuple, expected=HeatNetError) -> tuple[list[list], list]:
+    """function(*row) over the rows of equal-length columns, with its results as columns.
+
+    A row that raises `expected` gets the values `failed` and its error in
+    the returned list of errors, whose other entries are None: one bad row
+    never stops the others.  A row may stop short of `failed`; the result
+    columns keep what every row has.
+    """
+    rows, errors = [], []
+    for row in zip(*columns):
+        try:
+            rows.append(function(*row))
+            errors.append(None)
+        except expected as exc:
+            rows.append(failed)
+            errors.append(exc)
+    return list(map(list, zip(*rows))) or [[] for _ in failed], errors

@@ -24,6 +24,11 @@ for one mode per side the same bound on the partially transposed matrix
 Here the cross block is c times a rotation, c = |<a'b>| = hypot(X, Y)/2, so V
 is physical iff nA nB >= c^2 and separable iff (n_> + 1) n_< >= c^2, n_> >= n_<
 being the occupations; as (n_> + 1) n_< >= nA nB, every physical V here is.
+
+`moment_correlations` takes this route for one set of moments and
+`moment_correlation_columns` for columns of them, row by row through the
+same arithmetic in Python floats (`math.hypot` is not numpy's), with one
+list per field instead of a report per row.
 """
 
 import math
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalCovariance
+from .errors import UnphysicalCovariance, by_row
 from .local_mme import MomentState
 from .model import NormalModeBasis
 
@@ -124,13 +129,27 @@ def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
     return float(mods[0]), float(mods[2])
 
 
-def moment_correlations(nA: float, nB: float, X: float, Y: float) -> CorrelationReport:
-    """correlations(V) for the V of the four moments, in closed form; raises where it does.
+@dataclass
+class CorrelationColumns:
+    """Column form of CorrelationReport: entry i of each list belongs to the i-th moments.
 
-    With a = nA + 1/2, b = nB + 1/2 and h = (a - b)/2, nu_+- = (a + b)/2 +- hypot(h, c)
-    and the partial transpose's are hypot(h, sqrt(ab - c^2)) +- |h|.  Each pair
-    multiplies to ab - c^2, which gives its lower value without cancellation.
+    Moments that break the uncertainty bound leave their UnphysicalCovariance
+    in `errors` and None in every column; every other row's entry there is None.
+    The lists are the caller's to write into, so this is not frozen.
     """
+
+    cor_xAxB: list
+    cor_xApB: list
+    cor_pAxB: list
+    cor_pApB: list
+    nu_min: list
+    nu_min_ppt: list
+    separable: list
+    errors: list[UnphysicalCovariance | None]
+
+
+def _correlation_row(nA: float, nB: float, X: float, Y: float) -> tuple:
+    """The fields of moment_correlations' report, in order; raises where it does."""
     a, b, c = nA + 0.5, nB + 0.5, 0.5 * math.hypot(X, Y)
     det = a * b - c * c
     h = 0.5 * (a - b)
@@ -140,15 +159,29 @@ def moment_correlations(nA: float, nB: float, X: float, Y: float) -> Correlation
         raise UnphysicalCovariance(f"moments {(nA, nB, X, Y)!r} break the uncertainty bound")
     nu_min_ppt = det / (math.hypot(h, math.sqrt(det)) + abs(h))
     scale = math.sqrt(a * b)
-    return CorrelationReport(
-        cor_xAxB=0.5 * X / scale,
-        cor_xApB=-0.5 * Y / scale,
-        cor_pAxB=0.5 * Y / scale,
-        cor_pApB=0.5 * X / scale,
-        nu_min=nu_min,
-        nu_min_ppt=nu_min_ppt,
-        separable=nu_min_ppt >= 0.5 - SYMPLECTIC_TOLERANCE,
-    )
+    cor_x, cor_y = 0.5 * X / scale, 0.5 * Y / scale
+    separable = nu_min_ppt >= 0.5 - SYMPLECTIC_TOLERANCE
+    return cor_x, -0.5 * Y / scale, cor_y, cor_x, nu_min, nu_min_ppt, separable
+
+
+def moment_correlations(nA: float, nB: float, X: float, Y: float) -> CorrelationReport:
+    """correlations(V) for the V of the four moments, in closed form; raises where it does.
+
+    With a = nA + 1/2, b = nB + 1/2 and h = (a - b)/2, nu_+- = (a + b)/2 +- hypot(h, c)
+    and the partial transpose's are hypot(h, sqrt(ab - c^2)) +- |h|.  Each pair
+    multiplies to ab - c^2, which gives its lower value without cancellation.
+    """
+    return CorrelationReport(*_correlation_row(nA, nB, X, Y))
+
+
+def moment_correlation_columns(nA, nB, X, Y) -> CorrelationColumns:
+    """moment_correlations over equal-length columns of moments, without a report per row.
+
+    A row that breaks the uncertainty bound fails alone.
+    """
+    failed = (None,) * 7
+    columns, errors = by_row(_correlation_row, (nA, nB, X, Y), failed, UnphysicalCovariance)
+    return CorrelationColumns(*columns, errors=errors)
 
 
 def correlations(cov: CovarianceMatrix) -> CorrelationReport:

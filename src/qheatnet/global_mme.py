@@ -15,16 +15,27 @@ the currents are, i.e. this treatment cannot violate the second law.
 
 The generator is secular: it drops the d_+ <-> d_- coherence coupling, which
 is only justified when the mode splitting omega_+ - omega_- dominates all
-rates.  steady_state flags the opposite regime via secular_warning instead of
-refusing, since the algebra stays well defined.
+rates.  The opposite regime is flagged via secular_warning instead of
+refused, since the algebra stays well defined.
+
+One kernel, `steady_states`, serves single points and grids alike: it maps
+parameter columns to result columns and a typed error or None per row, and
+`steady_state` is its size-1 case.  Rows are solved one by one in Python
+floats: the basis, rates and weights need `math`'s hypot and exp per element
+(numpy's differ in the last bit on some inputs, which would change the
+17-digit tables the CLI prints), and the two mode balances after them gained
+about a tenth in numpy on a 2 500-row grid but made one point many times
+slower.  The closed form and the channel table share only the basis and the
+rates with the kernel: they are the other side of its audit.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import bath
-from .errors import SingularSystem
-from .model import NetworkParams, NormalModeBasis, normal_mode_basis
+from .errors import HeatNetError, SingularSystem, by_row
+from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_modes
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
@@ -43,6 +54,34 @@ class GlobalSteadyState:
     sigma: float
     secular_warning: bool
     basis: NormalModeBasis  # the rotation the occupations were solved in
+
+
+@dataclass
+class GlobalSteadyStates:
+    """Column form of GlobalSteadyState: entry i of each list belongs to the i-th parameter set.
+
+    X = 2 cos(theta) sin(theta) (n_+ - n_-) and Y = 0 are the moments of the
+    node basis (see gaussian); omega_plus to s2 are the rows' NormalModeBasis.
+    A row that failed has its typed error in `errors` and NaN in every
+    column; every other row's entry there is None.  The lists are the
+    caller's to write into, so unlike GlobalSteadyState this is not frozen.
+    """
+
+    nA: list
+    nB: list
+    X: list
+    Y: list
+    n_plus: list
+    n_minus: list
+    J_h: list
+    J_c: list
+    sigma: list
+    secular_warning: list
+    omega_plus: list
+    omega_minus: list
+    c2: list
+    s2: list
+    errors: list[HeatNetError | None]
 
 
 @dataclass(frozen=True)
@@ -70,23 +109,30 @@ class LocalBasisGenerator:
     cold: tuple[DissipationChannel, ...]
 
 
-def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
-    """Basis, dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
-    basis = normal_mode_basis(params)
-    T_h, T_c, kappa = params.T_h, params.T_c, params.kappa
+def _rates(
+    omega_plus: float, omega_minus: float, T_h: float, T_c: float, kappa: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
     rates = (
-        bath.rate(basis.omega_plus, T_h, kappa),
-        bath.rate(basis.omega_minus, T_h, kappa),
-        bath.rate(basis.omega_plus, T_c, kappa),
-        bath.rate(basis.omega_minus, T_c, kappa),
+        bath.rate(omega_plus, T_h, kappa),
+        bath.rate(omega_minus, T_h, kappa),
+        bath.rate(omega_plus, T_c, kappa),
+        bath.rate(omega_minus, T_c, kappa),
     )
+    beta_h, beta_c = 1.0 / T_h, 1.0 / T_c
     weights = (
-        math.exp(-params.beta_h * basis.omega_plus),
-        math.exp(-params.beta_h * basis.omega_minus),
-        math.exp(-params.beta_c * basis.omega_plus),
-        math.exp(-params.beta_c * basis.omega_minus),
+        math.exp(-beta_h * omega_plus),
+        math.exp(-beta_h * omega_minus),
+        math.exp(-beta_c * omega_plus),
+        math.exp(-beta_c * omega_minus),
     )
-    return basis, rates, weights
+    return rates, weights
+
+
+def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
+    """Basis, dressed rates and upward weights, the latter two ordered (h+, h-, c+, c-)."""
+    basis = normal_mode_basis(params)
+    return basis, *_rates(basis.omega_plus, basis.omega_minus, params.T_h, params.T_c, params.kappa)
 
 
 def _mode_balance(
@@ -107,26 +153,47 @@ def _mode_balance(
     return n, J_h, J_c
 
 
-def steady_state(params: NetworkParams) -> GlobalSteadyState:
-    """Steady state of the global generator from per-mode detailed balance."""
-    basis, (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _setup(params)
-    wp, wm = basis.omega_plus, basis.omega_minus
-    n_p, Jh_p, Jc_p = _mode_balance(wp, gh_p * basis.c2, xh_p, gc_p * basis.s2, xc_p)
-    n_m, Jh_m, Jc_m = _mode_balance(wm, gh_m * basis.s2, xh_m, gc_m * basis.c2, xc_m)
+def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
+    """One row of GlobalSteadyStates, in its field order; raises the row's typed error."""
+    wp, wm, c2, s2 = normal_modes(omega_h, omega_c, epsilon, statistics)
+    (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _rates(wp, wm, T_h, T_c, kappa)
+    n_p, Jh_p, Jc_p = _mode_balance(wp, gh_p * c2, xh_p, gc_p * s2, xc_p)
+    n_m, Jh_m, Jc_m = _mode_balance(wm, gh_m * s2, xh_m, gc_m * c2, xc_m)
     J_h = Jh_p + Jh_m
     J_c = Jc_p + Jc_m
-    sigma = -J_h / params.T_h - J_c / params.T_c
+    X = 2.0 * math.sqrt(c2 * s2) * (n_p - n_m)
     warning = (wp - wm) < SECULAR_FACTOR * max(gh_p, gh_m, gc_p, gc_m)
+    nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
+    return nA, nB, X, 0.0, n_p, n_m, J_h, J_c, sigma, warning, wp, wm, c2, s2
+
+
+_FAILED = (math.nan,) * 14  # the columns of a failed row
+
+
+def steady_states(
+    omega_h, omega_c, epsilon, T_h, T_c, kappa, statistics: Statistics
+) -> GlobalSteadyStates:
+    """Steady states of the global generator for equal-length parameter columns.
+
+    statistics is shared by every row.  A row's first error wins: the
+    statistics, the spectrum, the rates in the order h+, h-, c+, c-, then
+    the + mode's balance and the - mode's.
+    """
+    parameters = (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa)
+    columns, errors = by_row(_row, parameters, _FAILED)
+    return GlobalSteadyStates(*columns, errors=errors)
+
+
+def steady_state(params: NetworkParams) -> GlobalSteadyState:
+    """Steady state of the global generator from per-mode detailed balance."""
+    values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
+    s = steady_states(*([value] for value in values), params.statistics)
+    if s.errors[0] is not None:
+        raise s.errors[0]
     return GlobalSteadyState(
-        n_plus=n_p,
-        n_minus=n_m,
-        nA=basis.c2 * n_p + basis.s2 * n_m,
-        nB=basis.s2 * n_p + basis.c2 * n_m,
-        J_h=J_h,
-        J_c=J_c,
-        sigma=sigma,
-        secular_warning=bool(warning),
-        basis=basis,
+        n_plus=s.n_plus[0], n_minus=s.n_minus[0], nA=s.nA[0], nB=s.nB[0], J_h=s.J_h[0],
+        J_c=s.J_c[0], sigma=s.sigma[0], secular_warning=s.secular_warning[0],
+        basis=NormalModeBasis(s.omega_plus[0], s.omega_minus[0], s.c2[0], s.s2[0]),
     )
 
 

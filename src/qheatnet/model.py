@@ -136,24 +136,28 @@ class NormalModeBasis:
 
 
 def normal_mode_basis(params: NetworkParams) -> NormalModeBasis:
-    """Diagonalise the one-body problem; bosonic nodes only.
+    """Diagonalise the one-body problem; bosonic nodes only (see normal_modes)."""
+    modes = normal_modes(params.omega_h, params.omega_c, params.epsilon, params.statistics)
+    return NormalModeBasis(*modes)
 
-    Raises GaplessSpectrum when epsilon**2 >= omega_h * omega_c (the lower
-    eigenfrequency would not be positive) and UnsupportedStatistics for TLS
-    nodes, whose bilinears do not close under the rotation.
+
+def normal_modes(
+    omega_h: float, omega_c: float, eps: float, statistics: Statistics
+) -> tuple[float, float, float, float]:
+    """The fields (omega_plus, omega_minus, c2, s2) of one parameter set's NormalModeBasis.
+
+    Raises UnsupportedStatistics for TLS nodes, whose bilinears do not close
+    under the rotation, and GaplessSpectrum when eps**2 >= omega_h * omega_c
+    (the lower eigenfrequency would not be positive).
     """
-    if params.statistics is not Statistics.BOSON:
+    if statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
-    det = params.omega_h * params.omega_c - params.epsilon**2
+    det = omega_h * omega_c - eps**2
     if det <= 0:
-        raise GaplessSpectrum(
-            f"epsilon**2 = {params.epsilon**2!r} >= omega_h*omega_c = "
-            f"{params.omega_h * params.omega_c!r}"
-        )
-    eps = params.epsilon
-    half_gap = 0.5 * (params.omega_h - params.omega_c)
+        raise GaplessSpectrum(f"epsilon**2 = {eps**2!r} >= omega_h*omega_c = {omega_h * omega_c!r}")
+    half_gap = 0.5 * (omega_h - omega_c)
     r = math.hypot(half_gap, eps)
-    omega_plus = 0.5 * (params.omega_h + params.omega_c) + r
+    omega_plus = 0.5 * (omega_h + omega_c) + r
     # omega_- via the determinant avoids the mid - r cancellation.
     omega_minus = det / omega_plus
     if 0.0 < r < 1e-150:
@@ -169,7 +173,7 @@ def normal_mode_basis(params: NetworkParams) -> NormalModeBasis:
     else:
         s2 = (r - half_gap) / (2.0 * r)
         c2 = eps**2 / (2.0 * r * (r - half_gap))
-    return NormalModeBasis(omega_plus=omega_plus, omega_minus=omega_minus, c2=c2, s2=s2)
+    return omega_plus, omega_minus, c2, s2
 
 
 # --- plain key=value configuration files -----------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 import qheatnet
 from qheatnet import cli, errors, oracle
-from qheatnet.gaussian import moment_correlations
+from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
 from _draws import cold_params, contrast_params, extreme_params, generic_params
@@ -266,7 +266,7 @@ def test_unknown_approach_raises(monkeypatch):
         raise AssertionError("solved before the approaches were checked")
 
     monkeypatch.setattr(cli.local_mme, "steady_states", fail)
-    monkeypatch.setattr(cli.global_mme, "steady_state", fail)
+    monkeypatch.setattr(cli.global_mme, "steady_states", fail)
     with pytest.raises(ValueError, match="unknown approach 'bogus'"):
         cli.run_point(NetworkParams(), ("bogus",))
     with pytest.raises(ValueError, match="unknown approach 'bogus'"):
@@ -567,19 +567,40 @@ def test_an_unphysical_covariance_empties_only_its_row(approach, monkeypatch):
     moments = tuple(target[c] for c in ("n_A", "n_B", "X", "Y"))
     calls = []
 
-    def fail_on_target(*args):
-        calls.append(args)
-        if args == moments:
-            raise errors.UnphysicalCovariance("chosen call")
-        return moment_correlations(*args)
+    def fail_on_target(*columns):
+        cells = moment_correlation_columns(*columns)
+        rows = list(zip(*columns))
+        calls.append(rows)
+        for i, row in enumerate(rows):
+            if row == moments:
+                cells.errors[i] = errors.UnphysicalCovariance("chosen row")
+        return cells
 
-    monkeypatch.setattr(cli, "moment_correlations", fail_on_target)
+    monkeypatch.setattr(cli, "moment_correlation_columns", fail_on_target)
     got = [row for block in cli.sweep_blocks(base, axes, ("local", "global")) for row in block]
-    assert len(calls) == len(want) and calls.count(moments) == 1
+    # one call per treatment, over all of its rows; the chosen moments are in one row
+    assert [len(rows) for rows in calls] == [len(want) // 2] * 2
+    assert sum(rows.count(moments) for rows in calls) == 1
     index = want.index(target)
     emptied = {**target, **dict.fromkeys(_RESULT_COLUMNS), "error": "UnphysicalCovariance"}
     for i, (row, expected) in enumerate(zip(got, want, strict=True)):
         _assert_same_row(row, emptied if i == index else expected, (i, row["approach"]))
+
+
+def test_the_kernels_build_no_parameter_set_per_point(monkeypatch):
+    # a 50 x 50 grid validates its 100 axis values; only the oracle needs a
+    # NetworkParams per point
+    calls = []
+    validate = qheatnet.model.validate
+    monkeypatch.setattr(qheatnet.model, "validate", lambda p: calls.append(p) or validate(p))
+    axes = [("epsilon", np.geomspace(1e-5, 0.4, 50)), ("omega_h", np.linspace(1.0, 12.0, 50))]
+    blocks = cli.sweep_blocks(NetworkParams(), axes, ("local", "global"))
+    assert sum(map(len, blocks)) == 2 * 50 * 50
+    assert 100 <= len(calls) <= 100 + 4
+    calls.clear()
+    small = [("epsilon", np.geomspace(1e-5, 0.4, 3)), ("omega_h", np.linspace(1.0, 12.0, 4))]
+    cli.sweep_blocks(NetworkParams(), small, ("local", "oracle-local"), n_max=3)
+    assert len(calls) >= 3 + 4 + 3 * 4
 
 
 def test_rate_overflow_rows_fail_alone():

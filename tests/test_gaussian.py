@@ -301,3 +301,45 @@ def test_physical_rows_are_separable(draw, seed):
         n_big, n_small = max(nA, nB), min(nA, nB)
         assert (n_big + 1.0) * n_small >= nA * nB >= 0.25 * (X * X + Y * Y)
         assert gaussian.moment_correlations(nA, nB, X, Y).separable is True
+
+
+def _same_cell(got, want) -> bool:
+    # bit for bit: floats by value and sign of zero, NaN as NaN, flags by identity
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    return got is want
+
+
+def test_column_form_matches_the_scalar_row_by_row():
+    # ordinary moments, det < 0, upper <= 0, below the bound, NaN and +-inf in one batch
+    batch = [moments for moments, _ in _row_moments(extreme_params, 66, 150)]
+    batch += [
+        _PHYSICAL,
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, -0.0, -0.0),
+        (0.5, 0.5, 4.0, 0.0),  # det < 0
+        (-1.0, -1.0, 0.0, 0.0),  # upper < 0
+        (-0.5, -0.5, 0.0, 0.0),  # upper = 0
+        (0.2, 0.3, 0.6, 0.0),  # det > 0 but nu_min < 1/2
+        (1e300, 1e300, 1e300, -1e300),
+    ]
+    batch += [_with(i, v) for v in (math.nan, math.inf, -math.inf) for i in range(4)]
+    columns = gaussian.moment_correlation_columns(*zip(*batch))
+    fields = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "nu_min", "nu_min_ppt", "separable")
+    assert len(columns.errors) == len(batch) and len(batch) > 200
+    failed = 0
+    for i, moments in enumerate(batch):
+        try:
+            report = gaussian.moment_correlations(*moments)
+        except UnphysicalCovariance as exc:
+            failed += 1
+            assert type(columns.errors[i]) is UnphysicalCovariance, moments
+            assert str(columns.errors[i]) == str(exc)
+            assert all(getattr(columns, name)[i] is None for name in fields), moments
+            continue
+        assert columns.errors[i] is None, moments
+        for name in fields:
+            assert _same_cell(getattr(columns, name)[i], getattr(report, name)), (moments, name)
+    assert failed >= 17

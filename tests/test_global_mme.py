@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import GaplessSpectrum, SingularSystem, UnsupportedStatistics
+from qheatnet.errors import (
+    GaplessSpectrum, HeatNetError, RateOverflow, SingularSystem, UnsupportedStatistics,
+)
 from qheatnet.global_mme import (
     heat_current_closed_form,
     local_basis_generator,
     steady_state,
+    steady_states,
 )
-from qheatnet.model import NetworkParams, Statistics, normal_mode_basis
+from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics, normal_mode_basis
 
-from _draws import contrast_params, generic_params
+from _draws import contrast_params, extreme_params, generic_params
 
 
 def test_equal_temperatures_give_bose_einstein_modes():
@@ -228,3 +231,57 @@ def test_channel_table_collapses_at_zero_coupling():
     cold = {(ch.kind, round(ch.weight, 18)) for ch in table.cold if ch.weight != 0.0}
     assert hot == {("a", round(gamma_h, 18))}
     assert cold == {("b", round(gamma_c, 18))}
+
+
+def _kernel(points: list[NetworkParams], statistics=Statistics.BOSON):
+    return steady_states(*([getattr(p, name) for p in points] for name in _FLOAT_KEYS), statistics)
+
+
+def test_kernel_rows_are_independent_of_their_batch():
+    # ordinary, gapless, overflowing, decay-free and NaN-current rows in one
+    # batch: each row is what the point solve gives, bit for bit, or its error
+    rng = np.random.default_rng(41)
+    points = [generic_params(rng) for _ in range(40)]
+    draws = (extreme_params(rng) for _ in range(200))
+    points += [p for p in draws if p.statistics is Statistics.BOSON]
+    points += [
+        NetworkParams(omega_h=1.0, omega_c=1.0, epsilon=1.0),
+        NetworkParams(omega_h=1e200),
+        NetworkParams(T_h=1e17, T_c=1e17),
+        NetworkParams(omega_h=1e80),
+    ]
+    states = _kernel(points)
+    errors = set()
+    for i, params in enumerate(points):
+        try:
+            want = steady_state(params)
+        except HeatNetError as exc:
+            errors.add(type(exc))
+            assert type(states.errors[i]) is type(exc) and str(states.errors[i]) == str(exc)
+            continue
+        assert states.errors[i] is None
+        got = (states.n_plus[i], states.n_minus[i], states.nA[i], states.nB[i], states.J_h[i])
+        expected = (want.n_plus, want.n_minus, want.nA, want.nB, want.J_h)
+        assert np.array_equal(got, expected, equal_nan=True), params
+        # X as the rows printed it before the kernel: 2 cs (n_+ - n_-) from the basis
+        assert states.X[i] == 2.0 * want.basis.cs * (want.n_plus - want.n_minus)
+        assert states.Y[i] == 0.0 and want.basis == normal_mode_basis(params)
+    assert errors == {GaplessSpectrum, RateOverflow, SingularSystem}
+
+
+def test_kernel_error_order():
+    # two-level nodes fail every row before anything else is looked at
+    tls = [NetworkParams(statistics=Statistics.TLS), NetworkParams(omega_h=1e200, epsilon=9.0)]
+    assert [type(e) for e in _kernel(tls, Statistics.TLS).errors] == [UnsupportedStatistics] * 2
+    # a gapless row fails before its rates would overflow
+    (error,) = _kernel([NetworkParams(omega_h=1e200, omega_c=1e-200, epsilon=1.0)]).errors
+    assert type(error) is GaplessSpectrum
+    # the + mode's balance fails before the - mode's; at T = 1e17 only the
+    # - mode has no net decay
+    for params, mode in (
+        (NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320), "omega_plus"),
+        (NetworkParams(T_h=1e17, T_c=1e17), "omega_minus"),
+    ):
+        (error,) = _kernel([params]).errors
+        assert type(error) is SingularSystem
+        assert f"omega = {getattr(normal_mode_basis(params), mode)!r} " in str(error)
