@@ -5,10 +5,13 @@ excitations with strength epsilon.  The package solves the steady state under
 two Markovian treatments: a local one, where each bath addresses its own node
 at the bare frequency (cheap, but it can push heat against the temperature
 bias), and a global one, acting on the delocalised normal modes, which keeps
-the second law intact.  A truncated-Fock brute-force solver audits both.
+the second law intact.  A truncated-Fock brute-force solver, `oracle`, audits
+both; it is imported on first use, because it loads scipy.sparse.
 """
 
-from . import bath, cli, gaussian, global_mme, local_mme, model, oracle
+import importlib
+
+from . import bath, cli, gaussian, global_mme, local_mme, model
 from .errors import HeatNetError
 from .gaussian import CorrelationReport, CovarianceMatrix, correlations
 from .global_mme import GlobalSteadyState
@@ -42,3 +45,15 @@ __all__ = [
     "normal_mode_basis",
     "oracle",
 ]
+
+
+def __getattr__(name: str):
+    # importlib rather than `from . import oracle`, which would look the
+    # name up on this module again and land back here
+    if name == "oracle":
+        return importlib.import_module(f"{__name__}.oracle")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

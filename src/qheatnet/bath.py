@@ -22,7 +22,8 @@ def rate(omega: float, T: float, kappa: float) -> float:
     T and kappa come from a validated NetworkParams and are not re-checked.
     gamma(0) = 0 (the cubic zero wins over the 1/omega pole of the thermal
     factor); small omega/T is handled through expm1, so the omega -> 0
-    behaviour kappa * T * omega**2 comes out to machine precision.  Negative
+    behaviour kappa * T * omega**2 comes out to machine precision, and it is
+    the rate itself where omega/T underflows to 0.  Negative
     frequencies are a caller bug, not a limit, and raise NegativeFrequency.
     A rate beyond the float range raises RateOverflow.
     """
@@ -32,8 +33,13 @@ def rate(omega: float, T: float, kappa: float) -> float:
         raise NegativeFrequency(f"transition frequency must be >= 0, got {omega!r}")
     if omega == 0.0:
         return 0.0
+    x = omega / T
     try:
-        value = kappa * omega**3 / -math.expm1(-omega / T)
+        if x == 0.0:
+            # omega * T first: omega**2 alone may underflow while the limit does not
+            value = kappa * (omega * T) * omega
+        else:
+            value = kappa * omega**3 / -math.expm1(-x)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -24,6 +24,9 @@ column by column over runs of whole blocks about a thousand rows long: a
 column holding one object throughout a run is formatted once, and so is
 each distinct non-zero float.
 
+The Fock oracle module, and scipy with it, is imported only when an oracle-*
+approach is asked for; the other treatments never load it.
+
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
 epsilon sweep comparing both treatments, and the omega_h sweep through
@@ -41,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from . import global_mme, local_mme, oracle
+from . import global_mme, local_mme
 from .errors import GaplessSpectrum, HeatNetError, by_row
 from .gaussian import moment_correlation_columns
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
@@ -121,9 +124,11 @@ def _global_columns(statistics: Statistics, points: dict[str, list], params: lis
     return dict(zip(_GLOBAL_COLUMNS, values)), s.errors
 
 
-def _oracle_values(generator: oracle.Generator, n_max: int, params: NetworkParams) -> tuple:
+def _oracle_values(generator: str, n_max: int, params: NetworkParams) -> tuple:
     """One oracle row in the order of _ORACLE_COLUMNS; only bosonic rows go past sigma."""
-    liou = oracle.build(params, generator, n_max)
+    from . import oracle  # scipy.sparse loads here, and only for oracle rows
+
+    liou = oracle.build(params, oracle.Generator(generator), n_max)
     rho = oracle.steady_state(liou)
     m = oracle.moments(liou, rho)
     J_h = oracle.heat_current(liou, rho, "hot")
@@ -137,8 +142,8 @@ def _oracle_values(generator: oracle.Generator, n_max: int, params: NetworkParam
     return values
 
 
-def _oracle_columns(generator: oracle.Generator, n_max: int, points: dict, params: list) -> tuple:
-    """The rows of an oracle treatment, solved point by point.
+def _oracle_columns(generator: str, n_max: int, points: dict, params: list) -> tuple:
+    """The rows of the oracle treatment with the named generator, solved point by point.
 
     A failed row holds NaN, like a failed row of the kernels, until _write empties it.
     """
@@ -162,8 +167,8 @@ def _treatments(approaches, fixed: NetworkParams, n_max: int, with_correlations:
         "local": (partial(_local_columns, fixed.delta), gaussian),
         "global": (partial(_global_columns, fixed.statistics), gaussian),
     }
-    for generator in oracle.Generator:
-        known[f"oracle-{generator.value}"] = (partial(_oracle_columns, generator, n_max), gaussian)
+    for generator in ("local", "global"):
+        known[f"oracle-{generator}"] = (partial(_oracle_columns, generator, n_max), gaussian)
     try:
         return [known[approach] for approach in approaches]
     except KeyError as exc:

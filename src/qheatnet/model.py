@@ -24,6 +24,7 @@ from .errors import (
     GaplessSpectrum,
     NegativeCoupling,
     NonPositiveParameter,
+    RateOverflow,
     UnsupportedStatistics,
 )
 
@@ -148,13 +149,22 @@ def normal_modes(
 
     Raises UnsupportedStatistics for TLS nodes, whose bilinears do not close
     under the rotation, and GaplessSpectrum when eps**2 >= omega_h * omega_c
-    (the lower eigenfrequency would not be positive).
+    (the lower eigenfrequency would not be positive).  When eps**2 and
+    omega_h * omega_c both overflow and the spectrum is gapped, omega_+ >= eps
+    puts every rate beyond the float range, and RateOverflow is raised here.
     """
     if statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
-    det = omega_h * omega_c - eps**2
+    product = omega_h * omega_c
+    try:
+        eps_sq = eps**2
+    except OverflowError:
+        if math.isfinite(product) or eps >= math.sqrt(omega_h) * math.sqrt(omega_c):
+            raise GaplessSpectrum(f"epsilon**2 overflows, >= omega_h*omega_c = {product!r}") from None
+        raise RateOverflow(f"omega_+ >= epsilon = {eps!r} overflows every rate") from None
+    det = product - eps_sq
     if det <= 0:
-        raise GaplessSpectrum(f"epsilon**2 = {eps**2!r} >= omega_h*omega_c = {omega_h * omega_c!r}")
+        raise GaplessSpectrum(f"epsilon**2 = {eps_sq!r} >= omega_h*omega_c = {product!r}")
     half_gap = 0.5 * (omega_h - omega_c)
     r = math.hypot(half_gap, eps)
     omega_plus = 0.5 * (omega_h + omega_c) + r

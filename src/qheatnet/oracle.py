@@ -256,11 +256,12 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     its complement, cannot pass.
 
     Raises DegenerateNullspace when a diagonal block of the elimination is
-    singular or the recursion returns non-finite entries (no unique steady
-    state), NonConvergence when the returned state fails the residual or
-    positivity checks, and TruncationTooSmall when a bosonic state
-    noticeably populates the top Fock level, which means the numbers
-    describe the truncation rather than the network.
+    singular or the recursion returns non-finite entries or a trace that is
+    0 or not finite (no unique steady state), NonConvergence when the
+    returned state fails the residual or positivity checks, and
+    TruncationTooSmall when a bosonic state noticeably populates the top
+    Fock level, which means the numbers describe the truncation rather than
+    the network.
     """
     dim = liou.dimension
     # N of each Hilbert index, read off the built operators so that it
@@ -290,7 +291,10 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
         raise DegenerateNullspace("block recursion returned non-finite entries")
     rho = flat.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    trace = float(np.trace(rho).real)
+    if not (math.isfinite(trace) and trace != 0):
+        raise DegenerateNullspace(f"block recursion returned a state of trace {trace!r}")
+    rho = rho / trace
     residual = float(np.max(np.abs(apply(liou.terms, rho))))
     if residual > RESIDUAL_TOLERANCE:
         raise NonConvergence(f"steady-state residual {residual!r} exceeds {RESIDUAL_TOLERANCE}")

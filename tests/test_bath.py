@@ -27,6 +27,15 @@ def test_rate_small_frequency_is_quadratic():
     assert bath.rate(omega, temperature, kappa) == pytest.approx(expansion, rel=1e-12, abs=0.0)
 
 
+def test_rate_where_omega_over_T_underflows_is_the_quadratic_limit():
+    # omega / T rounds to 0, so 1 - exp(-omega/T) does too; the rate is kappa * T * omega**2
+    assert bath.rate(1e-300, 1e300, 1e-7) == 1e-7 * (1e-300 * 1e300) * 1e-300
+    # omega**2 alone would underflow to 0 here
+    assert bath.rate(1e-170, 1e300, 1.0) == pytest.approx(1e-40, rel=1e-15, abs=0.0)
+    with pytest.raises(RateOverflow):
+        bath.rate(1e-30, 1e300, 1e100)
+
+
 def test_rate_cold_limit_is_bare_cubic():
     # at T << omega the thermal factor is 1 and only spontaneous decay remains
     assert bath.rate(5.0, 1e-3, 1e-6) == pytest.approx(1e-6 * 125.0, rel=1e-15, abs=0.0)

@@ -8,6 +8,7 @@ dash/nan placeholders).  Presets are smoke-checked for shape only; their
 physics is covered by the acceptance tests.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -139,6 +140,45 @@ def test_run_point_is_independent_of_the_local_closed_form(params):
         assert row["error"] == ""
         assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"])
         assert abs(row["J_h"] + row["J_c"]) <= 1e-10 * max(1.0, abs(row["J_h"]))
+
+
+def test_an_underflowing_omega_over_T_gives_rows(capsys):
+    # omega_c / T_c rounds to 0, and the cold rate takes its omega -> 0 limit
+    assert cli.main(["point", "--omega-c", "1e-300", "--T-c", "1e300"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["approach"], r["error"]) for r in rows] == [
+        ("local", ""),
+        ("global", "GaplessSpectrum"),
+    ]
+    argv = ["sweep", "--axis1", "T_c:1e-300:1e300:60:log", "--axis2", "omega_c:1e-300:1e300:40:log"]
+    assert cli.main(argv) == 0
+    assert len(_rows(capsys.readouterr().out)) == 60 * 40 * 2
+
+
+def test_an_overflowing_coupling_fails_only_the_global_row(capsys):
+    assert cli.main(["point", "--epsilon", "1e200", "--approach", "local"]) == 0
+    local = capsys.readouterr().out
+    assert _rows(local)[0]["error"] == ""
+    assert cli.main(["point", "--epsilon", "1e200"]) == 0
+    both = capsys.readouterr().out
+    assert both.splitlines()[1] == local.splitlines()[1]
+    assert _rows(both)[1]["error"] == "GaplessSpectrum"
+    assert cli.main(["point", "--epsilon", "1e200", "--approach", "global"]) == 0
+    assert _rows(capsys.readouterr().out)[0]["error"] == "GaplessSpectrum"
+
+
+def test_a_zero_trace_oracle_state_fails_its_row(capsys):
+    argv = [
+        "point", "--kappa", "8.376704664343789e-224", "--T-h", "1.610262027560903e+258",
+        "--oracle", "--nmax", "3",
+    ]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["approach"], r["error"]) for r in rows[2:]] == [
+        ("oracle-local", "DegenerateNullspace"),
+        ("oracle-global", "NonConvergence"),
+    ]
+    assert [r["approach"] for r in rows[:2]] == ["local", "global"]
 
 
 def test_rate_overflow_lands_in_the_error_column():
@@ -407,7 +447,8 @@ def test_fig4_preset_shape(capsys):
     assert all(r["error"] == "" for r in rows)
 
 
-def test_module_entry_point_runs():
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package under test."""
     # the child does not inherit pytest's pythonpath, so hand it the
     # directory the package under test was imported from
     package_root = str(Path(qheatnet.__file__).resolve().parent.parent)
@@ -416,15 +457,60 @@ def test_module_entry_point_runs():
         os.environ,
         PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "qheatnet", "point", "--approach", "local"],
-        capture_output=True,
-        text=True,
-        check=False,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=False, env=env
     )
+
+
+def test_module_entry_point_runs():
+    result = _child("-m", "qheatnet", "point", "--approach", "local")
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == EXPECTED_HEADER
+
+
+# Runs `python -m qheatnet` once per argv in sys.argv[1:] (each a JSON list)
+# and prints each run's exit code, its row count and whether scipy is loaded.
+_ENTRY_POINT_CHILD = """
+import contextlib, io, json, runpy, sys
+for argv in map(json.loads, sys.argv[1:]):
+    sys.argv = ["qheatnet", *argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("qheatnet", run_name="__main__")
+        except SystemExit as stop:
+            code = stop.code
+    print(code, len(out.getvalue().splitlines()) - 1, "scipy" in sys.modules)
+"""
+
+
+def test_non_oracle_commands_leave_scipy_unloaded():
+    argvs = [
+        ["point"],
+        ["sweep", "--axis1", "epsilon:1e-5:0.1:3:log"],
+        ["fig3"],
+        ["point", "--oracle", "--nmax", "4"],
+    ]
+    result = _child("-c", _ENTRY_POINT_CHILD, *map(json.dumps, argvs))
+    assert result.returncode == 0, result.stderr
+    # the oracle rows load scipy, which shows the check can see it
+    assert result.stdout.splitlines() == [
+        "0 2 False", "0 6 False", "0 122 False", "0 4 True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import qheatnet; assert 'oracle' in dir(qheatnet); qheatnet.oracle.Generator",
+        "from qheatnet import oracle; oracle.Generator",
+        "from qheatnet import *; oracle.Generator",
+    ],
+    ids=["attribute", "from_import", "star_import"],
+)
+def test_the_oracle_module_loads_on_first_use(code):
+    result = _child("-c", "import qheatnet, sys\nassert 'scipy' not in sys.modules\n" + code)
+    assert result.returncode == 0, result.stderr
 
 
 # --- grid rows against point rows --------------------------------------------

@@ -10,6 +10,7 @@ from qheatnet.errors import (
     GaplessSpectrum,
     NegativeCoupling,
     NonPositiveParameter,
+    RateOverflow,
     UnsupportedStatistics,
 )
 from qheatnet.model import (
@@ -17,6 +18,7 @@ from qheatnet.model import (
     Statistics,
     load_config,
     normal_mode_basis,
+    normal_modes,
     params_from_mapping,
     parse_config,
     thermal_occupation,
@@ -168,6 +170,17 @@ def test_gapless_spectrum_raises():
     with pytest.raises(GaplessSpectrum):
         normal_mode_basis(NetworkParams(omega_h=2.0, omega_c=2.0, epsilon=5.0))
     normal_mode_basis(NetworkParams(omega_h=2.0, omega_c=2.0, epsilon=2.0 - 1e-9))
+
+
+def test_overflowing_coupling_is_typed():
+    # epsilon**2 overflows: above any finite omega_h * omega_c it is gapless
+    with pytest.raises(GaplessSpectrum, match="overflows"):
+        normal_modes(10.0, 5.0, 1e200, Statistics.BOSON)
+    with pytest.raises(GaplessSpectrum):
+        normal_modes(1e200, 1e200, 1e201, Statistics.BOSON)
+    # omega_h * omega_c overflows too, and the gapped spectrum's rates would
+    with pytest.raises(RateOverflow):
+        normal_modes(1e200, 1e200, 1e199, Statistics.BOSON)
 
 
 def test_normal_modes_reject_tls():

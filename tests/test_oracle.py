@@ -338,6 +338,13 @@ def test_non_finite_solution_is_a_degenerate_nullspace():
         oracle.steady_state(_tls_with_hot_channel(math.inf, 0.5))
 
 
+def test_zero_trace_solution_is_a_degenerate_nullspace():
+    # hot rate 1.3e37 against a cold one of 2.7e-221: the recursion's populations cancel to trace 0
+    params = NetworkParams(kappa=8.376704664343789e-224, T_h=1.610262027560903e258)
+    with pytest.raises(DegenerateNullspace, match="trace"):
+        oracle.steady_state(oracle.build(params, Generator.LOCAL, 3))
+
+
 def test_global_tls_is_rejected():
     params = dataclasses.replace(COLD_POINT, statistics=Statistics.TLS)
     with pytest.raises(UnsupportedStatistics):
