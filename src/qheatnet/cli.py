@@ -19,10 +19,10 @@ grid's parameter columns, the Fock oracle point by point, and only the oracle
 needs a NetworkParams per point.  One writer puts the columns into one table
 of named columns, adding the Gaussian columns of bosonic rows from their
 moments in one call over the treatment's rows.  Blocks are views of
-row ranges of that table whose rows read as dicts.  The table is rendered
-column by column over runs of whole blocks about a thousand rows long: a
-column holding one object throughout a run is formatted once, and so is
-each distinct non-zero float.
+row ranges of that table whose rows read as dicts.  Each block is rendered
+column by column through one table from cell type (float, int, bool, str,
+None) to formatter, and a column holding one object throughout the block is
+formatted once.
 
 The Fock oracle module, and scipy with it, is imported only when an oracle-*
 approach is asked for; the other treatments never load it.
@@ -35,7 +35,6 @@ tables they emit are reproducible claims, not just defaults.
 """
 
 import argparse
-import itertools
 import math
 import sys
 from collections.abc import Sequence
@@ -153,22 +152,20 @@ def _oracle_columns(generator: str, n_max: int, points: dict, params: list) -> t
     return dict(zip(_ORACLE_COLUMNS, columns)), errors
 
 
-def _treatments(approaches, fixed: NetworkParams, n_max: int, with_correlations: bool) -> list:
-    """Each approach as (columns, gaussian); an unknown one raises ValueError.
+def _treatments(approaches, fixed: NetworkParams, n_max: int) -> list:
+    """Each approach as a function of the grid; an unknown one raises ValueError.
 
     columns(points, params) gives the approach's result columns by name for the
     whole grid and a typed error or None per row.  The local and global kernels
     read the parameter columns in `points`; only the oracle reads `params`, one
-    NetworkParams per point.  With `gaussian`, _write adds the rows'
-    correlation columns from their moments.
+    NetworkParams per point.
     """
-    gaussian = with_correlations and fixed.statistics is Statistics.BOSON
     known = {
-        "local": (partial(_local_columns, fixed.delta), gaussian),
-        "global": (partial(_global_columns, fixed.statistics), gaussian),
+        "local": partial(_local_columns, fixed.delta),
+        "global": partial(_global_columns, fixed.statistics),
     }
     for generator in ("local", "global"):
-        known[f"oracle-{generator}"] = (partial(_oracle_columns, generator, n_max), gaussian)
+        known[f"oracle-{generator}"] = partial(_oracle_columns, generator, n_max)
     try:
         return [known[approach] for approach in approaches]
     except KeyError as exc:
@@ -233,29 +230,31 @@ def sweep_blocks(
     scanlines in the gnuplot layout, and their rows read as dicts.
 
     Each approach gives its columns for the whole grid (see _treatments),
-    and _write puts them into the table.
+    and _write puts them into the table, with the Gaussian columns of
+    bosonic rows when `with_correlations` is set.
     """
-    treatments = _treatments(approaches, fixed, n_max, with_correlations)
+    treatments = _treatments(approaches, fixed, n_max)
     _check_axes(fixed, axes)
     shape = [len(values) for _, values in axes]
     count = math.prod(shape)
     inner = shape[1] if len(axes) == 2 else 1
-    # One entry per grid point, outer axis slowest; a value that does not
+    # One float per grid point, outer axis slowest; a value that does not
     # change along a block is one shared object there.
-    points = {name: [getattr(fixed, name)] * count for name in _FLOAT_KEYS}
+    points = {name: [float(getattr(fixed, name))] * count for name in _FLOAT_KEYS}
     if axes:
         points[axes[0][0]] = [value for value in axes[0][1].tolist() for _ in range(inner)]
     if len(axes) == 2:
         points[axes[1][0]] = axes[1][1].tolist() * shape[0]
     # each point's NetworkParams, built once and only for the oracle, which solves point by point
-    params = [fixed] if not axes else []
-    if axes and any(approach.startswith("oracle-") for approach in approaches):
-        params = [replace(fixed, **{n: points[n][i] for n in dict(axes)}) for i in range(count)]
+    params = []
+    if any(approach.startswith("oracle-") for approach in approaches):
+        params = [replace(fixed, **{n: points[n][i] for n in _FLOAT_KEYS}) for i in range(count)]
     width = len(approaches)
     blank = {"statistics": fixed.statistics.value, "error": ""}  # None in every other column
     table = {name: [blank.get(name)] * (count * width) for name in COLUMNS}
     table["approach"] = list(approaches) * count
-    for k, (columns, gaussian) in enumerate(treatments):
+    gaussian = with_correlations and fixed.statistics is Statistics.BOSON
+    for k, columns in enumerate(treatments):
         for name in _FLOAT_KEYS:
             table[name][k::width] = points[name]
         _write(table, slice(k, None, width), *columns(points, params), gaussian)
@@ -321,72 +320,40 @@ def preset_fig4() -> tuple[tuple[str, ...], list[Block]]:
 # --- rendering --------------------------------------------------------------
 
 
-def _format_value(value, gnuplot: bool) -> str:
-    if value is None:
-        return "nan" if gnuplot else ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        if gnuplot and value == "":
-            return "-"
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+# How each type of cell prints; gnuplot marks a missing value and an empty
+# string with a token so that every line keeps its fields.
+_CSV_FORMATS = {
+    float: "%.17g".__mod__, int: "%d".__mod__, bool: "%d".__mod__, str: str,
+    type(None): lambda _: "",
+}
+_GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): lambda _: "nan"}
 
 
-def _format_column(values: list, gnuplot: bool) -> list[str]:
-    """_format_value over a column, formatting a shared object or a repeated float once."""
-    first = values[0] if values else None
-    if all(value is first for value in values):
-        return [_format_value(first, gnuplot)] * len(values)
-    if set(map(type, values)) == {float}:
-        distinct = dict.fromkeys(values)
-        # a table keyed by value would print -0.0 as 0
-        if 0.0 not in distinct:
-            texts = {value: format(value, ".17g") for value in distinct}
-            return list(map(texts.__getitem__, values))
-    return [_format_value(value, gnuplot) for value in values]
+def _block_text(columns: tuple[str, ...], block: Block, formats: dict, separator: str) -> str:
+    """One block's lines joined by newlines, formatted column by column.
 
-
-# Rows formatted together: enough that small blocks share the per-column
-# work, few enough that the string columns stay small next to the table.
-_CHUNK_ROWS = 1000
-
-
-def _block_texts(columns: tuple[str, ...], blocks: list[Block], gnuplot: bool):
-    """Yield each block's lines, joined by newlines.
-
-    Cells are formatted column by column over runs of whole blocks that
-    hold at least _CHUNK_ROWS rows (the last run may hold fewer).
+    A column that holds one object across the block is formatted once.
     """
-    separator = " " if gnuplot else ","
-    run: list[Block] = []
-    size = 0
-    for index, block in enumerate(blocks):
-        run.append(block)
-        size += len(block)
-        if size < _CHUNK_ROWS and index + 1 < len(blocks):
-            continue
-        cells = []
-        for column in columns:
-            values = itertools.chain.from_iterable(b.table[column][b.start : b.stop] for b in run)
-            cells.append(_format_column(list(values), gnuplot))
-        lines = map(separator.join, zip(*cells))
-        for member in run:
-            yield "\n".join(itertools.islice(lines, len(member)))
-        run, size = [], 0
+    cells = []
+    for column in columns:
+        values = block.table[column][block.start : block.stop]
+        first = values[0] if values else None
+        if all(value is first for value in values):
+            cells.append([formats[type(first)](first)] * len(values))
+        else:
+            cells.append([formats[type(value)](value) for value in values])
+    return "\n".join(map(separator.join, zip(*cells)))
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
-    texts = filter(None, _block_texts(columns, blocks, False))
-    return "\n".join([",".join(columns), *texts]) + "\n"
+    texts = (_block_text(columns, block, _CSV_FORMATS, ",") for block in blocks)
+    return "\n".join([",".join(columns), *filter(None, texts)]) + "\n"
 
 
 def render_gnuplot(columns: tuple[str, ...], blocks: list[Block]) -> str:
     """Whitespace-separated table; blocks become blank-line separated so a
     2-D sweep is directly usable as a gnuplot grid."""
-    texts = _block_texts(columns, blocks, True)
+    texts = (_block_text(columns, block, _GNUPLOT_FORMATS, " ") for block in blocks)
     return "# " + " ".join(columns) + "\n" + "\n\n".join(texts) + "\n"
 
 

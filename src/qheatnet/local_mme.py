@@ -40,11 +40,12 @@ typed error in the result and never stops the other rows.
 import contextlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import bath
-from .errors import HeatNetError, NegativeFrequency, RateOverflow, SingularSystem
+from .errors import HeatNetError, NegativeFrequency, RateOverflow, SingularSystem, by_row
 from .model import NetworkParams
 
 
@@ -112,15 +113,10 @@ def _assemble(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta):
     The coefficients are computed row by row (see the module docstring); a
     row whose rate fails keeps its error and NaN coefficients.
     """
-    rows, errors = [], []
-    for point in zip(*(c.tolist() for c in (omega_h, omega_c, T_h, T_c, kappa))):
-        try:
-            rows.append(_coefficients(*point, delta))
-            errors.append(None)
-        except (NegativeFrequency, RateOverflow) as exc:
-            rows.append(_FAILED)
-            errors.append(exc)
-    gamma_h, gamma_c, w_h, w_c, G_h, G_c = np.array(rows).reshape(-1, 6).T
+    columns = (*(c.tolist() for c in (omega_h, omega_c, T_h, T_c, kappa)), repeat(delta))
+    expected = (NegativeFrequency, RateOverflow)
+    coefficients, errors = by_row(_coefficients, columns, _FAILED, expected)
+    gamma_h, gamma_c, w_h, w_c, G_h, G_c = np.array(coefficients)
     zero = np.zeros_like(G_h)
     gap = omega_h - omega_c
     damp = 0.5 * (G_h + G_c)
@@ -208,16 +204,21 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     so J_h = (exp(beta_c omega_c) - exp(beta_h omega_h)) F carries the sign of
     the exponential contrast.  With w_l <= 1 and Q free of rate products
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
-    kappa.  Independent of steady_state(), which solves the 4x4 system.
+    kappa, and dividing s's numerator and Q by max(2 eps, 1)^2 keeps eps^2
+    from overflowing at large epsilon.  Independent of steady_state(), which
+    solves the 4x4 system.
     """
     _, _, w_h, w_c, G_h, G_c = _coefficients(
         params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta
     )
-    four_eps_sq = 4.0 * params.epsilon**2
+    # s's numerator and Q divided by m^2; for eps <= 1/2, m = 1 changes nothing
+    m = max(2.0 * params.epsilon, 1.0)
+    four_eps_sq = 4.0 * (params.epsilon / m) ** 2
     S = G_h + G_c
     thermal = (1.0 + params.delta * w_h) * (1.0 + params.delta * w_c)
+    gap = (params.omega_h - params.omega_c) / m
     try:
-        Q = S * S + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * (params.omega_h - params.omega_c) ** 2
+        Q = (S / m) * (S / m) + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * gap**2
         s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
     except ZeroDivisionError as exc:
         raise SingularSystem(f"closed-form current divides by zero: {exc}") from exc

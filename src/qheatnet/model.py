@@ -73,6 +73,14 @@ class NetworkParams:
         return self.statistics.delta
 
 
+def _finite(value) -> bool:
+    """Whether value is a finite int or float; an int too large for a float is not."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def validate(params: NetworkParams) -> NetworkParams:
     """Check a parameter set and return it unchanged.
 
@@ -88,10 +96,10 @@ def validate(params: NetworkParams) -> NetworkParams:
         "kappa": params.kappa,
     }
     for name, value in positive.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (_finite(value) and value > 0):
             raise NonPositiveParameter(f"{name} must be a positive finite number, got {value!r}")
     eps = params.epsilon
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)):
+    if not _finite(eps):
         raise NonPositiveParameter(f"epsilon must be finite, got {eps!r}")
     if eps < 0:
         raise NegativeCoupling(f"epsilon must be >= 0, got {eps!r}")

@@ -807,6 +807,22 @@ def test_renderer_edge_cells():
     assert gnuplot[4] == "local nan nan 2 0.10000000000000001 nan nan -"
 
 
+@pytest.mark.parametrize(
+    "statistics, approaches",
+    [(Statistics.BOSON, ("local", "global")), (Statistics.TLS, ("local", "oracle-local"))],
+    ids=["boson", "tls_oracle"],
+)
+@pytest.mark.parametrize("kind", [np.float64, int])
+def test_numpy_and_int_fields_render_like_floats(kind, statistics, approaches):
+    # the renderer formats by exact cell type, so every field enters the table,
+    # and the oracle's parameters, as a float
+    floats = NetworkParams(omega_h=10.0, T_h=12.0, statistics=statistics)
+    base = cli.run_point(floats, approaches, 3)
+    block = cli.run_point(replace(floats, omega_h=kind(10), T_h=kind(12)), approaches, 3)
+    for render in (cli.render_csv, cli.render_gnuplot):
+        assert render(cli.COLUMNS, [block]) == render(cli.COLUMNS, [base])
+
+
 @pytest.mark.parametrize("gnuplot", [False, True], ids=["csv", "gnuplot"])
 def test_negative_zero_coupling_prints_its_sign(gnuplot, capsys):
     argv = ["point", "--epsilon", "-0.0", "--approach", "local"]

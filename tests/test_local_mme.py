@@ -112,6 +112,15 @@ def test_closed_form_matches_solve_at_extremes(params):
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+def test_closed_form_at_huge_coupling(statistics):
+    # epsilon**2 overflows at epsilon = 1e200; the closed form never forms it
+    params = NetworkParams(epsilon=1e200, statistics=statistics)
+    closed, prefactor = heat_current_closed_form(params)
+    assert math.isfinite(closed) and prefactor >= 0.0
+    assert closed == pytest.approx(steady_state(params).J_h, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
 def test_size_one_calls_raise_the_row_error(statistics):
     # the kernel carries the error in its row; the size-1 calls raise it
     params = NetworkParams(omega_h=1e200, statistics=statistics)

@@ -33,7 +33,9 @@ def test_defaults_are_valid():
 
 
 @pytest.mark.parametrize("field", ["omega_h", "omega_c", "T_h", "T_c", "kappa"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, float("nan"), float("inf"), pytest.param(10**400, id="int_too_large")]
+)
 def test_positive_fields_rejected(field, bad):
     with pytest.raises(NonPositiveParameter, match=field):
         NetworkParams(**{field: bad})
@@ -54,6 +56,8 @@ def test_non_finite_coupling_rejected():
         NetworkParams(epsilon=float("nan"))
     with pytest.raises(NonPositiveParameter):
         replace(NetworkParams(), epsilon=float("inf"))
+    with pytest.raises(NonPositiveParameter):
+        NetworkParams(epsilon=10**400)
 
 
 def test_statistics_must_be_the_enum():
