@@ -20,9 +20,11 @@ needs a NetworkParams per point.  One writer puts the columns into one table
 of named columns, adding the Gaussian columns of bosonic rows from their
 moments in one call over the treatment's rows.  Blocks are views of
 row ranges of that table whose rows read as dicts.  Each block is rendered
-column by column through one table from cell type (float, int, bool, str,
-None) to formatter, and a column holding one object throughout the block is
-formatted once.
+as one printf template per row, built from one table from cell type (float,
+int, bool, str, None) to formatter: a column holding one object throughout
+the block is formatted once into the template, a column of floats, ints or
+bools of one type is a %.17g or %d slot, and any other column is formatted
+cell by cell into a %s slot.
 
 The Fock oracle module, and scipy with it, is imported only when an oracle-*
 approach is asked for; the other treatments never load it.
@@ -279,7 +281,7 @@ def preset_fig2() -> tuple[tuple[str, ...], list[Block]]:
     axes = [("T_h", np.linspace(10.05, 20.0, 200)), ("omega_h", np.linspace(0.5, 15.0, 200))]
     blocks = sweep_blocks(fixed, axes, ("local",), with_correlations=False)
     table = blocks[0].table
-    table["sigma_sign"] = [None if v is None else int(np.sign(v)) for v in table["sigma"]]
+    table["sigma_sign"] = [None if v is None else (v > 0) - (v < 0) for v in table["sigma"]]
     return COLUMNS + ("sigma_sign",), blocks
 
 
@@ -321,7 +323,8 @@ def preset_fig4() -> tuple[tuple[str, ...], list[Block]]:
 
 
 # How each type of cell prints; gnuplot marks a missing value and an empty
-# string with a token so that every line keeps its fields.
+# string with a token so that every line keeps its fields.  A float, int or
+# bool prints through a printf conversion, which is that formatter's __self__.
 _CSV_FORMATS = {
     float: "%.17g".__mod__, int: "%d".__mod__, bool: "%d".__mod__, str: str,
     type(None): lambda _: "",
@@ -330,24 +333,33 @@ _GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): l
 
 
 def _block_text(columns: tuple[str, ...], block: Block, formats: dict, separator: str) -> str:
-    """One block's lines joined by newlines, formatted column by column.
+    """One block's lines joined by newlines, each line one printf template % row.
 
-    A column that holds one object across the block is formatted once.
+    A column that holds one object across the block is formatted once into
+    the template.  A column of one cell type with a printf conversion is a
+    slot of that conversion, and any other column is formatted cell by cell
+    into a %s slot.
     """
-    cells = []
+    template, slots = [], []
     for column in columns:
         values = block.table[column][block.start : block.stop]
         first = values[0] if values else None
+        formatter = formats[type(first)]
         if all(value is first for value in values):
-            cells.append([formats[type(first)](first)] * len(values))
+            template.append(formatter(first).replace("%", "%%"))
+        elif hasattr(formatter, "__self__") and len(set(map(type, values))) == 1:
+            template.append(formatter.__self__)
+            slots.append(values)
         else:
-            cells.append([formats[type(value)](value) for value in values])
-    return "\n".join(map(separator.join, zip(*cells)))
+            template.append("%s")
+            slots.append([formats[type(value)](value) for value in values])
+    rows = zip(*slots) if slots else [()] * len(block)  # a block of constants has no slot
+    return "\n".join(map(separator.join(template).__mod__, rows))
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
     texts = (_block_text(columns, block, _CSV_FORMATS, ",") for block in blocks)
-    return "\n".join([",".join(columns), *filter(None, texts)]) + "\n"
+    return "\n".join([",".join(columns), *filter(None, texts), ""])
 
 
 def render_gnuplot(columns: tuple[str, ...], blocks: list[Block]) -> str:

@@ -1,5 +1,7 @@
 """Error taxonomy shared by all modules, and the rule that a failing row fails alone."""
 
+from operator import itemgetter
+
 
 class HeatNetError(Exception):
     """Base class for every error raised by this package."""
@@ -65,4 +67,5 @@ def by_row(function, columns, failed: tuple, expected=HeatNetError) -> tuple[lis
         except expected as exc:
             rows.append(failed)
             errors.append(exc)
-    return list(map(list, zip(*rows))) or [[] for _ in failed], errors
+    width = min(map(len, rows), default=len(failed))
+    return [list(map(itemgetter(j), rows)) for j in range(width)], errors

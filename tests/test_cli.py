@@ -807,6 +807,56 @@ def test_renderer_edge_cells():
     assert gnuplot[4] == "local nan nan 2 0.10000000000000001 nan nan -"
 
 
+_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -5e-324, 0.1, 1 / 3, -2.5e17, 1e308]
+_INTS = [0, 1, -1, 7, -(2**70), 10**30]
+_BOOLS = [True, False]
+_TEXTS = ["", "local", "50%", "%d%%", "%s %(x)s", "RateOverflow"]
+
+
+def _random_blocks(rng) -> tuple[tuple[str, ...], list]:
+    # 40 rows of seeded random cells; rows 30..35 hold one object per column
+    def draw(pool):
+        return [pool[i] for i in rng.integers(len(pool), size=40)]
+
+    table = {
+        "floats": draw(_FLOATS),
+        "ints": draw(_INTS),
+        "bools": draw(_BOOLS),
+        "float_none": draw(_FLOATS + [None]),
+        "bool_none": draw(_BOOLS + [None]),
+        "percent": ["100% %d"] * 40,
+        "texts": draw(_TEXTS),
+        "anything": draw(_FLOATS + _INTS + _BOOLS + _TEXTS + [None]),
+    }
+    for values in table.values():
+        values[30:36] = [values[30]] * 6
+    cuts = sorted(rng.integers(15, 30, size=2).tolist())
+    spans = [(0, 13), (13, 14), (14, 14), (14, cuts[0]), (cuts[0], cuts[1]), (cuts[1], 30),
+             (30, 36), (36, 40)]
+    return tuple(table), [cli.Block(table, start, stop) for start, stop in spans]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_renderer_matches_the_per_cell_reference_on_random_blocks(seed):
+    # every path of the row template: constant columns, one-type slots and
+    # cell by cell %s slots, in several-row, one-row, empty and constant blocks
+    columns, blocks = _random_blocks(np.random.default_rng(seed))
+    _assert_renders_like_reference(columns, blocks, columns, blocks)
+    _assert_renders_like_reference(columns[::-1], blocks, columns[::-1], blocks)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[np.float64(1.0)] * 3, [np.float64(1.0), np.float64(2.0)], [1.0, np.float64(2.0)]],
+    ids=["constant", "one_type", "mixed"],
+)
+def test_renderer_rejects_cells_outside_its_type_table(values):
+    blocks = [cli.Block({"x": values}, 0, len(values))]
+    for render in (cli.render_csv, cli.render_gnuplot):
+        with pytest.raises(KeyError):
+            render(("x",), blocks)
+
+
 @pytest.mark.parametrize(
     "statistics, approaches",
     [(Statistics.BOSON, ("local", "global")), (Statistics.TLS, ("local", "oracle-local"))],
