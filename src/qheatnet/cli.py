@@ -109,9 +109,9 @@ class Block(Sequence):
 
 def _local_columns(delta: float, points: dict[str, list], params: list) -> tuple[dict, list]:
     """The local rows of a grid from one call of the grid kernel."""
-    states = local_mme.steady_states(*(np.array(points[name]) for name in _FLOAT_KEYS), delta)
-    columns = np.column_stack([states.moments, states.J_h, states.J_c, states.sigma]).T.tolist()
-    return dict(zip(_MOMENTS + _CURRENTS, columns)), states.errors
+    s = local_mme.steady_states(*(points[name] for name in _FLOAT_KEYS), delta)
+    values = (s.nA, s.nB, s.X, s.Y, s.J_h, s.J_c, s.sigma)
+    return dict(zip(_MOMENTS + _CURRENTS, values)), s.errors
 
 
 _GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning")

@@ -28,7 +28,7 @@ class NegativeFrequency(HeatNetError):
 
 
 class RateOverflow(HeatNetError):
-    """A bath rate is too large to represent as a finite float."""
+    """A bath rate, or a moment or current built from the rates, is beyond the float range."""
 
 
 class SingularSystem(HeatNetError):

@@ -135,32 +135,30 @@ def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], t
     return basis, *_rates(basis.omega_plus, basis.omega_minus, params.T_h, params.T_c, params.kappa)
 
 
-def _mode_balance(
-    omega: float, k_h: float, x_h: float, k_c: float, x_c: float
-) -> tuple[float, float, float]:
-    """Occupation and per-bath currents of one mode fed by two thermal channels.
+def _mode_balance(omega: float, k_h: float, x_h: float, k_c: float, x_c: float) -> tuple[float, float]:
+    """Occupation and hot-bath current of one mode fed by two thermal channels.
 
     k_l are the downward channel strengths gamma_l^sigma * weight, x_l the
     upward Boltzmann weights exp(-beta_l omega).  Steady state balances
-    total up-pumping k_l x_l against total decay k_l (1 - x_l).
+    total up-pumping k_l x_l against total decay k_l (1 - x_l).  The hot
+    current omega k_h (x_h - (1 - x_h) n) is written so that no product of
+    two large factors forms before the division by the loss.
     """
     loss = k_h * (1.0 - x_h) + k_c * (1.0 - x_c)
     if loss == 0.0:  # x_l rounds to 1 on both channels, or both rates underflow
         raise SingularSystem(f"the mode at omega = {omega!r} has no net decay")
     n = (k_h * x_h + k_c * x_c) / loss
-    J_h = omega * k_h * (x_h - (1.0 - x_h) * n)
-    J_c = omega * k_c * (x_c - (1.0 - x_c) * n)
-    return n, J_h, J_c
+    return n, omega * (x_h - x_c) * (k_h / loss) * k_c
 
 
 def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
     """One row of GlobalSteadyStates, in its field order; raises the row's typed error."""
     wp, wm, c2, s2 = normal_modes(omega_h, omega_c, epsilon, statistics)
     (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _rates(wp, wm, T_h, T_c, kappa)
-    n_p, Jh_p, Jc_p = _mode_balance(wp, gh_p * c2, xh_p, gc_p * s2, xc_p)
-    n_m, Jh_m, Jc_m = _mode_balance(wm, gh_m * s2, xh_m, gc_m * c2, xc_m)
-    J_h = Jh_p + Jh_m
-    J_c = Jc_p + Jc_m
+    n_p, J_p = _mode_balance(wp, gh_p * c2, xh_p, gc_p * s2, xc_p)
+    n_m, J_m = _mode_balance(wm, gh_m * s2, xh_m, gc_m * c2, xc_m)
+    J_h = J_p + J_m
+    J_c = -J_h
     X = 2.0 * math.sqrt(c2 * s2) * (n_p - n_m)
     warning = (wp - wm) < SECULAR_FACTOR * max(gh_p, gh_m, gc_p, gc_m)
     nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c

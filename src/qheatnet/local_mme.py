@@ -1,43 +1,42 @@
 """Local treatment: each node is damped by its own bath at its bare frequency.
 
 The hot generator acts on node A alone and the cold one on node B alone,
-each with downward rate gamma_l and upward weight exp(-beta_l omega_l).
-Writing w_l = exp(-beta_l omega_l) and G_l = gamma_l (1 + delta w_l), the
-quadratic moments
+each with downward rate gamma_l and upward weight w_l = exp(-beta_l omega_l).
+With damping G_l = gamma_l (1 + delta w_l) and pumping p_l = gamma_l w_l,
+the quadratic moments
 
     nA = <a'a>,  nB = <b'b>,  X = <a'b + ab'>,  Y = i<a'b - ab'>
 
 close for both statistics and obey the affine system dx/dt = A x + v:
 
-    d nA / dt = -G_h nA + gamma_h w_h - epsilon Y
-    d nB / dt = -G_c nB + gamma_c w_c + epsilon Y
+    d nA / dt = -G_h nA + p_h - epsilon Y
+    d nB / dt = -G_c nB + p_c + epsilon Y
     d X  / dt = -(G_h + G_c)/2 X + (omega_h - omega_c) Y
     d Y  / dt = -(G_h + G_c)/2 Y - (omega_h - omega_c) X + 2 epsilon (nA - nB)
 
-The steady state is the unique solution of A x = -v, solved densely with
-partial pivoting.  Heat currents are the generator expectations evaluated at
-the solved moments,
+Its steady state follows by elimination.  With S = G_h + G_c, Delta =
+omega_h - omega_c, A0 = (S^2 + 4 Delta^2) / S and D = A0 G_h G_c + 4 eps^2 S,
 
-    J_h = omega_h gamma_h (w_h - nA (1 + delta w_h)) - (epsilon gamma_h / 2) X (1 + delta w_h)
+    nA = (p_h G_c A0 + 4 eps^2 (p_h + p_c)) / D,  nB likewise with h <-> c,
+    Y = 4 eps (p_h G_c - p_c G_h) / D,  X = 2 Delta Y / S,
+    J_h = eps Y (omega_h G_c + omega_c G_h) / S,  J_c = -J_h,
 
-and J_c symmetrically from the cold generator, so the first law J_h + J_c = 0
-is an output check, not an input assumption.  The entropy production rate is
-sigma = -J_h/T_h - J_c/T_c; it changes sign with exp(beta_c omega_c) -
-exp(beta_h omega_h), which is the whole point of auditing this treatment.
+so the occupations are nonnegative and the first law holds by construction.
+Both generators' expectations reduce to J_h at these moments; that, a dense
+solve of `affine_system` and `heat_current_closed_form` are the tests'
+independent checks.  The entropy production rate sigma = -J_h/T_h - J_c/T_c
+changes sign with exp(beta_c omega_c) - exp(beta_h omega_h), which is the
+whole point of auditing this treatment.
 
-One kernel, `steady_states`, serves single points and grids alike: it takes
-parameter columns, assembles the drift matrices as one (N, 4, 4) stack and
-solves them in one batched call; `steady_state` and `affine_system` are its
-size-1 cases.  The rates and the weights w_l are evaluated per row with
-`math`: numpy's exp, expm1 and cube differ from `math`'s in the last bit on
-a few percent of inputs, which would change the 17-digit tables the CLI
-prints.  Everything after them is plain + - * / in the order of the scalar
-formulas above, and numpy rounds those exactly as Python floats do.  A
-failing row (a rate that overflows, a singular drift matrix) carries its
+One kernel, `steady_states`, serves single points and grids alike: it runs
+each row in Python floats through `errors.by_row`, like the global kernel,
+and `steady_state` is its size-1 case.  The weights use `math`'s exp and
+expm1: numpy's differ in the last bit on some inputs, which would change the
+17-digit tables the CLI prints.  A failing row (a rate, moment or current
+beyond the float range, a system singular to working precision) carries its
 typed error in the result and never stops the other rows.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -45,7 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from . import bath
-from .errors import HeatNetError, NegativeFrequency, RateOverflow, SingularSystem, by_row
+from .errors import HeatNetError, RateOverflow, SingularSystem, by_row
 from .model import NetworkParams
 
 
@@ -72,18 +71,22 @@ class LocalSteadyState:
     sigma: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class LocalSteadyStates:
-    """Column form of LocalSteadyState: row i belongs to the i-th parameter set.
+    """Column form of LocalSteadyState: entry i of each list belongs to the i-th parameter set.
 
-    A row that failed has its typed error in `errors` and meaningless
-    numbers; every other row's entry there is None.
+    A row that failed has its typed error in `errors` and NaN in every
+    column; every other row's entry there is None.  The lists are the
+    caller's to write into, so unlike LocalSteadyState this is not frozen.
     """
 
-    moments: np.ndarray  # (N, 4) rows of (nA, nB, X, Y)
-    J_h: np.ndarray
-    J_c: np.ndarray
-    sigma: np.ndarray
+    nA: list
+    nB: list
+    X: list
+    Y: list
+    J_h: list
+    J_c: list
+    sigma: list
     errors: list[HeatNetError | None]
 
 
@@ -99,97 +102,88 @@ def _coefficients(
     return gamma_h, gamma_c, w_h, w_c, G_h, G_c
 
 
-_FAILED = (math.nan,) * 6  # the coefficients of a row whose rate failed
-
-# Like Python floats, the column arithmetic overflows to inf and makes NaN
-# without a warning.
-_SILENT = {"over": "ignore", "invalid": "ignore"}
-
-
-@np.errstate(**_SILENT)
-def _assemble(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta):
-    """Stacks A (N, 4, 4) and v (N, 4) of dx/dt = A x + v, the G columns and the row errors.
-
-    The coefficients are computed row by row (see the module docstring); a
-    row whose rate fails keeps its error and NaN coefficients.
-    """
-    columns = (*(c.tolist() for c in (omega_h, omega_c, T_h, T_c, kappa)), repeat(delta))
-    expected = (NegativeFrequency, RateOverflow)
-    coefficients, errors = by_row(_coefficients, columns, _FAILED, expected)
-    gamma_h, gamma_c, w_h, w_c, G_h, G_c = np.array(coefficients)
-    zero = np.zeros_like(G_h)
-    gap = omega_h - omega_c
-    damp = 0.5 * (G_h + G_c)
-    A = np.array(
-        [
-            [-G_h, zero, zero, -epsilon],
-            [zero, -G_c, zero, epsilon],
-            [zero, zero, -damp, gap],
-            [2.0 * epsilon, -2.0 * epsilon, -gap, -damp],
-        ]
-    ).transpose(2, 0, 1)
-    v = np.array([gamma_h * w_h, gamma_c * w_c, zero, zero]).T
-    return A, v, G_h, G_c, errors
-
-
-def _point(params: NetworkParams) -> tuple:
-    """The length-1 columns and delta of one parameter set, in steady_states' order."""
-    values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    return (*np.array(values)[:, None], params.delta)
-
-
-def _raise_first(errors: list[HeatNetError | None]) -> None:
-    if errors[0] is not None:
-        raise errors[0]
-
-
 def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix A and inhomogeneity v of dx/dt = A x + v for x = (nA, nB, X, Y)."""
-    A, v, _, _, errors = _assemble(*_point(params))
-    _raise_first(errors)
-    return A[0], v[0]
+    gamma_h, gamma_c, w_h, w_c, G_h, G_c = _coefficients(
+        params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta
+    )
+    eps, gap, damp = params.epsilon, params.omega_h - params.omega_c, 0.5 * (G_h + G_c)
+    A = np.array(
+        [
+            [-G_h, 0.0, 0.0, -eps],
+            [0.0, -G_c, 0.0, eps],
+            [0.0, 0.0, -damp, gap],
+            [2.0 * eps, -2.0 * eps, -gap, -damp],
+        ]
+    )
+    return A, np.array([gamma_h * w_h, gamma_c * w_c, 0.0, 0.0])
 
 
-@np.errstate(**_SILENT)
+def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, float]:
+    """Damping G = gamma (1 + delta w) and pumping p = gamma w of one node, w = exp(-omega/T).
+
+    For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
+    where w rounds to 1.  A rate beyond the float range comes out inf, which
+    _row reports; bath.rate gives the omega/T -> 0 limit.
+    """
+    x = omega / T
+    w = math.exp(-x)
+    cube = kappa * omega * omega * omega
+    gamma = cube / -math.expm1(-x) if x else bath.rate(omega, T, kappa)
+    return (cube if delta < 0.0 else gamma * (1.0 + w)), gamma * w
+
+
+def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
+    """One row of LocalSteadyStates, in its field order; raises the row's typed error.
+
+    Rates enter as g_l = G_l / S and q_l = p_l / S; S, gap and epsilon as
+    s, d, e over a power of two above S / 2, |gap| and epsilon, so no product
+    of two rates or square overflows and the scaling is exact.  A scaled D
+    that underflows even so is singular to working precision.
+    """
+    G_h, p_h = _node(omega_h, T_h, kappa, delta)
+    G_c, p_c = _node(omega_c, T_c, kappa, delta)
+    S = G_h + G_c
+    gap = omega_h - omega_c
+    k = math.frexp(max(0.5 * S, abs(gap), epsilon))[1]
+    s, d, e = math.ldexp(S, -k), math.ldexp(gap, -k), math.ldexp(epsilon, -k)
+    try:
+        g_h, g_c, q_h, q_c = G_h / S, G_c / S, p_h / S, p_c / S
+        lorentz, four_eps_sq = s * s + 4.0 * d * d, 4.0 * e * e
+        den = lorentz * g_h * g_c + four_eps_sq
+        nA = (lorentz * q_h * g_c + four_eps_sq * (q_h + q_c)) / den
+        nB = (lorentz * q_c * g_h + four_eps_sq * (q_h + q_c)) / den
+        flow = 4.0 * e * (q_h * g_c - q_c * g_h) / den
+    except ZeroDivisionError as exc:
+        raise SingularSystem("moment drift matrix is singular to working precision") from exc
+    Y, X = s * flow, 2.0 * d * flow
+    J_h = epsilon * Y * (omega_h * g_c + omega_c * g_h)
+    J_c = -J_h
+    sigma = -J_h / T_h - J_c / T_c
+    if not math.isfinite(nA + nB + X + Y + J_h + sigma):  # an inf or NaN anywhere shows here
+        raise RateOverflow("the steady moments or currents overflow")
+    return nA, nB, X, Y, J_h, J_c, sigma
+
+
+_FAILED = (math.nan,) * 7  # the columns of a failed row
+
+
 def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> LocalSteadyStates:
     """Steady states of the local moment system for equal-length parameter columns.
 
-    delta is the statistics' sign, shared by every row.  The N drift
-    matrices are solved in one batched call.  A singular one fails the whole
-    batch; the rows are then solved one by one.  A row whose moments come
-    out non-finite, from an exact zero pivot or not, fails as singular.
+    delta is the statistics' sign, shared by every row.  Columns are lists
+    of Python floats: numpy scalars would follow numpy's overflow rules.
     """
-    omega_h, omega_c, epsilon, T_h, T_c, kappa = (
-        np.asarray(c, dtype=float) for c in (omega_h, omega_c, epsilon, T_h, T_c, kappa)
-    )
-    A, v, G_h, G_c, errors = _assemble(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta)
-    try:
-        x = np.linalg.solve(A, -v[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        x = np.full(v.shape, math.nan)
-        for i, error in enumerate(errors):
-            if error is None:
-                with contextlib.suppress(np.linalg.LinAlgError):  # x[i] stays NaN
-                    x[i] = np.linalg.solve(A[i], -v[i])
-    for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
-        if errors[i] is None:  # finite coefficients, moments that are not
-            errors[i] = SingularSystem("moment drift matrix is singular to working precision")
-    J_h = omega_h * (v[:, 0] - G_h * x[:, 0]) - 0.5 * epsilon * G_h * x[:, 2]
-    J_c = omega_c * (v[:, 1] - G_c * x[:, 1]) - 0.5 * epsilon * G_c * x[:, 2]
-    sigma = -J_h / T_h - J_c / T_c
-    return LocalSteadyStates(moments=x, J_h=J_h, J_c=J_c, sigma=sigma, errors=errors)
+    parameters = (repeat(delta), omega_h, omega_c, epsilon, T_h, T_c, kappa)
+    columns, errors = by_row(_row, parameters, _FAILED)
+    return LocalSteadyStates(*columns, errors=errors)
 
 
 def steady_state(params: NetworkParams) -> LocalSteadyState:
-    """Unique steady state of the local generator's moment system."""
-    states = steady_states(*_point(params))
-    _raise_first(states.errors)
-    return LocalSteadyState(
-        moments=MomentState(*states.moments[0].tolist()),
-        J_h=float(states.J_h[0]),
-        J_c=float(states.J_c[0]),
-        sigma=float(states.sigma[0]),
-    )
+    """Unique steady state of the local generator's moment system: one row of the kernel."""
+    values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
+    nA, nB, X, Y, J_h, J_c, sigma = _row(params.delta, *values)
+    return LocalSteadyState(moments=MomentState(nA, nB, X, Y), J_h=J_h, J_c=J_c, sigma=sigma)
 
 
 def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
@@ -206,7 +200,7 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
     kappa, and dividing s's numerator and Q by max(2 eps, 1)^2 keeps eps^2
     from overflowing at large epsilon.  Independent of steady_state(), which
-    solves the 4x4 system.
+    eliminates the moment system with its own rates and grouping.
     """
     _, _, w_h, w_c, G_h, G_c = _coefficients(
         params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta

@@ -4,10 +4,12 @@ The CSV contract is frozen here: exact header, 17-significant-digit
 floats, empty fields for non-applicable columns, exception class names
 in the error column, byte-identical repeat runs.  The gnuplot layout is
 checked structurally (comment header, blank-line separated blocks,
-dash/nan placeholders).  Presets are smoke-checked for shape only; their
-physics is covered by the acceptance tests.
+dash/nan placeholders).  Presets are smoke-checked for shape and their
+CSV bytes pinned by sha256 prefix; their physics is covered by the
+acceptance tests.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import qheatnet
-from qheatnet import cli, errors, oracle
+from qheatnet import cli, errors, global_mme, oracle
 from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
@@ -587,7 +589,8 @@ def test_a_singular_point_fails_alone():
 
 
 def test_a_local_solve_singular_to_working_precision_fails_its_row(capsys):
-    # two-level nodes at kappa ~ 1e-320: the solved moments are inf and NaN
+    # two-level nodes at kappa ~ 1e-320: gamma_c underflows to 0 and epsilon is
+    # 2.4e-279 of the detuning, so the moment system is singular to working precision
     values = {
         "omega_h": 7.101498345015055, "omega_c": 0.013147191079549564,
         "epsilon": 1.6957597259418116e-278, "T_h": 704760091.1234993,
@@ -616,6 +619,31 @@ def test_weights_that_round_to_1_give_a_singular_global_row(capsys):
     global_row = _rows(captured.out)[1]
     assert global_row["approach"] == "global" and global_row["error"] == "SingularSystem"
     assert global_row["J_h"] == ""
+
+
+def test_weights_that_round_to_1_give_a_finite_local_row(capsys):
+    # G_c = gamma_c (1 - w_c) would round to 0 here; the bath identity
+    # kappa omega^3 keeps both dampings; the values are a 60-digit mpmath solve
+    assert cli.main(["point", "--T-h", "1e17", "--T-c", "1e17", "--approach", "local"]) == 0
+    row = _rows(capsys.readouterr().out)[0]
+    assert row["error"] == ""
+    assert float(row["n_A"]) == pytest.approx(1.0000000449999817e16, rel=1e-13, abs=0.0)
+    assert float(row["n_B"]) == pytest.approx(1.9999996400001458e16, rel=1e-13, abs=0.0)
+    assert float(row["J_h"]) == pytest.approx(-249999.89871840041, rel=1e-13, abs=0.0)
+    assert float(row["J_c"]) == -float(row["J_h"])
+
+
+@pytest.mark.parametrize("omega_h", [1e80, 1e100])
+def test_global_currents_at_a_huge_frequency_are_finite(omega_h, capsys):
+    # omega k_h overflowed before it met the vanishing x_h - (1 - x_h) n
+    assert cli.main(["point", "--omega-h", repr(omega_h), "--approach", "global"]) == 0
+    row = _rows(capsys.readouterr().out)[0]
+    assert row["error"] == ""
+    values = [float(row[c]) for c in ("n_A", "n_B", "X", "n_plus", "n_minus", "J_h", "J_c", "sigma")]
+    assert all(map(math.isfinite, values))
+    closed = global_mme.heat_current_closed_form(NetworkParams(omega_h=omega_h))
+    assert float(row["J_h"]) == pytest.approx(closed, rel=1e-10, abs=0.0)
+    assert float(row["J_c"]) == -float(row["J_h"])
 
 
 _GAUSSIAN_COLUMNS = (*CORRELATION_COLUMNS, "separable")
@@ -782,6 +810,18 @@ def test_fig2_bytes_match_the_point_path_on_every_tenth_scanline():
         for row in block:
             row["sigma_sign"] = int(np.sign(row["sigma"]))
     _assert_renders_like_reference(columns, blocks[stride], columns, reference)
+
+
+# sha256 prefixes of `qheatnet figN --out FILE`; any change to the bytes of a
+# local or global row shows here
+_PRESET_SHA256 = {"fig2": "a564e0450bd469a9", "fig3": "a8cbfba05544cc52", "fig4": "bfd6049278d23942"}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_SHA256))
+def test_preset_csv_bytes_are_pinned(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    assert cli.main([name, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _PRESET_SHA256[name]
 
 
 def test_renderer_edge_cells():

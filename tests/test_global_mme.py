@@ -216,8 +216,10 @@ def test_channel_table_boltzmann_factors():
     basis = normal_mode_basis(params)
     table = local_basis_generator(params)
     for channels, beta in ((table.hot, 1.0 / 3.0), (table.cold, 0.5)):
-        plus_like = [ch for ch in channels if ch.boltzmann == pytest.approx(math.exp(-beta * basis.omega_plus))]
-        minus_like = [ch for ch in channels if ch.boltzmann == pytest.approx(math.exp(-beta * basis.omega_minus))]
+        plus = pytest.approx(math.exp(-beta * basis.omega_plus), rel=1e-12, abs=0.0)
+        minus = pytest.approx(math.exp(-beta * basis.omega_minus), rel=1e-12, abs=0.0)
+        plus_like = [ch for ch in channels if ch.boltzmann == plus]
+        minus_like = [ch for ch in channels if ch.boltzmann == minus]
         assert len(plus_like) == 3
         assert len(minus_like) == 3
 
