@@ -13,10 +13,11 @@ exactly.
 A grid is checked and evaluated as a whole.  `validate` checks each field
 on its own, so each axis value is validated once, outer axis first, and a
 rejected value is a usage error before anything is computed.  Each
-treatment gives its result columns for the whole grid and a typed error or
-None per row: the local and global treatments from one kernel call over the
-grid's parameter columns, the Fock oracle point by point, and only the oracle
-needs a NetworkParams per point.  One writer puts the columns into one table
+treatment gives its result columns for the whole grid, named as in the
+table, and a typed error or None per row, all through `errors.by_row`: the
+local and global treatments from one kernel call over the grid's parameter
+columns, the Fock oracle point by point, and only the oracle needs a
+NetworkParams per point.  One writer puts the columns into one table
 of named columns, adding the Gaussian columns of bosonic rows from their
 moments in one call over the treatment's rows.  Blocks are views of
 row ranges of that table whose rows read as dicts.  Each block is rendered
@@ -107,26 +108,20 @@ class Block(Sequence):
         return {name: values[row] for name, values in self.table.items()}
 
 
-def _local_columns(delta: float, points: dict[str, list], params: list) -> tuple[dict, list]:
-    """The local rows of a grid from one call of the grid kernel."""
-    s = local_mme.steady_states(*(points[name] for name in _FLOAT_KEYS), delta)
-    values = (s.nA, s.nB, s.X, s.Y, s.J_h, s.J_c, s.sigma)
-    return dict(zip(_MOMENTS + _CURRENTS, values)), s.errors
+def _kernel(kernel, shared, points: dict[str, list], params: list) -> tuple[dict, list]:
+    """A grid kernel's rows from one call over the grid's parameter columns."""
+    return kernel(*(points[name] for name in _FLOAT_KEYS), shared)
 
 
-_GLOBAL_COLUMNS = (*_MOMENTS, "n_plus", "n_minus", *_CURRENTS, "secular_warning")
 _ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus")
 
 
-def _global_columns(statistics: Statistics, points: dict[str, list], params: list) -> tuple:
-    """The global rows of a grid from one call of the grid kernel."""
-    s = global_mme.steady_states(*(points[name] for name in _FLOAT_KEYS), statistics)
-    values = (s.nA, s.nB, s.X, s.Y, s.n_plus, s.n_minus, s.J_h, s.J_c, s.sigma, s.secular_warning)
-    return dict(zip(_GLOBAL_COLUMNS, values)), s.errors
-
-
 def _oracle_values(generator: str, n_max: int, params: NetworkParams) -> tuple:
-    """One oracle row in the order of _ORACLE_COLUMNS; only bosonic rows go past sigma."""
+    """One oracle row in the order of _ORACLE_COLUMNS.
+
+    The mode columns are None where the normal modes do not exist: for
+    two-level nodes, and at a gapless spectrum, whose moments are fine.
+    """
     from . import oracle  # scipy.sparse loads here, and only for oracle rows
 
     liou = oracle.build(params, oracle.Generator(generator), n_max)
@@ -134,24 +129,18 @@ def _oracle_values(generator: str, n_max: int, params: NetworkParams) -> tuple:
     m = oracle.moments(liou, rho)
     J_h = oracle.heat_current(liou, rho, "hot")
     J_c = oracle.heat_current(liou, rho, "cold")
-    values = (m.nA, m.nB, m.X, m.Y, J_h, J_c, -J_h / params.T_h - J_c / params.T_c)
+    modes = (None, None)
     if params.statistics is Statistics.BOSON:
         try:
-            values += oracle.mode_populations(liou, rho)
+            modes = oracle.mode_populations(liou, rho)
         except GaplessSpectrum:
-            values += (None, None)  # moments are fine, the mode decomposition just does not exist
-    return values
+            pass
+    return m.nA, m.nB, m.X, m.Y, J_h, J_c, -J_h / params.T_h - J_c / params.T_c, *modes
 
 
 def _oracle_columns(generator: str, n_max: int, points: dict, params: list) -> tuple:
-    """The rows of the oracle treatment with the named generator, solved point by point.
-
-    A failed row holds NaN, like a failed row of the kernels, until _write empties it.
-    """
-    values = partial(_oracle_values, generator, n_max)
-    # a row may stop short of the last names (see _oracle_values)
-    columns, errors = by_row(values, (params,), (math.nan,) * len(_ORACLE_COLUMNS))
-    return dict(zip(_ORACLE_COLUMNS, columns)), errors
+    """The rows of the oracle treatment with the named generator, solved point by point."""
+    return by_row(partial(_oracle_values, generator, n_max), (params,), _ORACLE_COLUMNS)
 
 
 def _treatments(approaches, fixed: NetworkParams, n_max: int) -> list:
@@ -163,8 +152,8 @@ def _treatments(approaches, fixed: NetworkParams, n_max: int) -> list:
     NetworkParams per point.
     """
     known = {
-        "local": partial(_local_columns, fixed.delta),
-        "global": partial(_global_columns, fixed.statistics),
+        "local": partial(_kernel, local_mme.steady_states, fixed.delta),
+        "global": partial(_kernel, global_mme.steady_states, fixed.statistics),
     }
     for generator in ("local", "global"):
         known[f"oracle-{generator}"] = partial(_oracle_columns, generator, n_max)
@@ -182,9 +171,9 @@ def _write(table: dict, rows: slice, columns: dict, errors: list, gaussian: bool
     A failed row keeps only its parameters and its first error.
     """
     if gaussian:
-        cells = moment_correlation_columns(*(columns[name] for name in _MOMENTS))
-        columns.update((name, getattr(cells, name)) for name in _CORRELATIONS)
-        errors = [error if error is not None else new for error, new in zip(errors, cells.errors)]
+        cells, cell_errors = moment_correlation_columns(*(columns[name] for name in _MOMENTS))
+        columns.update(cells)
+        errors = [error if error is not None else new for error, new in zip(errors, cell_errors)]
     failed = [i for i, error in enumerate(errors) if error is not None]
     for name, column in columns.items():
         for i in failed:

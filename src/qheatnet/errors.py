@@ -1,5 +1,6 @@
 """Error taxonomy shared by all modules, and the rule that a failing row fails alone."""
 
+import math
 from operator import itemgetter
 
 
@@ -51,21 +52,21 @@ class NonConvergence(HeatNetError):
     """The extracted null vector failed a residual, trace or positivity check."""
 
 
-def by_row(function, columns, failed: tuple, expected=HeatNetError) -> tuple[list[list], list]:
-    """function(*row) over the rows of equal-length columns, with its results as columns.
+def by_row(function, columns, fields: tuple[str, ...]) -> tuple[dict[str, list], list]:
+    """function(*row) over the rows of equal-length columns, with its results as named columns.
 
-    A row that raises `expected` gets the values `failed` and its error in
-    the returned list of errors, whose other entries are None: one bad row
-    never stops the others.  A row may stop short of `failed`; the result
-    columns keep what every row has.
+    Each row gives one value per name in `fields`, in that order.  A row
+    that raises a HeatNetError holds NaN in every field and its error in the
+    returned list of errors, whose other entries are None: one bad row
+    never stops the others.  Any other exception propagates.
     """
     rows, errors = [], []
+    failed = (math.nan,) * len(fields)
     for row in zip(*columns):
         try:
             rows.append(function(*row))
             errors.append(None)
-        except expected as exc:
+        except HeatNetError as exc:
             rows.append(failed)
             errors.append(exc)
-    width = min(map(len, rows), default=len(failed))
-    return [list(map(itemgetter(j), rows)) for j in range(width)], errors
+    return {name: list(map(itemgetter(j), rows)) for j, name in enumerate(fields)}, errors

@@ -28,7 +28,8 @@ being the occupations; as (n_> + 1) n_< >= nA nB, every physical V here is.
 `moment_correlations` takes this route for one set of moments and
 `moment_correlation_columns` for columns of them, row by row through the
 same arithmetic in Python floats (`math.hypot` is not numpy's), with one
-list per field instead of a report per row.
+list per name in FIELDS, the table's correlation columns, instead of a
+report per row.
 """
 
 import math
@@ -42,6 +43,9 @@ from .model import NormalModeBasis
 
 # Slack on the nu >= 1/2 bounds, absorbing eigenvalue round-off.
 SYMPLECTIC_TOLERANCE = 1e-10
+
+# The columns of moment_correlation_columns, named as in the CLI table.
+FIELDS = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "separable")
 
 # Symplectic form for the ordering (x_A, p_A, x_B, p_B).
 OMEGA = np.array(
@@ -129,26 +133,7 @@ def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
     return float(mods[0]), float(mods[2])
 
 
-@dataclass
-class CorrelationColumns:
-    """Column form of CorrelationReport: entry i of each list belongs to the i-th moments.
-
-    Moments that break the uncertainty bound leave their UnphysicalCovariance
-    in `errors` and None in every column; every other row's entry there is None.
-    The lists are the caller's to write into, so this is not frozen.
-    """
-
-    cor_xAxB: list
-    cor_xApB: list
-    cor_pAxB: list
-    cor_pApB: list
-    nu_min: list
-    nu_min_ppt: list
-    separable: list
-    errors: list[UnphysicalCovariance | None]
-
-
-def _correlation_row(nA: float, nB: float, X: float, Y: float) -> tuple:
+def _report_row(nA: float, nB: float, X: float, Y: float) -> tuple:
     """The fields of moment_correlations' report, in order; raises where it does."""
     a, b, c = nA + 0.5, nB + 0.5, 0.5 * math.hypot(X, Y)
     det = a * b - c * c
@@ -171,17 +156,22 @@ def moment_correlations(nA: float, nB: float, X: float, Y: float) -> Correlation
     and the partial transpose's are hypot(h, sqrt(ab - c^2)) +- |h|.  Each pair
     multiplies to ab - c^2, which gives its lower value without cancellation.
     """
-    return CorrelationReport(*_correlation_row(nA, nB, X, Y))
+    return CorrelationReport(*_report_row(nA, nB, X, Y))
 
 
-def moment_correlation_columns(nA, nB, X, Y) -> CorrelationColumns:
+def _correlation_row(nA: float, nB: float, X: float, Y: float) -> tuple:
+    """The report's fields named in FIELDS, in that order; raises where the report does."""
+    cor_xAxB, cor_xApB, cor_pAxB, cor_pApB, _, _, separable = _report_row(nA, nB, X, Y)
+    return cor_xAxB, cor_xApB, cor_pAxB, cor_pApB, separable
+
+
+def moment_correlation_columns(nA, nB, X, Y) -> tuple[dict, list]:
     """moment_correlations over equal-length columns of moments, without a report per row.
 
-    A row that breaks the uncertainty bound fails alone.
+    Returns a list per name in FIELDS and an UnphysicalCovariance or None per
+    row (see errors.by_row): a row that breaks the uncertainty bound fails alone.
     """
-    failed = (None,) * 7
-    columns, errors = by_row(_correlation_row, (nA, nB, X, Y), failed, UnphysicalCovariance)
-    return CorrelationColumns(*columns, errors=errors)
+    return by_row(_correlation_row, (nA, nB, X, Y), FIELDS)
 
 
 def correlations(cov: CovarianceMatrix) -> CorrelationReport:

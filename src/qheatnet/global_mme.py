@@ -19,13 +19,13 @@ rates.  The opposite regime is flagged via secular_warning instead of
 refused, since the algebra stays well defined.
 
 One kernel, `steady_states`, serves single points and grids alike: it maps
-parameter columns to result columns and a typed error or None per row, and
-`steady_state` is its size-1 case.  Rows are solved one by one in Python
-floats: the basis, rates and weights need `math`'s hypot and exp per element
-(numpy's differ in the last bit on some inputs, which would change the
-17-digit tables the CLI prints), and the two mode balances after them gained
-about a tenth in numpy on a 2 500-row grid but made one point many times
-slower.  The closed form and the channel table share only the basis and the
+parameter columns to the result columns named in FIELDS and a typed error or
+None per row, and `steady_state` is one `_row` call.  Rows are solved one by
+one in Python floats: the basis, rates and weights need `math`'s hypot and
+exp per element (numpy's differ in the last bit on some inputs, which would
+change the 17-digit tables the CLI prints), and the two mode balances after
+them gained about a tenth in numpy on a 2 500-row grid but made one point
+many times slower.  The closed form and the channel table share only the basis and the
 rates with the kernel: they are the other side of its audit.
 """
 
@@ -34,11 +34,14 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import bath
-from .errors import HeatNetError, SingularSystem, by_row
+from .errors import SingularSystem, by_row
 from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_modes
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
+
+# The result columns of a row, named as in the CLI table.
+FIELDS = ("n_A", "n_B", "X", "Y", "n_plus", "n_minus", "J_h", "J_c", "sigma", "secular_warning")
 
 
 @dataclass(frozen=True)
@@ -53,35 +56,6 @@ class GlobalSteadyState:
     J_c: float
     sigma: float
     secular_warning: bool
-    basis: NormalModeBasis  # the rotation the occupations were solved in
-
-
-@dataclass
-class GlobalSteadyStates:
-    """Column form of GlobalSteadyState: entry i of each list belongs to the i-th parameter set.
-
-    X = 2 cos(theta) sin(theta) (n_+ - n_-) and Y = 0 are the moments of the
-    node basis (see gaussian); omega_plus to s2 are the rows' NormalModeBasis.
-    A row that failed has its typed error in `errors` and NaN in every
-    column; every other row's entry there is None.  The lists are the
-    caller's to write into, so unlike GlobalSteadyState this is not frozen.
-    """
-
-    nA: list
-    nB: list
-    X: list
-    Y: list
-    n_plus: list
-    n_minus: list
-    J_h: list
-    J_c: list
-    sigma: list
-    secular_warning: list
-    omega_plus: list
-    omega_minus: list
-    c2: list
-    s2: list
-    errors: list[HeatNetError | None]
 
 
 @dataclass(frozen=True)
@@ -152,7 +126,11 @@ def _mode_balance(omega: float, k_h: float, x_h: float, k_c: float, x_c: float) 
 
 
 def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
-    """One row of GlobalSteadyStates, in its field order; raises the row's typed error."""
+    """One row in the order of FIELDS; raises the row's typed error.
+
+    X = 2 cos(theta) sin(theta) (n_+ - n_-) and Y = 0 are the moments of the
+    node basis (see gaussian).
+    """
     wp, wm, c2, s2 = normal_modes(omega_h, omega_c, epsilon, statistics)
     (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _rates(wp, wm, T_h, T_c, kappa)
     n_p, J_p = _mode_balance(wp, gh_p * c2, xh_p, gc_p * s2, xc_p)
@@ -162,37 +140,27 @@ def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> 
     X = 2.0 * math.sqrt(c2 * s2) * (n_p - n_m)
     warning = (wp - wm) < SECULAR_FACTOR * max(gh_p, gh_m, gc_p, gc_m)
     nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
-    return nA, nB, X, 0.0, n_p, n_m, J_h, J_c, sigma, warning, wp, wm, c2, s2
-
-
-_FAILED = (math.nan,) * 14  # the columns of a failed row
+    return nA, nB, X, 0.0, n_p, n_m, J_h, J_c, sigma, warning
 
 
 def steady_states(
     omega_h, omega_c, epsilon, T_h, T_c, kappa, statistics: Statistics
-) -> GlobalSteadyStates:
+) -> tuple[dict, list]:
     """Steady states of the global generator for equal-length parameter columns.
 
-    statistics is shared by every row.  A row's first error wins: the
-    statistics, the spectrum, the rates in the order h+, h-, c+, c-, then
-    the + mode's balance and the - mode's.
+    Returns a list per name in FIELDS and a typed error or None per row (see
+    errors.by_row).  statistics is shared by every row.  A row's first error
+    wins: the statistics, the spectrum, the rates in the order h+, h-, c+,
+    c-, then the + mode's balance and the - mode's.
     """
-    parameters = (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa)
-    columns, errors = by_row(_row, parameters, _FAILED)
-    return GlobalSteadyStates(*columns, errors=errors)
+    return by_row(_row, (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
 
 
 def steady_state(params: NetworkParams) -> GlobalSteadyState:
     """Steady state of the global generator from per-mode detailed balance."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    s = steady_states(*([value] for value in values), params.statistics)
-    if s.errors[0] is not None:
-        raise s.errors[0]
-    return GlobalSteadyState(
-        n_plus=s.n_plus[0], n_minus=s.n_minus[0], nA=s.nA[0], nB=s.nB[0], J_h=s.J_h[0],
-        J_c=s.J_c[0], sigma=s.sigma[0], secular_warning=s.secular_warning[0],
-        basis=NormalModeBasis(s.omega_plus[0], s.omega_minus[0], s.c2[0], s.s2[0]),
-    )
+    nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = _row(params.statistics, *values)
+    return GlobalSteadyState(n_p, n_m, nA, nB, J_h, J_c, sigma, warning)
 
 
 def heat_current_closed_form(params: NetworkParams) -> float:

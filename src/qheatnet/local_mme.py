@@ -29,12 +29,13 @@ changes sign with exp(beta_c omega_c) - exp(beta_h omega_h), which is the
 whole point of auditing this treatment.
 
 One kernel, `steady_states`, serves single points and grids alike: it runs
-each row in Python floats through `errors.by_row`, like the global kernel,
-and `steady_state` is its size-1 case.  The weights use `math`'s exp and
-expm1: numpy's differ in the last bit on some inputs, which would change the
-17-digit tables the CLI prints.  A failing row (a rate, moment or current
-beyond the float range, a system singular to working precision) carries its
-typed error in the result and never stops the other rows.
+`_row` on each row in Python floats through `errors.by_row`, like the global
+kernel, and returns the columns named in FIELDS; `steady_state` is one `_row`
+call.  The weights use `math`'s exp and expm1: numpy's differ in the last
+bit on some inputs, which would change the 17-digit tables the CLI prints.
+A failing row (a rate, moment or current beyond the float range, a system
+singular to working precision) carries its typed error in the result and
+never stops the other rows.
 """
 
 import math
@@ -44,8 +45,11 @@ from itertools import repeat
 import numpy as np
 
 from . import bath
-from .errors import HeatNetError, RateOverflow, SingularSystem, by_row
+from .errors import RateOverflow, SingularSystem, by_row
 from .model import NetworkParams
+
+# The result columns of a row, named as in the CLI table.
+FIELDS = ("n_A", "n_B", "X", "Y", "J_h", "J_c", "sigma")
 
 
 @dataclass(frozen=True)
@@ -69,25 +73,6 @@ class LocalSteadyState:
     J_h: float
     J_c: float
     sigma: float
-
-
-@dataclass
-class LocalSteadyStates:
-    """Column form of LocalSteadyState: entry i of each list belongs to the i-th parameter set.
-
-    A row that failed has its typed error in `errors` and NaN in every
-    column; every other row's entry there is None.  The lists are the
-    caller's to write into, so unlike LocalSteadyState this is not frozen.
-    """
-
-    nA: list
-    nB: list
-    X: list
-    Y: list
-    J_h: list
-    J_c: list
-    sigma: list
-    errors: list[HeatNetError | None]
 
 
 def _coefficients(
@@ -134,7 +119,7 @@ def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, fl
 
 
 def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
-    """One row of LocalSteadyStates, in its field order; raises the row's typed error.
+    """One row in the order of FIELDS; raises the row's typed error.
 
     Rates enter as g_l = G_l / S and q_l = p_l / S; S, gap and epsilon as
     s, d, e over a power of two above S / 2, |gap| and epsilon, so no product
@@ -165,18 +150,15 @@ def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
     return nA, nB, X, Y, J_h, J_c, sigma
 
 
-_FAILED = (math.nan,) * 7  # the columns of a failed row
-
-
-def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> LocalSteadyStates:
+def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> tuple[dict, list]:
     """Steady states of the local moment system for equal-length parameter columns.
 
-    delta is the statistics' sign, shared by every row.  Columns are lists
-    of Python floats: numpy scalars would follow numpy's overflow rules.
+    Returns a list per name in FIELDS and a typed error or None per row (see
+    errors.by_row).  delta is the statistics' sign, shared by every row.
+    Columns are lists of Python floats: numpy scalars would follow numpy's
+    overflow rules.
     """
-    parameters = (repeat(delta), omega_h, omega_c, epsilon, T_h, T_c, kappa)
-    columns, errors = by_row(_row, parameters, _FAILED)
-    return LocalSteadyStates(*columns, errors=errors)
+    return by_row(_row, (repeat(delta), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
 
 
 def steady_state(params: NetworkParams) -> LocalSteadyState:

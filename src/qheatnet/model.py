@@ -160,6 +160,8 @@ def normal_modes(
     (the lower eigenfrequency would not be positive).  When eps**2 and
     omega_h * omega_c both overflow and the spectrum is gapped, omega_+ >= eps
     puts every rate beyond the float range, and RateOverflow is raised here.
+    It is raised too when omega_+ itself overflows, since every rate at
+    omega_+ would.
     """
     if statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
@@ -176,6 +178,8 @@ def normal_modes(
     half_gap = 0.5 * (omega_h - omega_c)
     r = math.hypot(half_gap, eps)
     omega_plus = 0.5 * (omega_h + omega_c) + r
+    if math.isinf(omega_plus):
+        raise RateOverflow(f"omega_+ of omega_h = {omega_h!r}, omega_c = {omega_c!r} overflows")
     # omega_- via the determinant avoids the mid - r cancellation.
     omega_minus = det / omega_plus
     if 0.0 < r < 1e-150:

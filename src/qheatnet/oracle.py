@@ -257,8 +257,8 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
 
     Raises DegenerateNullspace when a diagonal block of the elimination is
     singular or the recursion returns non-finite entries or a trace that is
-    0 or not finite (no unique steady state), NonConvergence when the
-    returned state fails the residual or positivity checks, and
+    not positive or not finite (no unique steady state), NonConvergence when
+    the returned state fails the residual or positivity checks, and
     TruncationTooSmall when a bosonic state noticeably populates the top
     Fock level, which means the numbers describe the truncation rather than
     the network.
@@ -292,7 +292,7 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     rho = flat.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     trace = float(np.trace(rho).real)
-    if not (math.isfinite(trace) and trace != 0):
+    if not (math.isfinite(trace) and trace > 0):
         raise DegenerateNullspace(f"block recursion returned a state of trace {trace!r}")
     rho = rho / trace
     residual = float(np.max(np.abs(apply(liou.terms, rho))))

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import qheatnet
-from qheatnet import cli, errors, global_mme, oracle
+from qheatnet import cli, errors, gaussian, global_mme, local_mme, oracle
 from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
@@ -183,6 +183,31 @@ def test_a_zero_trace_oracle_state_fails_its_row(capsys):
     assert [r["approach"] for r in rows[:2]] == ["local", "global"]
 
 
+def test_a_negative_trace_oracle_state_fails_its_row(capsys):
+    # the block recursion anchors the vacuum at 1 and returns large negative
+    # populations above it; normalising that would hand a wrong state to the guards
+    argv = [
+        "point", "--kappa", "2.442053094548475e-31", "--T-h", "3.906939937054429e+79",
+        "--oracle", "--nmax", "2", "--approach", "local",
+    ]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["approach"], r["error"]) for r in rows] == [
+        ("local", ""),
+        ("oracle-local", "DegenerateNullspace"),
+    ]
+
+
+def test_an_overflowing_upper_mode_is_a_rate_overflow(capsys):
+    # omega_h + omega_c overflows, so omega_+ does, and every rate at it would
+    assert cli.main(["point", "--omega-h", "1e308", "--omega-c", "1e308", "--epsilon", "0"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["approach"], r["error"]) for r in rows] == [
+        ("local", "RateOverflow"),
+        ("global", "RateOverflow"),
+    ]
+
+
 def test_rate_overflow_lands_in_the_error_column():
     rows = cli.run_point(NetworkParams(omega_h=1e200), ("local", "global"))
     assert [(r["approach"], r["error"]) for r in rows] == [
@@ -300,6 +325,36 @@ def test_gapless_oracle_row_leaves_the_mode_columns_empty():
     assert brute["n_plus"] is None and brute["n_minus"] is None
     for column in ("n_A", "n_B", "J_h", *CORRELATION_COLUMNS):
         assert brute[column] == pytest.approx(local[column], rel=0.0, abs=1e-8), column
+
+
+def test_every_treatment_names_its_row_in_the_table():
+    # one row contract from kernel to table: each treatment's fields are
+    # columns of the table, and its row function gives one value per field
+    treatments = (local_mme.FIELDS, global_mme.FIELDS, gaussian.FIELDS, cli._ORACLE_COLUMNS)
+    for fields in treatments:
+        assert len(set(fields)) == len(fields) and set(fields) <= set(cli.COLUMNS), fields
+    # cold enough for n_max = 3 on both generators
+    boson = NetworkParams(T_h=1.0, T_c=0.8)
+    tls = replace(boson, statistics=Statistics.TLS)
+    values = tuple(getattr(boson, name) for name in _FLOAT_KEYS)
+    local = local_mme._row(boson.delta, *values)
+    rows = [
+        (local_mme.FIELDS, local),
+        (local_mme.FIELDS, local_mme._row(tls.delta, *values)),
+        (global_mme.FIELDS, global_mme._row(Statistics.BOSON, *values)),
+        (gaussian.FIELDS, gaussian._correlation_row(*local[:4])),
+    ]
+    rows += [
+        (cli._ORACLE_COLUMNS, cli._oracle_values(generator, 3, params))
+        for generator, params in (("local", boson), ("global", boson), ("local", tls))
+    ]
+    for fields, row in rows:
+        assert len(row) == len(fields), fields
+    # two-level nodes have no normal modes: the global rows fail whole
+    with pytest.raises(errors.UnsupportedStatistics):
+        global_mme._row(Statistics.TLS, *values)
+    with pytest.raises(errors.UnsupportedStatistics):
+        cli._oracle_values("global", 3, tls)
 
 
 def test_unknown_approach_raises(monkeypatch):
@@ -682,13 +737,13 @@ def test_an_unphysical_covariance_empties_only_its_row(approach, monkeypatch):
     calls = []
 
     def fail_on_target(*columns):
-        cells = moment_correlation_columns(*columns)
+        cells, cell_errors = moment_correlation_columns(*columns)
         rows = list(zip(*columns))
         calls.append(rows)
         for i, row in enumerate(rows):
             if row == moments:
-                cells.errors[i] = errors.UnphysicalCovariance("chosen row")
-        return cells
+                cell_errors[i] = errors.UnphysicalCovariance("chosen row")
+        return cells, cell_errors
 
     monkeypatch.setattr(cli, "moment_correlation_columns", fail_on_target)
     got = [row for block in cli.sweep_blocks(base, axes, ("local", "global")) for row in block]

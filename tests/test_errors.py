@@ -1,8 +1,10 @@
-"""Tests for errors.by_row: one failing row fails alone, results come back as columns."""
+"""Tests for errors.by_row: one failing row fails alone, results come back as named columns."""
+
+import math
 
 import pytest
 
-from qheatnet.errors import GaplessSpectrum, HeatNetError, RateOverflow, by_row
+from qheatnet.errors import GaplessSpectrum, RateOverflow, by_row
 
 
 def _divide(a, b):
@@ -11,37 +13,25 @@ def _divide(a, b):
     return a / b, a * b
 
 
-def test_a_failing_row_gets_the_failed_values_and_its_error():
-    columns, errors = by_row(_divide, ([1.0, 2.0, 3.0], [2.0, 0.0, 4.0]), (None, None))
-    assert columns == [[0.5, None, 0.75], [2.0, None, 12.0]]
+def test_a_failing_row_holds_nan_in_every_field_and_its_error():
+    columns, errors = by_row(_divide, ([1.0, 2.0, 3.0], [2.0, 0.0, 4.0]), ("ratio", "product"))
+    assert list(columns) == ["ratio", "product"]
+    assert columns["ratio"][::2] == [0.5, 0.75] and columns["product"][::2] == [2.0, 12.0]
+    assert math.isnan(columns["ratio"][1]) and math.isnan(columns["product"][1])
     assert errors[0] is None and errors[2] is None
     assert type(errors[1]) is RateOverflow and errors[1].args == ("2.0/0",)
 
 
-def test_only_the_expected_errors_are_caught():
+def test_every_heat_net_error_is_caught_and_nothing_else():
+    def gapless(a):
+        raise GaplessSpectrum(f"at {a}")
+
+    columns, errors = by_row(gapless, ([1.0],), ("value",))
+    assert math.isnan(columns["value"][0]) and type(errors[0]) is GaplessSpectrum
     with pytest.raises(ZeroDivisionError):
-        by_row(lambda a: (1 / a,), ([1.0, 0.0],), (None,))
-    # a HeatNetError outside `expected` propagates too
-    with pytest.raises(RateOverflow):
-        by_row(_divide, ([1.0], [0.0]), (None, None), expected=GaplessSpectrum)
-    columns, errors = by_row(_divide, ([1.0], [0.0]), (None, None), expected=HeatNetError)
-    assert columns == [[None], [None]] and type(errors[0]) is RateOverflow
+        by_row(lambda a: (1 / a,), ([1.0, 0.0],), ("inverse",))
 
 
-def test_rows_shorter_than_failed_cut_the_columns_to_the_common_width():
-    # like the oracle's two-level rows, which stop before the mode populations
-    def values(a):
-        if a < 0:
-            raise GaplessSpectrum("negative")
-        return (a, 2 * a) if a < 10 else (a, 2 * a, 3 * a)
-
-    columns, errors = by_row(values, ([1, 20, -1],), (None,) * 3)
-    assert columns == [[1, 20, None], [2, 40, None]]
-    assert [type(e) for e in errors] == [type(None), type(None), GaplessSpectrum]
-    columns, _ = by_row(values, ([20, -1],), (None,) * 3)
-    assert columns == [[20, None], [40, None], [60, None]]
-
-
-def test_empty_input_gives_one_empty_column_per_failed_value():
-    columns, errors = by_row(_divide, ([], []), (None, None, None))
-    assert columns == [[], [], []] and errors == []
+def test_empty_input_gives_one_empty_list_per_field():
+    columns, errors = by_row(_divide, ([], []), ("a", "b", "c"))
+    assert columns == {"a": [], "b": [], "c": []} and errors == []

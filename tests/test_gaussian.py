@@ -221,9 +221,10 @@ def _row_moments(draw, seed: int, count: int):
             state = global_mme.steady_state(params)
         except HeatNetError:
             continue
-        X = 2.0 * state.basis.cs * (state.n_plus - state.n_minus)
-        yield (state.nA, state.nB, X, 0.0), lambda s=state: gaussian.covariance_global(
-            s.basis, s.n_plus, s.n_minus
+        basis = model.normal_mode_basis(params)
+        X = 2.0 * basis.cs * (state.n_plus - state.n_minus)
+        yield (state.nA, state.nB, X, 0.0), lambda s=state, b=basis: gaussian.covariance_global(
+            b, s.n_plus, s.n_minus
         )
 
 
@@ -326,20 +327,20 @@ def test_column_form_matches_the_scalar_row_by_row():
         (1e300, 1e300, 1e300, -1e300),
     ]
     batch += [_with(i, v) for v in (math.nan, math.inf, -math.inf) for i in range(4)]
-    columns = gaussian.moment_correlation_columns(*zip(*batch))
-    fields = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "nu_min", "nu_min_ppt", "separable")
-    assert len(columns.errors) == len(batch) and len(batch) > 200
+    columns, errors = gaussian.moment_correlation_columns(*zip(*batch))
+    assert tuple(columns) == gaussian.FIELDS
+    assert len(errors) == len(batch) and len(batch) > 200
     failed = 0
     for i, moments in enumerate(batch):
         try:
             report = gaussian.moment_correlations(*moments)
         except UnphysicalCovariance as exc:
             failed += 1
-            assert type(columns.errors[i]) is UnphysicalCovariance, moments
-            assert str(columns.errors[i]) == str(exc)
-            assert all(getattr(columns, name)[i] is None for name in fields), moments
+            assert type(errors[i]) is UnphysicalCovariance, moments
+            assert str(errors[i]) == str(exc)
+            assert all(math.isnan(columns[name][i]) for name in gaussian.FIELDS), moments
             continue
-        assert columns.errors[i] is None, moments
-        for name in fields:
-            assert _same_cell(getattr(columns, name)[i], getattr(report, name)), (moments, name)
+        assert errors[i] is None, moments
+        for name in gaussian.FIELDS:
+            assert _same_cell(columns[name][i], getattr(report, name)), (moments, name)
     assert failed >= 17

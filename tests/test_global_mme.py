@@ -252,31 +252,33 @@ def test_kernel_rows_are_independent_of_their_batch():
         NetworkParams(T_h=1e17, T_c=1e17),
         NetworkParams(omega_h=1e80),
     ]
-    states = _kernel(points)
+    states, row_errors = _kernel(points)
     errors = set()
     for i, params in enumerate(points):
         try:
             want = steady_state(params)
         except HeatNetError as exc:
             errors.add(type(exc))
-            assert type(states.errors[i]) is type(exc) and str(states.errors[i]) == str(exc)
+            assert type(row_errors[i]) is type(exc) and str(row_errors[i]) == str(exc)
             continue
-        assert states.errors[i] is None
-        got = (states.n_plus[i], states.n_minus[i], states.nA[i], states.nB[i], states.J_h[i])
-        expected = (want.n_plus, want.n_minus, want.nA, want.nB, want.J_h)
-        assert np.array_equal(got, expected, equal_nan=True), params
+        assert row_errors[i] is None
+        got = [states[name][i] for name in ("n_plus", "n_minus", "n_A", "n_B", "J_h", "J_c")]
+        got += [states["sigma"][i], states["secular_warning"][i]]
+        expected = (want.n_plus, want.n_minus, want.nA, want.nB, want.J_h, want.J_c, want.sigma)
+        assert np.array_equal(got, [*expected, want.secular_warning], equal_nan=True), params
         # X as the rows printed it before the kernel: 2 cs (n_+ - n_-) from the basis
-        assert states.X[i] == 2.0 * want.basis.cs * (want.n_plus - want.n_minus)
-        assert states.Y[i] == 0.0 and want.basis == normal_mode_basis(params)
+        basis = normal_mode_basis(params)
+        assert states["X"][i] == 2.0 * basis.cs * (want.n_plus - want.n_minus)
+        assert states["Y"][i] == 0.0
     assert errors == {GaplessSpectrum, RateOverflow, SingularSystem}
 
 
 def test_kernel_error_order():
     # two-level nodes fail every row before anything else is looked at
     tls = [NetworkParams(statistics=Statistics.TLS), NetworkParams(omega_h=1e200, epsilon=9.0)]
-    assert [type(e) for e in _kernel(tls, Statistics.TLS).errors] == [UnsupportedStatistics] * 2
+    assert [type(e) for e in _kernel(tls, Statistics.TLS)[1]] == [UnsupportedStatistics] * 2
     # a gapless row fails before its rates would overflow
-    (error,) = _kernel([NetworkParams(omega_h=1e200, omega_c=1e-200, epsilon=1.0)]).errors
+    (error,) = _kernel([NetworkParams(omega_h=1e200, omega_c=1e-200, epsilon=1.0)])[1]
     assert type(error) is GaplessSpectrum
     # the + mode's balance fails before the - mode's; at T = 1e17 only the
     # - mode has no net decay
@@ -284,6 +286,6 @@ def test_kernel_error_order():
         (NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320), "omega_plus"),
         (NetworkParams(T_h=1e17, T_c=1e17), "omega_minus"),
     ):
-        (error,) = _kernel([params]).errors
+        (error,) = _kernel([params])[1]
         assert type(error) is SingularSystem
         assert f"omega = {getattr(normal_mode_basis(params), mode)!r} " in str(error)

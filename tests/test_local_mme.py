@@ -159,9 +159,9 @@ def test_non_finite_moments_are_a_singular_system():
         [getattr(p, name) for p in points]
         for name in ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
     ]
-    states = steady_states(*columns, Statistics.TLS.delta)
-    assert isinstance(states.errors[0], SingularSystem) and states.errors[1] is None
-    assert all(math.isfinite(column[1]) for column in (states.nA, states.nB, states.X, states.Y))
+    states, errors = steady_states(*columns, Statistics.TLS.delta)
+    assert isinstance(errors[0], SingularSystem) and errors[1] is None
+    assert all(math.isfinite(states[name][1]) for name in ("n_A", "n_B", "X", "Y"))
 
 
 def test_current_sign_follows_exponential_contrast():
@@ -268,15 +268,15 @@ def test_grid_kernel_matches_the_dense_solve_and_the_generator_currents(statisti
         [getattr(p, name) for p in points]
         for name in ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
     ]
-    states = steady_states(*columns, statistics.delta)
-    failed = [i for i, error in enumerate(states.errors) if error is not None]
+    states, errors = steady_states(*columns, statistics.delta)
+    failed = [i for i, error in enumerate(errors) if error is not None]
     assert failed == [100, 101]
-    assert type(states.errors[100]) is SingularSystem and type(states.errors[101]) is RateOverflow
+    assert type(errors[100]) is SingularSystem and type(errors[101]) is RateOverflow
     unit = np.finfo(float).eps
     for i, params in enumerate(points):
         if i in failed:
             continue
-        m = MomentState(states.nA[i], states.nB[i], states.X[i], states.Y[i])
+        m = MomentState(*(states[name][i] for name in ("n_A", "n_B", "X", "Y")))
         # a backward-stable dense solve is good to a few units of cond(A) eps
         A, v = affine_system(params)
         want = np.linalg.solve(A, -v)
@@ -284,12 +284,12 @@ def test_grid_kernel_matches_the_dense_solve_and_the_generator_currents(statisti
         assert gap == 0.0 or gap <= 8.0 * unit * np.linalg.cond(A) * np.max(np.abs(want)), params
         # the currents are the generator expectations, good to the rounding
         # of the terms that cancel in them (absolute among subnormal terms)
-        for terms, want_J in zip(_generator_currents(params, m), (states.J_h[i], -states.J_h[i])):
+        J_h, J_c = states["J_h"][i], states["J_c"][i]
+        for terms, want_J in zip(_generator_currents(params, m), (J_h, -J_h)):
             bound = 1e-13 * sum(map(abs, terms)) + 4.0 * math.ulp(0.0)
             assert abs(sum(terms) - want_J) <= bound, params
-        assert states.J_c[i] == -states.J_h[i]
-        sigma = -states.J_h[i] / params.T_h - states.J_c[i] / params.T_c
-        assert states.sigma[i] == sigma
+        assert J_c == -J_h
+        assert states["sigma"][i] == -J_h / params.T_h - J_c / params.T_c
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
