@@ -7,8 +7,10 @@ transition at frequency Omega >= 0 into a bath at temperature T is
 
 which already contains the bath occupation; matching upward rates follow by
 the detailed-balance factor exp(-Omega/T), applied by the generators.
-`rate` is the one function here: the local treatment calls it at the bare
-node frequencies, the global one at the dressed normal-mode frequencies.
+`rate` is the one function here.  The global treatment calls it at the
+dressed normal-mode frequencies.  The local kernel's `_node` forms
+kappa * omega**3 itself at the bare node frequencies and calls `rate` only
+where omega/T underflows to 0.
 """
 
 import math
@@ -25,7 +27,8 @@ def rate(omega: float, T: float, kappa: float) -> float:
     behaviour kappa * T * omega**2 comes out to machine precision, and it is
     the rate itself where omega/T underflows to 0.  Negative
     frequencies are a caller bug, not a limit, and raise NegativeFrequency.
-    A rate beyond the float range raises RateOverflow.
+    Where omega**3 alone overflows, kappa scales omega first, one factor at
+    a time; a rate beyond the float range even so raises RateOverflow.
     """
     if not math.isfinite(omega):
         raise NegativeFrequency(f"transition frequency must be finite, got {omega!r}")
@@ -41,7 +44,8 @@ def rate(omega: float, T: float, kappa: float) -> float:
         else:
             value = kappa * omega**3 / -math.expm1(-x)
     except OverflowError:
-        value = math.inf
+        # omega**3 alone overflows; kappa first may bring the product back in range
+        value = kappa * omega * omega * omega / -math.expm1(-x)
     if not math.isfinite(value):
         raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
     return value

@@ -13,14 +13,13 @@ exactly.
 A grid is checked and evaluated as a whole.  `validate` checks each field
 on its own, so each axis value is validated once, outer axis first, and a
 rejected value is a usage error before anything is computed.  Each
-treatment gives its result columns for the whole grid, named as in the
-table, and a typed error or None per row, all through `errors.by_row`: the
-local and global treatments from one kernel call over the grid's parameter
-columns, the Fock oracle point by point, and only the oracle needs a
-NetworkParams per point.  One writer puts the columns into one table
-of named columns, adding the Gaussian columns of bosonic rows from their
-moments in one call over the treatment's rows.  Blocks are views of
-row ranges of that table whose rows read as dicts.  Each block is rendered
+treatment is one function of the grid's six parameter columns that gives
+its result columns for the whole grid, named as in the table, and a typed
+error or None per row, all through `errors.by_row`; the Fock oracle builds
+its own NetworkParams from each row's floats.  One writer puts the columns
+into one table of named columns, adding the Gaussian columns of bosonic rows
+from their moments in one call over the treatment's rows.  Blocks are views
+of row ranges of that table whose rows read as dicts.  Each block is rendered
 as one printf template per row, built from one table from cell type (float,
 int, bool, str, None) to formatter: a column holding one object throughout
 the block is formatted once into the template, a column of floats, ints or
@@ -108,29 +107,25 @@ class Block(Sequence):
         return {name: values[row] for name, values in self.table.items()}
 
 
-def _kernel(kernel, shared, points: dict[str, list], params: list) -> tuple[dict, list]:
-    """A grid kernel's rows from one call over the grid's parameter columns."""
-    return kernel(*(points[name] for name in _FLOAT_KEYS), shared)
-
-
 _ORACLE_COLUMNS = (*_MOMENTS, *_CURRENTS, "n_plus", "n_minus")
 
 
-def _oracle_values(generator: str, n_max: int, params: NetworkParams) -> tuple:
-    """One oracle row in the order of _ORACLE_COLUMNS.
+def _oracle_values(generator: str, n_max: int, statistics: Statistics, *values: float) -> tuple:
+    """One oracle row of the six parameter floats, in the order of _ORACLE_COLUMNS.
 
     The mode columns are None where the normal modes do not exist: for
     two-level nodes, and at a gapless spectrum, whose moments are fine.
     """
     from . import oracle  # scipy.sparse loads here, and only for oracle rows
 
+    params = NetworkParams(*values, statistics)
     liou = oracle.build(params, oracle.Generator(generator), n_max)
     rho = oracle.steady_state(liou)
     m = oracle.moments(liou, rho)
     J_h = oracle.heat_current(liou, rho, "hot")
     J_c = oracle.heat_current(liou, rho, "cold")
     modes = (None, None)
-    if params.statistics is Statistics.BOSON:
+    if statistics is Statistics.BOSON:
         try:
             modes = oracle.mode_populations(liou, rho)
         except GaplessSpectrum:
@@ -138,25 +133,20 @@ def _oracle_values(generator: str, n_max: int, params: NetworkParams) -> tuple:
     return m.nA, m.nB, m.X, m.Y, J_h, J_c, -J_h / params.T_h - J_c / params.T_c, *modes
 
 
-def _oracle_columns(generator: str, n_max: int, points: dict, params: list) -> tuple:
-    """The rows of the oracle treatment with the named generator, solved point by point."""
-    return by_row(partial(_oracle_values, generator, n_max), (params,), _ORACLE_COLUMNS)
-
-
 def _treatments(approaches, fixed: NetworkParams, n_max: int) -> list:
     """Each approach as a function of the grid; an unknown one raises ValueError.
 
-    columns(points, params) gives the approach's result columns by name for the
-    whole grid and a typed error or None per row.  The local and global kernels
-    read the parameter columns in `points`; only the oracle reads `params`, one
-    NetworkParams per point.
+    columns(*points) takes the grid's six parameter columns in _FLOAT_KEYS
+    order and gives the approach's result columns by name and a typed error
+    or None per row.
     """
     known = {
-        "local": partial(_kernel, local_mme.steady_states, fixed.delta),
-        "global": partial(_kernel, global_mme.steady_states, fixed.statistics),
+        "local": partial(local_mme.steady_states, delta=fixed.delta),
+        "global": partial(global_mme.steady_states, statistics=fixed.statistics),
     }
     for generator in ("local", "global"):
-        known[f"oracle-{generator}"] = partial(_oracle_columns, generator, n_max)
+        row = partial(_oracle_values, generator, n_max, fixed.statistics)
+        known[f"oracle-{generator}"] = lambda *points, row=row: by_row(row, points, _ORACLE_COLUMNS)
     try:
         return [known[approach] for approach in approaches]
     except KeyError as exc:
@@ -182,14 +172,9 @@ def _write(table: dict, rows: slice, columns: dict, errors: list, gaussian: bool
     table["error"][rows] = ["" if error is None else type(error).__name__ for error in errors]
 
 
-def run_point(
-    params: NetworkParams,
-    approaches: tuple[str, ...],
-    n_max: int = 12,
-    with_correlations: bool = True,
-) -> Block:
+def run_point(params: NetworkParams, approaches: tuple[str, ...], n_max: int = 12) -> Block:
     """One row per requested treatment; failures become the row's error column."""
-    return sweep_blocks(params, [], approaches, n_max, with_correlations)[0]
+    return sweep_blocks(params, [], approaches, n_max)[0]
 
 
 def _check_axes(fixed: NetworkParams, axes: list[tuple[str, np.ndarray]]) -> None:
@@ -236,10 +221,6 @@ def sweep_blocks(
         points[axes[0][0]] = [value for value in axes[0][1].tolist() for _ in range(inner)]
     if len(axes) == 2:
         points[axes[1][0]] = axes[1][1].tolist() * shape[0]
-    # each point's NetworkParams, built once and only for the oracle, which solves point by point
-    params = []
-    if any(approach.startswith("oracle-") for approach in approaches):
-        params = [replace(fixed, **{n: points[n][i] for n in _FLOAT_KEYS}) for i in range(count)]
     width = len(approaches)
     blank = {"statistics": fixed.statistics.value, "error": ""}  # None in every other column
     table = {name: [blank.get(name)] * (count * width) for name in COLUMNS}
@@ -248,7 +229,7 @@ def sweep_blocks(
     for k, columns in enumerate(treatments):
         for name in _FLOAT_KEYS:
             table[name][k::width] = points[name]
-        _write(table, slice(k, None, width), *columns(points, params), gaussian)
+        _write(table, slice(k, None, width), *columns(*(points[n] for n in _FLOAT_KEYS)), gaussian)
     size = inner * width
     return [Block(table, k * size, (k + 1) * size) for k in range(shape[0] if axes else 1)]
 

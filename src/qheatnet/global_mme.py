@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import bath
-from .errors import SingularSystem, by_row
+from .errors import RateOverflow, SingularSystem, by_row
 from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_modes
 
 # Warn when the mode splitting is within this factor of the fastest rate.
@@ -140,6 +140,8 @@ def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> 
     X = 2.0 * math.sqrt(c2 * s2) * (n_p - n_m)
     warning = (wp - wm) < SECULAR_FACTOR * max(gh_p, gh_m, gc_p, gc_m)
     nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
+    if not math.isfinite(n_p + n_m + nA + nB + X + J_h + sigma):  # an inf or NaN shows here
+        raise RateOverflow("the steady occupations or currents overflow")
     return nA, nB, X, 0.0, n_p, n_m, J_h, J_c, sigma, warning
 
 
@@ -151,7 +153,8 @@ def steady_states(
     Returns a list per name in FIELDS and a typed error or None per row (see
     errors.by_row).  statistics is shared by every row.  A row's first error
     wins: the statistics, the spectrum, the rates in the order h+, h-, c+,
-    c-, then the + mode's balance and the - mode's.
+    c-, the + mode's balance and the - mode's, then an occupation or
+    current beyond the float range.
     """
     return by_row(_row, (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
 

@@ -180,8 +180,12 @@ def normal_modes(
     omega_plus = 0.5 * (omega_h + omega_c) + r
     if math.isinf(omega_plus):
         raise RateOverflow(f"omega_+ of omega_h = {omega_h!r}, omega_c = {omega_c!r} overflows")
-    # omega_- via the determinant avoids the mid - r cancellation.
-    omega_minus = det / omega_plus
+    # omega_- via the determinant avoids the mid - r cancellation; once
+    # omega_h * omega_c overflows, each product is divided by omega_+ first.
+    if math.isinf(product):
+        omega_minus = (omega_h / omega_plus) * omega_c - eps * (eps / omega_plus)
+    else:
+        omega_minus = det / omega_plus
     if 0.0 < r < 1e-150:
         # eps**2 and r**2 would underflow; the rotation depends only on ratios to r.
         half_gap, eps = half_gap / r, eps / r

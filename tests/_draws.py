@@ -1,6 +1,6 @@
 """Seeded random parameter draws shared across the test modules.
 
-Four families, each sized for what the consuming check can tolerate:
+Five families, each sized for what the consuming check can tolerate:
 
   generic_params   broad valid ranges; epsilon capped at half the smaller
                    frequency so the spectrum never goes gapless.
@@ -16,6 +16,10 @@ Four families, each sized for what the consuming check can tolerate:
                    couplings log-uniform down to 1e-300 and one draw in five
                    two-level, for robustness checks that accept a typed
                    error in place of numbers.
+  whole_range_params
+                   every field log-uniform over [1e-300, 1e300], seven
+                   draws in ten bosonic: the whole float range, for the
+                   same kind of check.
 """
 
 import numpy as np
@@ -95,3 +99,8 @@ def extreme_params(rng: np.random.Generator) -> NetworkParams:
         kappa=_loguniform(rng, 1e-300, 1e-1),
         statistics=Statistics.TLS if rng.uniform() < 0.2 else Statistics.BOSON,
     )
+
+
+def whole_range_params(rng: np.random.Generator) -> NetworkParams:
+    values = [_loguniform(rng, 1e-300, 1e300) for _ in range(6)]
+    return NetworkParams(*values, Statistics.BOSON if rng.uniform() < 0.7 else Statistics.TLS)

@@ -74,6 +74,11 @@ def test_rate_overflow_is_typed(kappa, omega):
         bath.rate(omega, 1.0, kappa)
 
 
+def test_rate_where_only_omega_cubed_overflows():
+    # omega**3 = 1e330 is beyond the float range, kappa omega^3 = 1e30 is not
+    assert bath.rate(1e110, 12.0, 1e-300) == pytest.approx(1e30, rel=1e-15, abs=0.0)
+
+
 def test_dressed_rates_bracket_local_rate():
     # omega_- < omega_h < omega_+ and the response is monotone
     params = NetworkParams(omega_h=6.0, omega_c=5.0, epsilon=1.0, T_h=12.0, T_c=10.0, kappa=1e-5)

@@ -26,7 +26,7 @@ from qheatnet import cli, errors, gaussian, global_mme, local_mme, oracle
 from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
-from _draws import cold_params, contrast_params, extreme_params, generic_params
+from _draws import cold_params, contrast_params, extreme_params, generic_params, whole_range_params
 
 EXPECTED_HEADER = (
     "approach,omega_h,omega_c,epsilon,T_h,T_c,kappa,statistics,"
@@ -216,23 +216,73 @@ def test_rate_overflow_lands_in_the_error_column():
     ]
 
 
+_TYPED_ERRORS = {
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.HeatNetError)
+}
+
+
 def test_run_point_never_raises_over_extreme_draws():
     # finite currents or a typed error on every row; the first law is not
     # asserted here because the currents lose digits to cancellation at
     # nodes with omega/T well below 1 (ROADMAP, first law at warm nodes)
-    typed = {
-        name
-        for name, obj in vars(errors).items()
-        if isinstance(obj, type) and issubclass(obj, errors.HeatNetError)
-    }
     rng = np.random.default_rng(2024)
     for _ in range(2000):
         params = extreme_params(rng)
         for row in cli.run_point(params, ("local", "global")):
             if row["error"]:
-                assert row["error"] in typed, (params, row["error"])
+                assert row["error"] in _TYPED_ERRORS, (params, row["error"])
             else:
                 assert math.isfinite(row["J_h"]) and math.isfinite(row["J_c"]), params
+
+
+# J_h is about 1.8e242 on the global row and T_c about 1e-225, so sigma overflows
+_SIGMA_OVERFLOW = NetworkParams(
+    omega_h=132882.1940568587, omega_c=1.0459489621609917e-26, epsilon=1.6261839577953575e-48,
+    T_h=3.412143457021893e26, T_c=8.816864270556461e-226, kappa=2.2353900895477338e200,
+)
+
+
+def test_an_overflowing_entropy_production_lands_in_the_error_column(capsys):
+    argv = ["point"]
+    for name in _FLOAT_KEYS:
+        argv += [f"--{name.replace('_', '-')}", repr(getattr(_SIGMA_OVERFLOW, name))]
+    assert cli.main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["approach"], r["error"]) for r in rows] == [
+        ("local", ""),
+        ("global", "RateOverflow"),
+    ]
+    assert rows[1]["sigma"] == ""
+
+
+def test_a_global_rate_whose_cube_alone_overflows_solves(capsys):
+    # omega_+ ** 3 overflows while kappa omega_+^3 = 1e30 does not; the - mode
+    # sits at omega_c, so n_B is its thermal occupation
+    argv = ["point", "--omega-h", "1e110", "--kappa", "1e-300", "--approach", "global"]
+    assert cli.main(argv) == 0
+    row = _rows(capsys.readouterr().out)[0]
+    assert row["error"] == ""
+    assert float(row["n_B"]) == pytest.approx(1.0 / math.expm1(0.5), rel=1e-15, abs=0.0)
+
+
+def test_local_and_global_rows_hold_over_the_whole_float_range():
+    # every valid parameter set yields a typed error or finite cells with
+    # nonnegative occupations, J_h + J_c == 0 (both treatments build J_c = -J_h)
+    # and, on global rows, a nonnegative entropy production
+    rng = np.random.default_rng(3)
+    for params in [_SIGMA_OVERFLOW] + [whole_range_params(rng) for _ in range(4000)]:
+        for row in cli.run_point(params, ("local", "global")):
+            where = (params, row["approach"])
+            if row["error"]:
+                assert row["error"] in _TYPED_ERRORS, where
+                continue
+            cells = [row[c] for c in _RESULT_COLUMNS if isinstance(row[c], float)]
+            assert all(map(math.isfinite, cells)), where
+            assert row["n_A"] >= 0.0 and row["n_B"] >= 0.0, where
+            assert row["J_h"] + row["J_c"] == 0.0, where
+            assert row["approach"] == "local" or row["sigma"] >= 0.0, where
 
 
 # Power of lambda each numeric column scales by under the unit scaling below.
@@ -345,8 +395,10 @@ def test_every_treatment_names_its_row_in_the_table():
         (gaussian.FIELDS, gaussian._correlation_row(*local[:4])),
     ]
     rows += [
-        (cli._ORACLE_COLUMNS, cli._oracle_values(generator, 3, params))
-        for generator, params in (("local", boson), ("global", boson), ("local", tls))
+        (cli._ORACLE_COLUMNS, cli._oracle_values(generator, 3, statistics, *values))
+        for generator, statistics in (
+            ("local", Statistics.BOSON), ("global", Statistics.BOSON), ("local", Statistics.TLS)
+        )
     ]
     for fields, row in rows:
         assert len(row) == len(fields), fields
@@ -354,7 +406,7 @@ def test_every_treatment_names_its_row_in_the_table():
     with pytest.raises(errors.UnsupportedStatistics):
         global_mme._row(Statistics.TLS, *values)
     with pytest.raises(errors.UnsupportedStatistics):
-        cli._oracle_values("global", 3, tls)
+        cli._oracle_values("global", 3, Statistics.TLS, *values)
 
 
 def test_unknown_approach_raises(monkeypatch):
@@ -600,7 +652,7 @@ def _assert_grid_matches_points(fixed, axes, approaches, with_correlations=True)
         for k, b in enumerate(inner):
             values = [v for v in (a, b) if v is not None]
             params = replace(fixed, **{n: float(v) for n, v in zip(names, values)})
-            want = cli.run_point(params, approaches, with_correlations=with_correlations)
+            want = cli.sweep_blocks(params, [], approaches, 12, with_correlations)[0]
             got = block[k * len(approaches) : (k + 1) * len(approaches)]
             for row, expected in zip(got, want, strict=True):
                 _assert_same_row(row, expected, (params, row["approach"]))
@@ -823,7 +875,8 @@ def _point_blocks(fixed, axes, approaches, with_correlations=True) -> list[list[
             updates = {outer_name: float(a)}
             if inner_name is not None:
                 updates[inner_name] = float(b)
-            block.extend(cli.run_point(replace(fixed, **updates), approaches, 12, with_correlations))
+            point = replace(fixed, **updates)
+            block.extend(cli.sweep_blocks(point, [], approaches, 12, with_correlations)[0])
         blocks.append(block)
     return blocks
 

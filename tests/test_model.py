@@ -187,6 +187,14 @@ def test_overflowing_coupling_is_typed():
         normal_modes(1e200, 1e200, 1e199, Statistics.BOSON)
 
 
+def test_lower_mode_survives_an_overflowing_frequency_product():
+    # omega_h * omega_c overflows while epsilon**2 and omega_- do not; the
+    # value is a 50-digit evaluation of det / omega_+
+    assert normal_modes(1e200, 1e200, 0.0, Statistics.BOSON) == (1e200, 1e200, 1.0, 0.0)
+    omega_minus = normal_modes(1e160, 2e148, 1.3e154, Statistics.BOSON)[1]
+    assert omega_minus == pytest.approx(3.0999999999947635502e147, rel=1e-14, abs=0.0)
+
+
 def test_normal_modes_reject_tls():
     with pytest.raises(UnsupportedStatistics):
         normal_mode_basis(NetworkParams(statistics=Statistics.TLS))
