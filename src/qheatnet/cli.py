@@ -47,13 +47,13 @@ import numpy as np
 
 from . import global_mme, local_mme
 from .errors import GaplessSpectrum, HeatNetError, by_row
-from .gaussian import moment_correlation_columns
+from .gaussian import FIELDS as _CORRELATIONS, moment_correlation_columns
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
 
-# Each group of result columns is filled together by a treatment.
+# Each group of result columns is filled together by a treatment; the
+# correlation columns are the Gaussian layer's own FIELDS.
 _MOMENTS = ("n_A", "n_B", "X", "Y")
 _CURRENTS = ("J_h", "J_c", "sigma")
-_CORRELATIONS = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "separable")
 
 COLUMNS = (
     "approach", *_FLOAT_KEYS, "statistics", *_MOMENTS, "n_plus", "n_minus", *_CURRENTS,

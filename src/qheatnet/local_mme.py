@@ -22,9 +22,13 @@ omega_h - omega_c, A0 = (S^2 + 4 Delta^2) / S and D = A0 G_h G_c + 4 eps^2 S,
     J_h = eps Y (omega_h G_c + omega_c G_h) / S,  J_c = -J_h,
 
 so the occupations are nonnegative and the first law holds by construction.
-Both generators' expectations reduce to J_h at these moments; that, a dense
-solve of `affine_system` and `heat_current_closed_form` are the tests'
-independent checks.  The entropy production rate sigma = -J_h/T_h - J_c/T_c
+`_node` is the one node model: the kernel, `affine_system` and
+`heat_current_closed_form` all take their rates from it, as the global
+kernel and its closed form share `_rates`.  The checks are independent in
+their algebra: a dense solve of `affine_system` solves the kernel's own
+system without the elimination, the closed form groups the current as
+(w_h - w_c) s, and both generators' expectations reduce to J_h at these
+moments.  The entropy production rate sigma = -J_h/T_h - J_c/T_c
 changes sign with exp(beta_c omega_c) - exp(beta_h omega_h), which is the
 whole point of auditing this treatment.
 
@@ -39,14 +43,17 @@ never stops the other rows.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from . import bath
 from .errors import RateOverflow, SingularSystem, by_row
 from .model import NetworkParams
+
+# The smallest normal float: below it a product keeps fewer than 53 bits.
+_TINY = sys.float_info.min
 
 # The result columns of a row, named as in the CLI table.
 FIELDS = ("n_A", "n_B", "X", "Y", "J_h", "J_c", "sigma")
@@ -75,23 +82,38 @@ class LocalSteadyState:
     sigma: float
 
 
-def _coefficients(
-    omega_h: float, omega_c: float, T_h: float, T_c: float, kappa: float, delta: float
-) -> tuple[float, float, float, float, float, float]:
-    """gamma_h, gamma_c, w_h, w_c, G_h, G_c of one parameter set, in Python floats."""
-    gamma_h, gamma_c = bath.rate(omega_h, T_h, kappa), bath.rate(omega_c, T_c, kappa)
-    w_h = math.exp(-(1.0 / T_h) * omega_h)
-    w_c = math.exp(-(1.0 / T_c) * omega_c)
-    G_h = gamma_h * (1.0 + delta * w_h)
-    G_c = gamma_c * (1.0 + delta * w_c)
-    return gamma_h, gamma_c, w_h, w_c, G_h, G_c
+def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, float, float]:
+    """Damping G = gamma (1 + delta w), pumping p = gamma w and weight w = exp(-omega/T) of a node.
+
+    For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
+    where w rounds to 1.  Where omega/T underflows to 0, gamma is its limit
+    kappa omega T omega, as in bath.rate.  Where kappa omega^3 underflows
+    and gamma does not, gamma is formed without it, except for a boson whose
+    G is a nonzero subnormal: there p follows G, so that p / G stays its
+    occupation.  A G or p beyond the float range raises RateOverflow.
+    """
+    x = omega / T
+    w = math.exp(-x)
+    cube = kappa * omega * omega * omega
+    gamma = cube / -math.expm1(-x) if x else kappa * (omega * T) * omega
+    if x and cube < _TINY and not (delta < 0.0 and cube):
+        # cube underflows where gamma need not, and so may any partial product:
+        # multiply the mantissas and add the exponents.  A boson's G is cube
+        # itself, so a nonzero cube keeps p = cube w / (1 - w) for p / G to stay
+        # exact, and a subnormal gamma has too few digits to replace cube's quotient.
+        (k, i), (o, j), (f, m) = map(math.frexp, (kappa, omega, omega / -math.expm1(-x)))
+        scaled = math.ldexp(k * o * o * f, i + j + j + m)
+        gamma = scaled if scaled >= _TINY else gamma
+    G, p = (cube if delta < 0.0 else gamma * (1.0 + w)), gamma * w
+    if not math.isfinite(G + p):
+        raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
+    return G, p, w
 
 
 def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix A and inhomogeneity v of dx/dt = A x + v for x = (nA, nB, X, Y)."""
-    gamma_h, gamma_c, w_h, w_c, G_h, G_c = _coefficients(
-        params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta
-    )
+    G_h, p_h, _ = _node(params.omega_h, params.T_h, params.kappa, params.delta)
+    G_c, p_c, _ = _node(params.omega_c, params.T_c, params.kappa, params.delta)
     eps, gap, damp = params.epsilon, params.omega_h - params.omega_c, 0.5 * (G_h + G_c)
     A = np.array(
         [
@@ -101,21 +123,7 @@ def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
             [2.0 * eps, -2.0 * eps, -gap, -damp],
         ]
     )
-    return A, np.array([gamma_h * w_h, gamma_c * w_c, 0.0, 0.0])
-
-
-def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, float]:
-    """Damping G = gamma (1 + delta w) and pumping p = gamma w of one node, w = exp(-omega/T).
-
-    For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
-    where w rounds to 1.  A rate beyond the float range comes out inf, which
-    _row reports; bath.rate gives the omega/T -> 0 limit.
-    """
-    x = omega / T
-    w = math.exp(-x)
-    cube = kappa * omega * omega * omega
-    gamma = cube / -math.expm1(-x) if x else bath.rate(omega, T, kappa)
-    return (cube if delta < 0.0 else gamma * (1.0 + w)), gamma * w
+    return A, np.array([p_h, p_c, 0.0, 0.0])
 
 
 def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
@@ -126,8 +134,8 @@ def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
     of two rates or square overflows and the scaling is exact.  A scaled D
     that underflows even so is singular to working precision.
     """
-    G_h, p_h = _node(omega_h, T_h, kappa, delta)
-    G_c, p_c = _node(omega_c, T_c, kappa, delta)
+    G_h, p_h, _ = _node(omega_h, T_h, kappa, delta)
+    G_c, p_c, _ = _node(omega_c, T_c, kappa, delta)
     S = G_h + G_c
     gap = omega_h - omega_c
     k = math.frexp(max(0.5 * S, abs(gap), epsilon))[1]
@@ -181,12 +189,12 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     the exponential contrast.  With w_l <= 1 and Q free of rate products
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
     kappa, and dividing s's numerator and Q by max(2 eps, 1)^2 keeps eps^2
-    from overflowing at large epsilon.  Independent of steady_state(), which
-    eliminates the moment system with its own rates and grouping.
+    from overflowing at large epsilon.  It reads the kernel's node model
+    (`_node`) and is independent of steady_state() in its algebra only, which
+    eliminates the moment system with its own grouping.
     """
-    _, _, w_h, w_c, G_h, G_c = _coefficients(
-        params.omega_h, params.omega_c, params.T_h, params.T_c, params.kappa, params.delta
-    )
+    G_h, _, w_h = _node(params.omega_h, params.T_h, params.kappa, params.delta)
+    G_c, _, w_c = _node(params.omega_c, params.T_c, params.kappa, params.delta)
     # s's numerator and Q divided by m^2; for eps <= 1/2, m = 1 changes nothing
     m = max(2.0 * params.epsilon, 1.0)
     four_eps_sq = 4.0 * (params.epsilon / m) ** 2

@@ -193,12 +193,13 @@ def normal_modes(
     if r == 0.0:
         # omega_h == omega_c with epsilon == 0: any rotation works, take none.
         c2, s2 = 1.0, 0.0
-    elif half_gap >= 0.0:
-        c2 = (half_gap + r) / (2.0 * r)
-        s2 = eps**2 / (2.0 * r * (r + half_gap))
     else:
-        s2 = (r - half_gap) / (2.0 * r)
-        c2 = eps**2 / (2.0 * r * (r - half_gap))
+        # the larger weight is (r + |half_gap|) / 2r, the smaller eps**2 over
+        # 2r (r + |half_gap|); once that product overflows, eps / r first
+        wide = r + abs(half_gap)
+        den = 2.0 * r * wide
+        small = eps**2 / den if den < math.inf else (eps / r) * (eps / wide) / 2.0
+        c2, s2 = (wide / (2.0 * r), small) if half_gap >= 0.0 else (small, wide / (2.0 * r))
     return omega_plus, omega_minus, c2, s2
 
 

@@ -4,7 +4,9 @@ Everything else in this package works with closed moment equations or
 detailed-balance occupations derived by hand.  This module rebuilds both
 generators on a truncated two-node Fock space and extracts steady states,
 moments and currents numerically, sharing only bath.rate and
-normal_mode_basis with the closed forms, so they can be audited against it.
+normal_mode_basis with the global closed form and nothing with the local
+one, whose node rates come from local_mme._node, so they can be audited
+against it.
 Each bath is a table of channels (jump operator c, frequency omega, weight),
 and a channel is D[c] at bath.rate(omega) * weight plus its upward partner.
 
@@ -155,7 +157,7 @@ def _bath_terms(table: tuple, T: float, kappa: float) -> tuple[Term, ...]:
     terms = ()
     for jump, omega, weight in table:
         rate = bath.rate(omega, T, kappa) * weight
-        # beta * omega rounded as the closed forms round it, not omega / T
+        # beta * omega rounded as the global closed form rounds it, not omega / T
         terms += _thermal_channel(((jump, jump),), rate, math.exp(-(1.0 / T) * omega))
     return terms
 

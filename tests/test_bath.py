@@ -36,6 +36,23 @@ def test_rate_where_omega_over_T_underflows_is_the_quadratic_limit():
         bath.rate(1e-30, 1e300, 1e100)
 
 
+@pytest.mark.parametrize(
+    ("omega", "T", "kappa", "reference"),
+    [
+        (8.702490877042025e-208, 6.550302214408692e88, 6.221807012752841e73, 3.0864910868454934739e-252),
+        (1e-20, 1e280, 1e-300, 9.9999999999999994815e-61),
+        (1e-160, 1e-155, 1e170, 1.0000050000083333593e-305),
+    ],
+    ids=["found", "kappa_omega_underflows", "omega_over_expm1_underflows"],
+)
+def test_rate_where_kappa_omega_cubed_underflows(omega, T, kappa, reference):
+    # kappa * omega**3 is below the smallest normal float and the rate is not;
+    # kappa * omega is below it too in the second case, omega**2 / -expm1(-x)
+    # in the third.  References are mpmath at 50 digits on the exact doubles:
+    # mpf(kappa) * mpf(omega)**3 / -mp.expm1(-mpf(omega) / mpf(T))
+    assert bath.rate(omega, T, kappa) == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+
 def test_rate_cold_limit_is_bare_cubic():
     # at T << omega the thermal factor is 1 and only spontaneous decay remains
     assert bath.rate(5.0, 1e-3, 1e-6) == pytest.approx(1e-6 * 125.0, rel=1e-15, abs=0.0)

@@ -273,13 +273,24 @@ def test_kernel_rows_are_independent_of_their_batch():
     assert errors == {GaplessSpectrum, RateOverflow, SingularSystem}
 
 
-def test_an_overflowing_entropy_production_is_a_rate_overflow():
-    # J_h is about 1.8e242 and T_c about 1e-225, so sigma is beyond the float range;
-    # the kernel's row is checked from the CLI
-    params = NetworkParams(
-        omega_h=132882.1940568587, omega_c=1.0459489621609917e-26, epsilon=1.6261839577953575e-48,
-        T_h=3.412143457021893e26, T_c=8.816864270556461e-226, kappa=2.2353900895477338e200,
-    )
+@pytest.mark.parametrize(
+    "params",
+    [
+        NetworkParams(
+            omega_h=132882.1940568587, omega_c=1.0459489621609917e-26,
+            epsilon=1.6261839577953575e-48, T_h=3.412143457021893e26,
+            T_c=8.816864270556461e-226, kappa=2.2353900895477338e200,
+        ),
+        NetworkParams(
+            omega_h=1e160, omega_c=2e148, epsilon=1.3e154, T_h=1e160, T_c=1e150, kappa=1e-300
+        ),
+    ],
+    ids=["cold_bath", "huge_splitting"],
+)
+def test_an_overflowing_entropy_production_is_a_rate_overflow(params):
+    # J_h is about 1.8e242 and T_c about 1e-225, so sigma is beyond the float
+    # range; at the huge splitting the mixing weight s2 is 1.69e-12, not 0, and
+    # J_h itself is beyond it.  The kernel's row is checked from the CLI
     with pytest.raises(RateOverflow):
         steady_state(params)
 

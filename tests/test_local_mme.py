@@ -121,13 +121,43 @@ def test_closed_form_at_huge_coupling(statistics):
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
-def test_size_one_calls_raise_the_row_error(statistics):
-    # the kernel carries the error in its row; the size-1 calls raise it
-    params = NetworkParams(omega_h=1e200, statistics=statistics)
-    with pytest.raises(RateOverflow):
-        steady_state(params)
-    with pytest.raises(RateOverflow):
-        affine_system(params)
+@pytest.mark.parametrize(
+    "values", [{"omega_h": 1e200}, {"kappa": 1e300, "omega_h": 1e5}], ids=["omega_h", "kappa"]
+)
+def test_size_one_calls_raise_the_row_error(statistics, values):
+    # the kernel carries the error in its row; the size-1 calls raise it, and
+    # so does the closed form, which reads the same node rates
+    params = NetworkParams(**values, statistics=statistics)
+    for call in (steady_state, affine_system, heat_current_closed_form):
+        with pytest.raises(RateOverflow):
+            call(params)
+
+
+# kappa omega_h^3 = 4e-548 underflows while gamma_h = 3.1e-252 does not.  The
+# references, with mpmath at 50 digits on the exact doubles and x = omega_h / T_h:
+#   p_h = kappa * omega_h**3 / -mp.expm1(-x) * mp.exp(-x)
+# and n_A from Gaussian elimination of the 4x4 moment system A x = -v at 400
+# digits, built from the exact rates the same way.
+UNDERFLOWING_CUBE_TLS = NetworkParams(
+    omega_h=8.702490877042025e-208, omega_c=6.484549848456e-27, epsilon=1.1714788723384688e-148,
+    T_h=6.550302214408692e88, T_c=2.1840538906304704e-186, kappa=6.221807012752841e73,
+    statistics=Statistics.TLS,
+)
+
+
+def test_a_node_whose_cubic_rate_underflows_keeps_its_pumping():
+    _, v = affine_system(UNDERFLOWING_CUBE_TLS)
+    assert v[0] == pytest.approx(3.0864910868454934739e-252, rel=1e-15, abs=0.0)
+    assert steady_state(UNDERFLOWING_CUBE_TLS).moments.nA == pytest.approx(0.5, rel=1e-15, abs=0.0)
+
+
+def test_a_bosonic_node_whose_damping_underflows_keeps_its_pumping():
+    # G_h = kappa omega_h^3 = 1e-337 flushes to 0, while p_h = 1e-127 pumps node
+    # A far above the cold node's 7e-218.  References as for the TLS point,
+    # with J_h = eps Y (omega_h G_c + omega_c G_h) / S from the solved moments.
+    state = steady_state(NetworkParams(omega_h=1e-110, T_h=1e100, T_c=0.01))
+    assert state.moments.nA == pytest.approx(2.0000000800031251534e-115, rel=1e-15, abs=0.0)
+    assert state.J_h == pytest.approx(1.0000000000000001243e-237, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(

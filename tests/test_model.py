@@ -195,6 +195,16 @@ def test_lower_mode_survives_an_overflowing_frequency_product():
     assert omega_minus == pytest.approx(3.0999999999947635502e147, rel=1e-14, abs=0.0)
 
 
+def test_mixing_weight_survives_an_overflowing_denominator():
+    # 2 r (r + |half_gap|) overflows once r is above about 1e154, while the
+    # weight does not; 50-digit mpmath on the exact doubles:
+    # g = (mpf(1e160) - mpf(2e148)) / 2, r = mp.sqrt(g**2 + mpf(1.3e154)**2),
+    # mpf(1.3e154)**2 / (2 * r * (r + g))
+    _, _, c2, s2 = normal_modes(1e160, 2e148, 1.3e154, Statistics.BOSON)
+    assert s2 == pytest.approx(1.6899999999981915319e-12, rel=1e-15, abs=0.0)
+    assert normal_modes(2e148, 1e160, 1.3e154, Statistics.BOSON)[2:] == (s2, c2)
+
+
 def test_normal_modes_reject_tls():
     with pytest.raises(UnsupportedStatistics):
         normal_mode_basis(NetworkParams(statistics=Statistics.TLS))
