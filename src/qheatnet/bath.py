@@ -29,11 +29,12 @@ def rate(omega: float, T: float, kappa: float) -> float:
     gamma(0) = 0 (the cubic zero wins over the 1/omega pole of the thermal
     factor); small omega/T is handled through expm1, so the omega -> 0
     behaviour kappa * T * omega**2 comes out to machine precision, and it is
-    the rate itself where omega/T underflows to 0.  Where kappa * omega**3
-    underflows and the rate does not, the rate is formed without it.  Negative
-    frequencies are a caller bug, not a limit, and raise NegativeFrequency.
-    Where omega**3 alone overflows, kappa scales omega first, one factor at
-    a time; a rate beyond the float range even so raises RateOverflow.
+    the rate itself where omega/T is below the smallest normal float.  Where
+    kappa * omega**3 underflows and the rate does not, the rate is formed
+    without it.  Negative frequencies are a caller bug, not a limit, and
+    raise NegativeFrequency.  Where omega**3 alone overflows, kappa scales
+    omega first, one factor at a time; a rate beyond the float range even so
+    raises RateOverflow.
     """
     if not math.isfinite(omega):
         raise NegativeFrequency(f"transition frequency must be finite, got {omega!r}")
@@ -43,9 +44,12 @@ def rate(omega: float, T: float, kappa: float) -> float:
         return 0.0
     x = omega / T
     try:
-        if x == 0.0:
-            # omega * T first: omega**2 alone may underflow while the limit does not
-            value = kappa * (omega * T) * omega
+        if x < _TINY:
+            # a subnormal omega/T keeps too few bits for the quotient, so take
+            # its limit: omega * T first, as omega**2 alone may underflow while
+            # the limit does not, and kappa * omega first where omega * T overflows
+            wide = omega * T
+            value = kappa * wide * omega if wide < math.inf else kappa * omega * T * omega
         elif (cube := kappa * omega**3) >= _TINY:
             value = cube / -math.expm1(-x)
         else:

@@ -86,17 +86,21 @@ def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, fl
     """Damping G = gamma (1 + delta w), pumping p = gamma w and weight w = exp(-omega/T) of a node.
 
     For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
-    where w rounds to 1.  Where omega/T underflows to 0, gamma is its limit
-    kappa omega T omega, as in bath.rate.  Where kappa omega^3 underflows
-    and gamma does not, gamma is formed without it, except for a boson whose
-    G is a nonzero subnormal: there p follows G, so that p / G stays its
-    occupation.  A G or p beyond the float range raises RateOverflow.
+    where w rounds to 1.  Where omega/T is below the smallest normal float,
+    gamma is its limit kappa omega T omega, as in bath.rate.  Where
+    kappa omega^3 underflows and gamma does not, gamma is formed without it,
+    except for a boson whose G is a nonzero subnormal: there p follows G, so
+    that p / G stays its occupation.  A G or p beyond the float range raises RateOverflow.
     """
     x = omega / T
     w = math.exp(-x)
     cube = kappa * omega * omega * omega
-    gamma = cube / -math.expm1(-x) if x else kappa * (omega * T) * omega
-    if x and cube < _TINY and not (delta < 0.0 and cube):
+    if x < _TINY:
+        wide = omega * T
+        gamma = kappa * wide * omega if wide < math.inf else kappa * omega * T * omega
+    else:
+        gamma = cube / -math.expm1(-x)
+    if x >= _TINY and cube < _TINY and not (delta < 0.0 and cube):
         # cube underflows where gamma need not, and so may any partial product:
         # multiply the mantissas and add the exponents.  A boson's G is cube
         # itself, so a nonzero cube keeps p = cube w / (1 - w) for p / G to stay

@@ -10,35 +10,44 @@ against it.
 Each bath is a table of channels (jump operator c, frequency omega, weight),
 and a channel is D[c] at bath.rate(omega) * weight plus its upward partner.
 
-A generator is kept as its terms (L, R, w), each the map rho -> w L rho R;
-`apply` evaluates them on rho and `superoperator`, the one place that knows
-how rho is stacked into a vector, assembles them on a set of its entries.
-The steady state is the nullspace of the generator, assembled and solved on
-the excitation-number sector only: the entries |n><m| with N(n) = N(m),
-where N = N_A + N_B.  The restriction is exact for both generators.  Every
-Hamiltonian term conserves N, and every jump operator (a, b, d+-, and their
-adjoints) shifts it by exactly one, so c rho c' and {c'c, rho} map the
-sector into itself and its complement into itself; the trace lives on the
-sector, so the unique steady state does too (a U(1) symmetry of the
-Liouvillian; Buca & Prosen, New J. Phys. 14, 073007 (2012)).  At n_max = 12
-the sector holds 1 469 of the 28 561 entries of rho.  Grouped by N, the
-sector generator is block-tridiagonal: the Hamiltonian and the
-anticommutators keep N and each c rho c' moves it by one on both sides.  So
-the steady state is a matrix continued fraction (Risken, The Fokker-Planck
-Equation, ch. 9): with the vacuum block fixed to 1, each block N follows
-from block N - 1 through a map eliminated downward from the top block, and
-the trace is normalised at the end.  The vacuum's own equation is the one
-that trace conservation makes redundant.
+A generator is kept as its terms (L, R, w), each the map rho -> w L rho R.
+The steady state lives on the excitation-number sector only: the entries
+|n><m| with N(n) = N(m), where N = N_A + N_B.  The restriction is exact for
+both generators.  Every Hamiltonian term conserves N, and every jump
+operator (a, b, d+-, and their adjoints) shifts it by exactly one, so
+c rho c' and {c'c, rho} map the sector into itself and its complement into
+itself; the trace lives on the sector, so the unique steady state does too
+(a U(1) symmetry of the Liouvillian; Buca & Prosen, New J. Phys. 14, 073007
+(2012)).  At n_max = 12 the sector holds 1 469 of the 28 561 entries of rho.
+Grouped by N, the sector is a stack of dense N-blocks of at most
+(n_max + 1)**2 entries, and each operator is cut once into its blocks; one
+that shifts N by more than one amount, or a term that takes rho off the
+sector or moves N by more than one, is refused.  The sector generator is
+block-tridiagonal: the Hamiltonian and the anticommutators keep N and each
+c rho c' moves it by one on both sides.  So the steady state is a matrix
+continued fraction (Risken, The Fokker-Planck Equation, ch. 9): with the
+vacuum block fixed to 1, each block N follows from block N - 1 through a
+map eliminated downward from the top block, and the trace is normalised at
+the end.  The vacuum's own equation is the one that trace conservation makes
+redundant.  The moments, mode populations and currents read the N-blocks
+of the state they are given, which is exact for any state: every operator
+they take a trace with conserves N.
 
-Truncation quality is policed, not assumed: the residual, sum w L rho R over
-all of rho, must be small, so a term that breaks the symmetry fails it
-instead of returning a sector-only state; the state must be positive to
-round-off; and bosonic states must leave the top Fock level essentially
-unpopulated.
+Truncation quality is policed, not assumed: the residual, the terms' blocks
+applied to rho's blocks independently of the assembled generator blocks,
+must be small; the state must be positive to round-off; and bosonic states
+must leave the top Fock level essentially unpopulated.
+
+`apply`, `superoperator` (which stacks the whole dense rho into a vector,
+column by column, as `_band` stacks each block), the `generator`,
+`hot_part` and `cold_part` properties and `channel_superoperator` work on
+the whole dim x dim space.  The solve and the observables never call them;
+they are the full-space reference the tests check the blocks against.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -72,7 +81,8 @@ class FockLiouvillian:
 
     terms is the full right-hand side including the commutator; hot and cold
     are the two bath dissipators alone.  The generator, hot_part and
-    cold_part properties assemble them as dimension**2-square matrices.
+    cold_part properties assemble them as dimension**2-square matrices;
+    sector numbers the excitation-number blocks of rho, once per instance.
     """
 
     params: NetworkParams
@@ -84,6 +94,10 @@ class FockLiouvillian:
     hamiltonian: sp.csr_matrix
     a: sp.csr_matrix
     b: sp.csr_matrix
+
+    @cached_property
+    def sector(self) -> "_Sector":
+        return _sector(self.a, self.b, self.n_max)
 
     @property
     def generator(self) -> sp.csr_matrix:
@@ -145,9 +159,12 @@ def _thermal_channel(pairs: tuple, rate: float, boltzmann: float) -> tuple[Term,
     y the pairs (x, y) and (y, x).  Upward uses the adjoints at rate * boltzmann.
     """
     up = rate * boltzmann
-    jumps = tuple((x, y.conj().T, rate) for x, y in pairs)
-    jumps += tuple((x.conj().T, y, up) for x, y in pairs)
-    anti = sum(rate * (y.conj().T @ x) + up * (y @ x.conj().T) for x, y in pairs).tocsr()
+    # one adjoint per operator, shared by the terms that use it
+    ops = {id(x): x for pair in pairs for x in pair}
+    adjoint = {key: op.conj().T.tocsr() for key, op in ops.items()}
+    jumps = tuple((x, adjoint[id(y)], rate) for x, y in pairs)
+    jumps += tuple((adjoint[id(x)], y, up) for x, y in pairs)
+    anti = sum(rate * (adjoint[id(y)] @ x) + up * (y @ adjoint[id(x)]) for x, y in pairs).tocsr()
     eye = sp.identity(anti.shape[0], format="csr")
     return jumps + ((anti, eye, -0.5), (eye, anti, -0.5))
 
@@ -175,16 +192,27 @@ def channel_superoperator(
     return superoperator(terms, a.shape[0])
 
 
-def _mode_operators(params: NetworkParams, n_max: int) -> tuple[sp.csr_matrix, sp.csr_matrix, int]:
-    if params.statistics is Statistics.BOSON:
-        ladder = sp.diags(np.sqrt(np.arange(1.0, n_max + 1.0)), 1, format="csr")
-    else:
-        ladder = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    dim_mode = ladder.shape[0]
-    eye = sp.identity(dim_mode, format="csr")
-    a = sp.kron(ladder, eye, format="csr").astype(complex)
-    b = sp.kron(eye, ladder, format="csr").astype(complex)
-    return a, b, dim_mode**2
+def _mode_operators(n_max: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """a = ladder (x) 1, b = 1 (x) ladder and the Hamiltonian's hopping a'b.
+
+    Index n_A * (n_max + 1) + n_B holds |n_A, n_B>.  A two-level node is the
+    ladder at n_max = 1.
+    """
+    width = n_max + 1
+    index = np.arange(width * width)
+    count_a, count_b = index // width, index % width
+
+    def matrix(data, rows, cols):
+        return sp.csr_matrix((data.astype(complex), (rows, cols)), shape=(index.size,) * 2)
+
+    # a sends |n_A + 1, n_B> to sqrt(n_A + 1) |n_A, n_B>, and b likewise
+    up_a, up_b = np.flatnonzero(count_a < n_max), np.flatnonzero(count_b < n_max)
+    a = matrix(np.sqrt(count_a[up_a] + 1.0), up_a, up_a + width)
+    b = matrix(np.sqrt(count_b[up_b] + 1.0), up_b, up_b + 1)
+    # a'b sends |n_A, n_B> to sqrt(n_A + 1) sqrt(n_B) |n_A + 1, n_B - 1>
+    hop = np.flatnonzero((count_a < n_max) & (count_b > 0))
+    a_b = matrix(np.sqrt(count_a[hop] + 1.0) * np.sqrt(count_b[hop]), hop + width - 1, hop)
+    return a, b, a_b
 
 
 def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLiouvillian:
@@ -201,13 +229,12 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
         n_max = 1
     elif n_max < 2:
         raise TruncationTooSmall(f"bosonic truncation needs n_max >= 2, got {n_max}")
-    a, b, dimension = _mode_operators(params, n_max)
-    ad, bd = a.conj().T, b.conj().T
-    hamiltonian = (
-        params.omega_h * (ad @ a)
-        + params.omega_c * (bd @ b)
-        + params.epsilon * (ad @ b + a @ bd)
-    ).tocsr()
+    a, b, a_b = _mode_operators(n_max)
+    dimension, width = a.shape[0], n_max + 1
+    # a'a and b'b are sqrt(n) sqrt(n) on the diagonal, as their products would be
+    root_a, root_b = np.sqrt(np.divmod(np.arange(dimension), width))
+    energy = sp.diags(params.omega_h * (root_a * root_a) + params.omega_c * (root_b * root_b))
+    hamiltonian = (energy + params.epsilon * (a_b + a_b.conj().T)).tocsr()
     if approach is Generator.LOCAL:
         hot_table = ((a, params.omega_h, 1.0),)
         cold_table = ((b, params.omega_c, 1.0),)
@@ -237,93 +264,244 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
     )
 
 
-def _top_level_population(rho: np.ndarray, dim_mode: int) -> float:
-    probs = np.real(np.diag(rho)).reshape((dim_mode, dim_mode))
-    return float(probs[-1, :].sum() + probs[:, -1].sum() - probs[-1, -1])
+@dataclass(frozen=True)
+class _Sector:
+    """The sector of rho as padded N-blocks.
+
+    Block N holds rho[n, m] for the Hilbert indices n, m with N(n) = N(m) = N,
+    in ascending order, as the top-left corner of a width x width slab; the
+    slabs stack into a (blocks, width, width) array that is zero outside the
+    filled slots.  number and position give each Hilbert index's block and
+    its place in it; rows and cols give the Hilbert entry of each filled slot,
+    in the C order of filled; top marks the slots of the top Fock level.
+    """
+
+    number: np.ndarray
+    position: np.ndarray
+    sizes: np.ndarray
+    filled: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    top: np.ndarray
+
+    def blocks(self, rho: np.ndarray) -> np.ndarray:
+        """The N-blocks of a dense rho; its entries off the sector are dropped."""
+        slabs = np.zeros(self.filled.shape, dtype=complex)
+        slabs[self.filled] = rho[self.rows, self.cols]
+        return slabs
+
+    def dense(self, slabs: np.ndarray) -> np.ndarray:
+        """The dense rho whose N-blocks are slabs, zero off the sector."""
+        rho = np.zeros((self.number.size,) * 2, dtype=complex)
+        rho[self.rows, self.cols] = slabs[self.filled]
+        return rho
+
+    def cut(self, op: sp.spmatrix) -> tuple[int, np.ndarray]:
+        """op's shift of N and its blocks op[s_K+shift, s_K], padded, keyed by K.
+
+        An op that shifts N by more than one amount raises NonConvergence.
+        """
+        if op.format not in ("csr", "csc"):
+            op = op.tocsr()
+        major = np.repeat(np.arange(op.indptr.size - 1), np.diff(op.indptr))
+        row, col = (major, op.indices) if op.format == "csr" else (op.indices, major)
+        nonzero = op.data != 0
+        row, col, value = row[nonzero], col[nonzero], op.data[nonzero]
+        shifts = np.unique(self.number[row] - self.number[col])
+        if shifts.size > 1:
+            raise NonConvergence(f"an operator shifts N by each of {shifts.tolist()}")
+        pieces = np.zeros(self.filled.shape, dtype=complex)
+        np.add.at(pieces, (self.number[col], self.position[row], self.position[col]), value)
+        return int(shifts[0]) if shifts.size else 0, pieces
+
+
+def _sector(a: sp.csr_matrix, b: sp.csr_matrix, n_max: int) -> _Sector:
+    # N_A and N_B of each Hilbert index, the diagonals of a'a and b'b, read off
+    # the built operators so that they follow their kron order
+    count_a, count_b = (
+        np.rint(np.bincount(c.indices, np.abs(c.data) ** 2, c.shape[1])).astype(int) for c in (a, b)
+    )
+    number = count_a + count_b
+    sizes = np.bincount(number)
+    position = np.empty_like(number)
+    position[np.argsort(number, kind="stable")] = np.arange(number.size) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    hilbert = np.zeros((sizes.size, sizes.max()), dtype=int)
+    hilbert[number, position] = np.arange(number.size)
+    occupied = np.zeros(hilbert.shape, dtype=bool)
+    occupied[number, position] = True
+    filled = occupied[:, :, None] & occupied[:, None, :]
+    block, i, j = np.nonzero(filled)
+    top = np.zeros(hilbert.shape, dtype=bool)
+    top[number, position] = (count_a == n_max) | (count_b == n_max)
+    return _Sector(number, position, sizes, filled, hilbert[block, i], hilbert[block, j], top)
+
+
+def _moved(slabs: np.ndarray, shift: int) -> np.ndarray:
+    """slabs moved by shift blocks in N, out[K + shift] = slabs[K], zero elsewhere."""
+    out = np.zeros_like(slabs)
+    count, up, down = slabs.shape[0], max(shift, 0), max(-shift, 0)
+    out[up : count - down] = slabs[down : count - up]
+    return out
+
+
+# The terms by their shift d of N: the stacked blocks of w L and of R, both
+# (blocks, terms, width, width) and keyed by the block K of rho they read.  A
+# term sends block K to block K + d as w L[K + d, K] rho_K R[K, K + d].
+_Grouped = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _grouped(terms: tuple[Term, ...], sector: _Sector) -> _Grouped:
+    """Cut the terms into blocks, refusing any that take rho off the sector.
+
+    Each operator is cut once.  A term w L rho R keeps rho in the sector only
+    if L and R shift N by opposite single amounts; it must also move N by at
+    most one, as the block recursion assumes.  Either failure raises
+    NonConvergence.
+    """
+    cut, groups = {}, {}
+    for left, right, weight in terms:
+        for op in (left, right):
+            if id(op) not in cut:
+                cut[id(op)] = sector.cut(op)
+        (shift, lefts), (back, rights) = cut[id(left)], cut[id(right)]
+        if shift != -back or abs(shift) > 1:
+            raise NonConvergence(
+                f"a term shifts N by {shift} on the left and {-back} on the right of rho"
+            )
+        groups.setdefault(shift, []).append((weight, lefts, rights))
+    stacked = {}
+    for shift, members in groups.items():
+        weights, lefts, rights = zip(*members)
+        # R's blocks are cut by their column block K + d; key them by K
+        stacked[shift] = (
+            np.stack(lefts, axis=1) * np.array(weights)[:, None, None],
+            _moved(np.stack(rights, axis=1), -shift),
+        )
+    return stacked
+
+
+def _applied(groups: _Grouped, slabs: np.ndarray) -> np.ndarray:
+    """sum w L rho R over the grouped terms, on rho's N-blocks.
+
+    Per block, the left factors run as one product of the stacked w L with
+    rho_K and the right ones as one product of the row of w L rho_K with the
+    column of R.
+    """
+    out = np.zeros_like(slabs)
+    for shift, (lefts, rights) in groups.items():
+        count, terms, width, _ = lefts.shape
+        left = (lefts.reshape(count, terms * width, width) @ slabs).reshape(lefts.shape)
+        row = left.transpose(0, 2, 1, 3).reshape(count, width, terms * width)
+        out += _moved(row @ rights.reshape(count, terms * width, width), shift)
+    return out
+
+
+def _band(groups: _Grouped, sizes: np.ndarray, to: int, source: int) -> np.ndarray:
+    """The sector generator's block from block source to block to, column-stacked.
+
+    vec(L X R) = (R^T (x) L) vec(X), summed over the terms as one product of
+    the stacked pieces, then reordered so that X[n, m] sits at n + size*m.
+    """
+    out, into = sizes[to], sizes[source]
+    if to - source not in groups:
+        return np.zeros((out * out, into * into), dtype=complex)
+    lefts, rights = groups[to - source]
+    terms = lefts.shape[1]
+    left = lefts[source, :, :out, :into].reshape(terms, -1)
+    right = rights[source, :, :into, :out].reshape(terms, -1)
+    # (left' right)[(i, n), (m, j)] = sum w L[i, n] R[m, j], the entry X[n, m] -> Y[i, j]
+    product = (left.T @ right).reshape(out, into, into, out)
+    return product.transpose(3, 0, 2, 1).reshape(out * out, into * into)
 
 
 def steady_state(liou: FockLiouvillian) -> np.ndarray:
     """Solve for the unique unit-trace state annihilated by the generator.
 
-    Only the sector of entries |n><m| with N(n) = N(m) is assembled and
-    solved, which is exact because every term of both generators conserves N
-    or shifts it on both sides of rho alike (see the module docstring); rho
-    is zero off the sector.  The sector is numbered block by block in N, and
-    the block x_N of rho follows from the vacuum x_0 = 1 as x_N = S_N x_N-1,
-    with S_N = -(A_N,N + A_N,N+1 S_N+1)^-1 A_N,N-1 eliminated downward from
-    the top block of the sector generator A.  Each band of blocks is cut from
-    A when the elimination reaches it; entries outside the three central
-    block diagonals are dropped.  The residual applies the terms to all of
-    rho, so a generator that couples blocks further apart, or the sector to
-    its complement, cannot pass.
+    rho lives on the sector of entries |n><m| with N(n) = N(m), which is
+    exact because every term of both generators conserves N or shifts it on
+    both sides of rho alike (see the module docstring).  Each term's
+    operators are cut once into dense N-blocks; an operator that shifts N by
+    more than one amount, or a term that takes rho off the sector or moves N
+    by more than one, raises NonConvergence before any solve.  The block x_N
+    of rho follows from the vacuum x_0 = 1 as x_N = S_N x_N-1, with
+    S_N = -(A_N,N + A_N,N+1 S_N+1)^-1 A_N,N-1 eliminated downward from the
+    top block of the sector generator A, whose blocks are each one product of
+    the terms' stacked pieces.  The guards run on the blocks: the residual
+    applies the terms' pieces to rho's blocks, independently of the assembled
+    bands; positivity is checked block by block; the top Fock level is read
+    off the block diagonals.  rho is returned dense, zero off the sector.
 
     Raises DegenerateNullspace when a diagonal block of the elimination is
     singular or the recursion returns non-finite entries or a trace that is
     not positive or not finite (no unique steady state), NonConvergence when
-    the returned state fails the residual or positivity checks, and
-    TruncationTooSmall when a bosonic state noticeably populates the top
-    Fock level, which means the numbers describe the truncation rather than
-    the network.
+    a term leaves the sector or the returned state fails the residual or
+    positivity checks, and TruncationTooSmall when a bosonic state noticeably
+    populates the top Fock level, which means the numbers describe the
+    truncation rather than the network.
     """
-    dim = liou.dimension
-    # N of each Hilbert index, read off the built operators so that it
-    # follows their kron order
-    number_op = liou.a.conj().T @ liou.a + liou.b.conj().T @ liou.b
-    number = np.rint(number_op.diagonal().real).astype(int)
-    blocks = [np.flatnonzero(number == n) for n in range(number.max() + 1)]
-    # block N holds rho[n, m] at n + dim*m for n, m in blocks[N], column-stacked
-    sector = np.concatenate([(s[:, None] + dim * s).ravel(order="F") for s in blocks])
-    edges = np.cumsum([0] + [s.size**2 for s in blocks])
-    generator = superoperator(liou.terms, dim, sector)
-    below = np.zeros((0, edges[-1] - edges[-2]))  # S of the empty block above the top
+    sector = liou.sector
+    groups = _grouped(liou.terms, sector)
+    sizes = sector.sizes
+    top = sizes.size - 1
+    below = np.zeros((0, sizes[top] ** 2))  # S of the empty block above the top
     steps = []
-    for n in range(len(blocks) - 1, 0, -1):
-        band = generator[edges[n] : edges[n + 1], edges[n - 1] : edges[min(n + 2, len(blocks))]]
-        lower, diagonal, upper = np.split(band.toarray(), edges[n : n + 2] - edges[n - 1], axis=1)
+    for n in range(top, 0, -1):
+        upper = _band(groups, sizes, n, n + 1) if n < top else np.zeros((sizes[n] ** 2, 0))
         try:
-            below = -np.linalg.solve(diagonal + upper @ below, lower)
+            below = -np.linalg.solve(
+                _band(groups, sizes, n, n) + upper @ below, _band(groups, sizes, n, n - 1)
+            )
         except np.linalg.LinAlgError as exc:
             raise DegenerateNullspace(f"block N = {n} of the sector generator is singular") from exc
         steps.append(below)
     x = np.ones(1, dtype=complex)
     solution = [x] + [x := step @ x for step in reversed(steps)]
-    flat = np.zeros(dim * dim, dtype=complex)
-    flat[sector] = np.concatenate(solution)
-    if not np.all(np.isfinite(flat)):
+    slabs = np.zeros(sector.filled.shape, dtype=complex)
+    for n, (size, block) in enumerate(zip(sizes, solution)):
+        slabs[n, :size, :size] = block.reshape((size, size), order="F")
+    if not np.all(np.isfinite(slabs)):
         raise DegenerateNullspace("block recursion returned non-finite entries")
-    rho = flat.reshape((dim, dim), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = float(np.trace(rho).real)
+    slabs = 0.5 * (slabs + slabs.conj().transpose(0, 2, 1))
+    trace = float(np.trace(slabs, axis1=1, axis2=2).real.sum())
     if not (math.isfinite(trace) and trace > 0):
         raise DegenerateNullspace(f"block recursion returned a state of trace {trace!r}")
-    rho = rho / trace
-    residual = float(np.max(np.abs(apply(liou.terms, rho))))
+    slabs /= trace
+    residual = float(np.max(np.abs(_applied(groups, slabs))))
     if residual > RESIDUAL_TOLERANCE:
         raise NonConvergence(f"steady-state residual {residual!r} exceeds {RESIDUAL_TOLERANCE}")
-    # rho is block-diagonal in N, so its spectrum is the union of the blocks'
-    lowest = min(float(np.linalg.eigvalsh(rho[np.ix_(s, s)])[0]) for s in blocks)
+    # rho is block-diagonal in N, so its spectrum is the union of the blocks';
+    # the zero padding adds eigenvalues 0, which cannot trip the check
+    lowest = float(np.linalg.eigvalsh(slabs).min())
     if lowest < -NEGATIVITY_TOLERANCE:
         raise NonConvergence(f"steady state has eigenvalue {lowest!r} below -{NEGATIVITY_TOLERANCE}")
     if liou.params.statistics is Statistics.BOSON:
-        top = _top_level_population(rho, liou.n_max + 1)
-        if top > TOP_LEVEL_TOLERANCE:
+        top_level = float(slabs.diagonal(axis1=1, axis2=2).real[sector.top].sum())
+        if top_level > TOP_LEVEL_TOLERANCE:
             raise TruncationTooSmall(
-                f"top Fock level holds population {top!r}; raise n_max above {liou.n_max}"
+                f"top Fock level holds population {top_level!r}; raise n_max above {liou.n_max}"
             )
-    return rho
+    return sector.dense(slabs)
 
 
-def _expectation(op: sp.spmatrix, rho: np.ndarray) -> complex:
-    return complex(np.trace(op @ rho))
+def _pair(left: np.ndarray, right: np.ndarray, slabs: np.ndarray) -> complex:
+    """Tr[c' d rho] from the blocks of two lowering operators c, d and of rho."""
+    return complex(np.einsum("kji,kjl,kli->", left.conj(), right, slabs))
+
+
+# The observables below read rho through its N-blocks, which is exact for any
+# rho: every operator they take a trace with conserves N.
 
 
 def moments(liou: FockLiouvillian, rho: np.ndarray) -> MomentState:
     """Second moments (nA, nB, X, Y) of a state on the truncated space."""
-    ad, bd = liou.a.conj().T, liou.b.conj().T
-    cross = _expectation(ad @ liou.b, rho)
+    sector = liou.sector
+    (_, a), (_, b), slabs = sector.cut(liou.a), sector.cut(liou.b), sector.blocks(rho)
+    cross = _pair(a, b, slabs)
     return MomentState(
-        nA=_expectation(ad @ liou.a, rho).real,
-        nB=_expectation(bd @ liou.b, rho).real,
+        nA=_pair(a, a, slabs).real,
+        nB=_pair(b, b, slabs).real,
         X=2.0 * cross.real,
         Y=-2.0 * cross.imag,
     )
@@ -332,18 +510,23 @@ def moments(liou: FockLiouvillian, rho: np.ndarray) -> MomentState:
 def mode_populations(liou: FockLiouvillian, rho: np.ndarray) -> tuple[float, float]:
     """Occupations of the normal modes d_+- (bosonic nodes only)."""
     basis = normal_mode_basis(liou.params)
-    d_plus = basis.c * liou.a + basis.s * liou.b
-    d_minus = basis.c * liou.b - basis.s * liou.a
-    n_plus = _expectation(d_plus.conj().T @ d_plus, rho).real
-    n_minus = _expectation(d_minus.conj().T @ d_minus, rho).real
-    return float(n_plus), float(n_minus)
+    sector = liou.sector
+    (_, a), (_, b), slabs = sector.cut(liou.a), sector.cut(liou.b), sector.blocks(rho)
+    d_plus = basis.c * a + basis.s * b
+    d_minus = basis.c * b - basis.s * a
+    return _pair(d_plus, d_plus, slabs).real, _pair(d_minus, d_minus, slabs).real
 
 
 def heat_current(liou: FockLiouvillian, rho: np.ndarray, which: str) -> float:
-    """Energy flow into the system through one bath, Tr[H D_bath(rho)]."""
+    """Energy flow into the system through one bath, Tr[H D_bath(rho)].
+
+    Each term's R H L conserves N, so the trace reads only rho's sector.
+    """
     if which not in ("hot", "cold"):
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-    return float(np.trace(liou.hamiltonian @ apply(getattr(liou, which), rho)).real)
+    sector = liou.sector
+    applied = _applied(_grouped(getattr(liou, which), sector), sector.blocks(rho))
+    return float(np.einsum("kij,kji->", sector.cut(liou.hamiltonian)[1], applied).real)
 
 
 def gibbs_state(liou: FockLiouvillian, temperature: float) -> np.ndarray:

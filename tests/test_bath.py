@@ -1,6 +1,7 @@
 """Spectral-response rates: frozen values, limits, scaling, error paths."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ def test_rate_where_kappa_omega_cubed_underflows(omega, T, kappa, reference):
     # kappa * omega is below it too in the second case, omega**2 / -expm1(-x)
     # in the third.  References are mpmath at 50 digits on the exact doubles:
     # mpf(kappa) * mpf(omega)**3 / -mp.expm1(-mpf(omega) / mpf(T))
+    assert bath.rate(omega, T, kappa) == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    ("omega", "T", "kappa", "reference"),
+    [
+        (8.6851137375132368e-154, 2.0235896477250978e165, 1e-7, 1.5264179671750869054e-148),
+        (1e-5, 1e304, 1.0, 1.0000000000000001029e294),
+        (3.0, 1.7e308, 1e-7, 1.5299999999999998757e302),
+    ],
+    ids=["found", "cube_normal", "omega_T_overflows"],
+)
+def test_rate_where_omega_over_T_is_subnormal_is_the_quadratic_limit(omega, T, kappa, reference):
+    # omega / T is a nonzero subnormal with few bits, so the quotient through
+    # expm1 was 3.3e-6 low in the first case; in the third omega * T overflows
+    # while the rate does not.  References are mpmath at 50 digits on the exact
+    # doubles: mpf(kappa) * mpf(omega)**3 / -mp.expm1(-mpf(omega) / mpf(T))
+    assert 0.0 < omega / T < sys.float_info.min
     assert bath.rate(omega, T, kappa) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 

@@ -608,6 +608,25 @@ def test_non_oracle_commands_leave_scipy_unloaded():
     ]
 
 
+def test_oracle_rows_never_touch_the_full_space(monkeypatch):
+    # the rows solve and read out the sector's N-blocks; the dim**2 assembly
+    # and the dense term application are reference code for the tests only
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle row used the full space")
+
+    monkeypatch.setattr(oracle, "superoperator", refuse)
+    monkeypatch.setattr(oracle, "apply", refuse)
+    params = NetworkParams(omega_h=10.0, omega_c=8.0, epsilon=1.0, T_h=0.7, T_c=0.6, kappa=1e-3)
+    rows = cli.run_point(params, ("oracle-local", "oracle-global"), 4)
+    assert [(row["approach"], row["error"]) for row in rows] == [
+        ("oracle-local", ""),
+        ("oracle-global", ""),
+    ]
+    # the patch is seen where the full space is assembled
+    with pytest.raises(AssertionError, match="full space"):
+        oracle.build(params, oracle.Generator.LOCAL, 4).generator
+
+
 @pytest.mark.parametrize(
     "code",
     [

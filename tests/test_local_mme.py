@@ -160,6 +160,27 @@ def test_a_bosonic_node_whose_damping_underflows_keeps_its_pumping():
     assert state.J_h == pytest.approx(1.0000000000000001243e-237, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+@pytest.mark.parametrize(
+    ("omega_h", "T_h", "reference"),
+    [
+        (8.6851137375132368e-154, 2.0235896477250978e165, 1.5264179671750869054e-148),
+        (3.0, 1.7e308, 1.5299999999999998757e302),
+    ],
+    ids=["found", "omega_T_overflows"],
+)
+def test_a_node_whose_omega_over_T_is_subnormal_takes_the_quadratic_limit(
+    statistics, omega_h, T_h, reference
+):
+    # omega_h / T_h is a subnormal with few bits, so the quotient through expm1
+    # put p_h 3.3e-6 low in the first case; in the second omega_h * T_h
+    # overflows while p_h does not.  References: mpmath at 50 digits on the
+    # exact doubles, kappa * omega_h**3 / -mp.expm1(-x) * mp.exp(-x), x = omega_h / T_h
+    params = NetworkParams(omega_h=omega_h, T_h=T_h, kappa=1e-7, statistics=statistics)
+    _, v = affine_system(params)
+    assert v[0] == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "params",
     [NetworkParams(T_h=1e17, T_c=1e17), NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320)],

@@ -166,6 +166,66 @@ def test_symmetry_breaking_term_fails_the_full_residual(breaking):
         oracle.steady_state(broken)
 
 
+def _pair_jump(op: sp.spmatrix, rate: float) -> tuple:
+    # D[c] at rate for the pair jump c = op**2
+    c = op @ op
+    decay = c.conj().T @ c
+    eye = sp.identity(op.shape[0], format="csr")
+    return ((c, c.conj().T, rate), (decay, eye, -0.5 * rate), (eye, decay, -0.5 * rate))
+
+
+@pytest.mark.parametrize("breaking", ["weak_squeezing", "pair_jump"])
+def test_a_term_off_the_block_structure_is_refused_before_the_residual(breaking):
+    # both are far below the residual tolerance on the unbroken steady state,
+    # so only the structural check on the terms' N shifts can refuse them
+    liou = oracle.build(FRIGID_POINT, Generator.LOCAL, n_max=4)
+    a, ad = liou.a, liou.a.conj().T
+    if breaking == "weak_squeezing":
+        extra = _commutator(1e-20 * (ad @ ad + a @ a))
+    else:
+        extra = _pair_jump(a, 1e-3)
+    broken = dataclasses.replace(liou, terms=liou.terms + extra)
+    rho = oracle.steady_state(liou)
+    assert np.abs(oracle.apply(broken.terms, rho)).max() <= oracle.RESIDUAL_TOLERANCE
+    with pytest.raises(NonConvergence):
+        oracle.steady_state(broken)
+
+
+@pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
+def test_observables_match_dense_traces_for_any_state(approach):
+    # the observables read rho's N-blocks only; every operator they trace with
+    # conserves N, so a state with entries off the sector gives the same numbers
+    liou = oracle.build(COLD_POINT, approach, n_max=6)
+    dim = liou.dimension
+    rng = np.random.default_rng(60)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = rho + rho.conj().T
+    assert np.abs(rho[~_sector_mask(liou).reshape((dim, dim), order="F")]).min() > 0
+    a, b = liou.a.toarray(), liou.b.toarray()
+    basis = model.normal_mode_basis(COLD_POINT)
+    d_plus, d_minus = basis.c * a + basis.s * b, basis.c * b - basis.s * a
+    cross = np.trace(a.conj().T @ b @ rho)
+    want = {
+        "nA": np.trace(a.conj().T @ a @ rho).real,
+        "nB": np.trace(b.conj().T @ b @ rho).real,
+        "X": 2.0 * cross.real,
+        "Y": -2.0 * cross.imag,
+        "n_plus": np.trace(d_plus.conj().T @ d_plus @ rho).real,
+        "n_minus": np.trace(d_minus.conj().T @ d_minus @ rho).real,
+        "hot": np.trace(liou.hamiltonian @ oracle.apply(liou.hot, rho)).real,
+        "cold": np.trace(liou.hamiltonian @ oracle.apply(liou.cold, rho)).real,
+    }
+    m = oracle.moments(liou, rho)
+    n_plus, n_minus = oracle.mode_populations(liou, rho)
+    got = {
+        "nA": m.nA, "nB": m.nB, "X": m.X, "Y": m.Y, "n_plus": n_plus, "n_minus": n_minus,
+        "hot": oracle.heat_current(liou, rho, "hot"),
+        "cold": oracle.heat_current(liou, rho, "cold"),
+    }
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+
 @pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
 def test_generator_preserves_trace(approach):
     liou = oracle.build(COLD_POINT, approach, n_max=4)
