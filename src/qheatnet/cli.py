@@ -26,8 +26,9 @@ the block is formatted once into the template, a column of floats, ints or
 bools of one type is a %.17g or %d slot, and any other column is formatted
 cell by cell into a %s slot.
 
-The Fock oracle module, and scipy with it, is imported only when an oracle-*
-approach is asked for; the other treatments never load it.
+The Fock oracle module is imported only when an oracle-* approach is asked
+for; the other treatments never load it.  No command loads scipy, which
+serves only the oracle's full-space reference.
 
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
@@ -116,7 +117,7 @@ def _oracle_values(generator: str, n_max: int, statistics: Statistics, *values: 
     The mode columns are None where the normal modes do not exist: for
     two-level nodes, and at a gapless spectrum, whose moments are fine.
     """
-    from . import oracle  # scipy.sparse loads here, and only for oracle rows
+    from . import oracle  # loaded here, and only for oracle rows
 
     params = NetworkParams(*values, statistics)
     liou = oracle.build(params, oracle.Generator(generator), n_max)

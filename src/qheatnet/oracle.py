@@ -20,44 +20,42 @@ itself; the trace lives on the sector, so the unique steady state does too
 (a U(1) symmetry of the Liouvillian; Buca & Prosen, New J. Phys. 14, 073007
 (2012)).  At n_max = 12 the sector holds 1 469 of the 28 561 entries of rho.
 Grouped by N, the sector is a stack of dense N-blocks of at most
-(n_max + 1)**2 entries, and each operator is cut once into its blocks; one
-that shifts N by more than one amount, or a term that takes rho off the
-sector or moves N by more than one, is refused.  The sector generator is
-block-tridiagonal: the Hamiltonian and the anticommutators keep N and each
-c rho c' moves it by one on both sides.  So the steady state is a matrix
-continued fraction (Risken, The Fokker-Planck Equation, ch. 9): with the
-vacuum block fixed to 1, each block N follows from block N - 1 through a
-map eliminated downward from the top block, and the trace is normalised at
-the end.  The vacuum's own equation is the one that trace conservation makes
-redundant.  The moments, mode populations and currents read the N-blocks
-of the state they are given, which is exact for any state: every operator
-they take a trace with conserves N.
+(n_max + 1)**2 entries.  Every operator is built directly as its blocks by
+index arithmetic, and each term as the blocks of L and R with their shifts
+of N; a term that takes rho off the sector or moves N by more than one is
+refused.  The sector generator is block-tridiagonal: the Hamiltonian and
+the anticommutators keep N and each c rho c' moves it by one on both sides.
+So the steady state is a matrix continued fraction (Risken, The
+Fokker-Planck Equation, ch. 9): with the vacuum block fixed to 1, each
+block N follows from block N - 1 through a map eliminated downward from the
+top block, and the trace is normalised at the end.  The vacuum's own
+equation is the one that trace conservation makes redundant.  The moments,
+mode populations and currents read the N-blocks of the state they are
+given, which is exact for any state: every operator they take a trace with
+conserves N.
 
 Truncation quality is policed, not assumed: the residual, the terms' blocks
 applied to rho's blocks independently of the assembled generator blocks,
 must be small; the state must be positive to round-off; and bosonic states
 must leave the top Fock level essentially unpopulated.
 
-`apply`, `superoperator` (which stacks the whole dense rho into a vector,
-column by column, as `_band` stacks each block), the `generator`,
-`hot_part` and `cold_part` properties and `channel_superoperator` work on
-the whole dim x dim space.  The solve and the observables never call them;
-they are the full-space reference the tests check the blocks against.
+No sparse matrix is built here.  The same generators on the whole dim x dim
+space (sparse operators, the dim**2-square superoperator, dense term
+application, the node-basis channel table) live in `_fock_reference`, the
+tests' reference and the only module that loads scipy; the `generator`,
+`hot_part` and `cold_part` properties import it when read.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bath
 from .errors import DegenerateNullspace, NonConvergence, TruncationTooSmall
-from .global_mme import DissipationChannel
 from .local_mme import MomentState
-from .model import NetworkParams, Statistics, normal_mode_basis
+from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis
 
 RESIDUAL_TOLERANCE = 1e-10
 NEGATIVITY_TOLERANCE = 1e-10
@@ -72,151 +70,181 @@ class Generator(Enum):
     GLOBAL = "global"
 
 
-Term = tuple[sp.spmatrix, sp.spmatrix, complex]
+# An operator as its shift d of N and its padded (blocks, width, width) blocks,
+# keyed by the block K it reads: blocks[K] maps N-block K to N-block K + d.
+Piece = tuple[int, np.ndarray]
+# A term w L rho R as the pieces of L and R and the weight w.
+BlockTerm = tuple[Piece, Piece, complex]
+# The terms by their shift d of N: the stacked blocks of w L and of R, both
+# (blocks, terms, width, width) and keyed by the block K of rho they read.  A
+# term sends block K to block K + d as w L[K + d, K] rho_K R[K, K + d].
+_Grouped = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """The sector of rho as padded N-blocks.
+
+    Block N, slot p holds |n_A, n_B> with n_A = max(0, N - n_max) + p and
+    n_B = N - n_A, for the slots where both lie in 0..n_max (occupied); so
+    each block lists its Hilbert indices n_A * (n_max + 1) + n_B in ascending
+    order.  Block N of rho is the top-left corner of a width x width slab;
+    the slabs stack into a (blocks, width, width) array that is zero outside
+    the filled slots.  rows and cols give the Hilbert entry of each filled
+    slot, in the C order of filled; top marks the slots of the top Fock level.
+    """
+
+    n_max: int
+    count_a: np.ndarray
+    count_b: np.ndarray
+    occupied: np.ndarray
+    filled: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.occupied.sum(axis=1)
+
+    @property
+    def top(self) -> np.ndarray:
+        return self.occupied & (np.maximum(self.count_a, self.count_b) == self.n_max)
+
+    def blocks(self, rho: np.ndarray) -> np.ndarray:
+        """The N-blocks of a dense rho; its entries off the sector are dropped."""
+        slabs = np.zeros(self.filled.shape, dtype=complex)
+        slabs[self.filled] = rho[self.rows, self.cols]
+        return slabs
+
+    def dense(self, slabs: np.ndarray) -> np.ndarray:
+        """The dense rho whose N-blocks are slabs, zero off the sector."""
+        rho = np.zeros(((self.n_max + 1) ** 2,) * 2, dtype=complex)
+        rho[self.rows, self.cols] = slabs[self.filled]
+        return rho
+
+
+def _sector(n_max: int) -> _Sector:
+    width = n_max + 1
+    number = np.arange(2 * n_max + 1)[:, None]
+    count_a = np.maximum(number - n_max, 0) + np.arange(width)
+    count_b = number - count_a
+    occupied = (count_a <= n_max) & (count_b >= 0)
+    filled = occupied[:, :, None] & occupied[:, None, :]
+    block, i, j = np.nonzero(filled)
+    hilbert = count_a * width + count_b
+    return _Sector(n_max, count_a, count_b, occupied, filled, hilbert[block, i], hilbert[block, j])
 
 
 @dataclass(frozen=True)
 class FockLiouvillian:
-    """A generator on the truncated two-node space, kept as its terms.
+    """A generator on the truncated two-node space, kept as its N-block terms.
 
     terms is the full right-hand side including the commutator; hot and cold
-    are the two bath dissipators alone.  The generator, hot_part and
-    cold_part properties assemble them as dimension**2-square matrices;
-    sector numbers the excitation-number blocks of rho, once per instance.
+    are the two bath dissipators alone; each is grouped by shift once, per
+    instance.  a, b and hamiltonian are the operators' padded N-blocks, a and
+    b keyed by the block they lower, and basis is the global generator's
+    normal-mode basis (None for the local one).  The generator, hot_part and
+    cold_part properties rebuild them on the whole space as
+    dimension**2-square matrices, through the full-space reference.
     """
 
     params: NetworkParams
+    approach: Generator
     n_max: int
-    dimension: int
-    terms: tuple[Term, ...]
-    hot: tuple[Term, ...]
-    cold: tuple[Term, ...]
-    hamiltonian: sp.csr_matrix
-    a: sp.csr_matrix
-    b: sp.csr_matrix
-
-    @cached_property
-    def sector(self) -> "_Sector":
-        return _sector(self.a, self.b, self.n_max)
+    sector: _Sector
+    terms: _Grouped
+    hot: _Grouped
+    cold: _Grouped
+    hamiltonian: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    basis: NormalModeBasis | None
 
     @property
-    def generator(self) -> sp.csr_matrix:
-        return superoperator(self.terms, self.dimension)
+    def dimension(self) -> int:
+        return (self.n_max + 1) ** 2
 
     @property
-    def hot_part(self) -> sp.csr_matrix:
-        return superoperator(self.hot, self.dimension)
+    def generator(self):
+        from ._fock_reference import assembled  # loads scipy
+
+        return assembled(self, "terms")
 
     @property
-    def cold_part(self) -> sp.csr_matrix:
-        return superoperator(self.cold, self.dimension)
+    def hot_part(self):
+        from ._fock_reference import assembled  # loads scipy
+
+        return assembled(self, "hot")
+
+    @property
+    def cold_part(self):
+        from ._fock_reference import assembled  # loads scipy
+
+        return assembled(self, "cold")
 
 
-def superoperator(
-    terms: tuple[Term, ...], dim: int, index: np.ndarray | None = None
-) -> sp.csr_matrix:
-    """The matrix of rho -> sum w L rho R on a set of column-stacked entries.
-
-    rho[n, m] sits at n + dim*m, so a term sends that entry to i + dim*j with
-    weight w L[i, n] R[m, j].  Only the entries listed in index (all dim**2
-    when None) are taken as inputs and kept as outputs, in that order.  Each
-    input is joined with the pairs of L's column n and R's row m, input by
-    input and L-major within it, so duplicates sum in a fixed order.
-    """
-    if index is None:
-        index = np.arange(dim * dim)
-    n, m = index % dim, index // dim
-    position = np.full(dim * dim, -1)
-    position[index] = np.arange(index.size)
-    rows, cols, vals = [], [], []
-    for left, right, weight in terms:
-        lc, rr = sp.csc_matrix(left), sp.csr_matrix(right)
-        l_count, r_count = np.diff(lc.indptr)[n], np.diff(rr.indptr)[m]
-        pairs = l_count * r_count
-        q = np.repeat(np.arange(index.size), pairs)
-        offset = np.arange(q.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        kl = lc.indptr[n][q] + offset // r_count[q]
-        kr = rr.indptr[m][q] + offset % r_count[q]
-        out = position[lc.indices[kl] + dim * rr.indices[kr]]
-        kept = out >= 0
-        rows.append(out[kept])
-        cols.append(q[kept])
-        vals.append((weight * lc.data[kl] * rr.data[kr])[kept])
-    triplets = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sp.csr_matrix(triplets, shape=(index.size, index.size), dtype=complex)
+def _moved(slabs: np.ndarray, shift: int) -> np.ndarray:
+    """slabs moved by shift blocks in N, out[K + shift] = slabs[K], zero elsewhere."""
+    out = np.zeros_like(slabs)
+    count, up, down = slabs.shape[0], max(shift, 0), max(-shift, 0)
+    out[up : count - down] = slabs[down : count - up]
+    return out
 
 
-def apply(terms: tuple[Term, ...], rho: np.ndarray) -> np.ndarray:
-    """sum w L rho R over the terms, straight from the operators."""
-    return sum(weight * (left @ rho @ right) for left, right, weight in terms)
+def _thermal_channel(jump: np.ndarray, rate: float, boltzmann: float, eye: np.ndarray) -> tuple:
+    """D[c] at rate plus its upward partner D[c'] at rate * boltzmann, as block terms.
 
-
-def _thermal_channel(pairs: tuple, rate: float, boltzmann: float) -> tuple[Term, ...]:
-    """A downward channel plus its Boltzmann-weighted upward partner.
-
-    Downward is rho -> rate (sum x rho y' - {sum y'x, rho}/2) over the (x, y)
-    pairs: D[c] is the pair (c, c), the cross kernel of commuting modes x and
-    y the pairs (x, y) and (y, x).  Upward uses the adjoints at rate * boltzmann.
+    c lowers N by one; its adjoint c'[K] = c[K + 1]' raises it.
     """
     up = rate * boltzmann
-    # one adjoint per operator, shared by the terms that use it
-    ops = {id(x): x for pair in pairs for x in pair}
-    adjoint = {key: op.conj().T.tocsr() for key, op in ops.items()}
-    jumps = tuple((x, adjoint[id(y)], rate) for x, y in pairs)
-    jumps += tuple((adjoint[id(x)], y, up) for x, y in pairs)
-    anti = sum(rate * (adjoint[id(y)] @ x) + up * (y @ adjoint[id(x)]) for x, y in pairs).tocsr()
-    eye = sp.identity(anti.shape[0], format="csr")
-    return jumps + ((anti, eye, -0.5), (eye, anti, -0.5))
+    above = _moved(jump, -1)
+    lower, raised = (-1, jump), (1, above.conj().transpose(0, 2, 1))
+    # c'c[K] = c[K]' c[K] and cc'[K] = c[K + 1] c[K + 1]', summed elementwise:
+    # a batched matmul may fuse multiply and add, and then round otherwise
+    # than the products of the full-space operators
+    decay = (jump.conj()[:, :, :, None] * jump[:, :, None, :]).sum(axis=1)
+    pump = (above[:, :, None, :] * above.conj()[:, None, :, :]).sum(axis=3)
+    anti = (0, rate * decay + up * pump)
+    return (lower, raised, rate), (raised, lower, up), (anti, (0, eye), -0.5), ((0, eye), anti, -0.5)
 
 
-def _bath_terms(table: tuple, T: float, kappa: float) -> tuple[Term, ...]:
+def _bath_terms(table: tuple, T: float, kappa: float, eye: np.ndarray) -> tuple:
     """One bath's terms: D[c] at bath.rate(omega) * weight per channel (c, omega, weight)."""
     terms = ()
     for jump, omega, weight in table:
         rate = bath.rate(omega, T, kappa) * weight
         # beta * omega rounded as the global closed form rounds it, not omega / T
-        terms += _thermal_channel(((jump, jump),), rate, math.exp(-(1.0 / T) * omega))
+        terms += _thermal_channel(jump, rate, math.exp(-(1.0 / T) * omega), eye)
     return terms
 
 
-def channel_superoperator(
-    a: sp.spmatrix, b: sp.spmatrix, channels: tuple[DissipationChannel, ...]
-) -> sp.csr_matrix:
-    """Assemble a node-basis channel table into a superoperator matrix."""
-    pairs = {"a": ((a, a),), "b": ((b, b),), "cross": ((a, b), (b, a))}
-    terms = ()
-    for channel in channels:
-        if channel.kind not in pairs:
-            raise ValueError(f"unknown channel kind {channel.kind!r}")
-        terms += _thermal_channel(pairs[channel.kind], channel.weight, channel.boltzmann)
-    return superoperator(terms, a.shape[0])
+def _grouped(terms: tuple[BlockTerm, ...]) -> _Grouped:
+    """Stack the terms by their shift of N, refusing any that take rho off the sector.
 
-
-def _mode_operators(n_max: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """a = ladder (x) 1, b = 1 (x) ladder and the Hamiltonian's hopping a'b.
-
-    Index n_A * (n_max + 1) + n_B holds |n_A, n_B>.  A two-level node is the
-    ladder at n_max = 1.
+    A term w L rho R keeps rho in the sector only if L and R shift N by
+    opposite single amounts; it must also move N by at most one, as the
+    block recursion assumes.  Either failure raises NonConvergence.
     """
-    width = n_max + 1
-    index = np.arange(width * width)
-    count_a, count_b = index // width, index % width
-
-    def matrix(data, rows, cols):
-        return sp.csr_matrix((data.astype(complex), (rows, cols)), shape=(index.size,) * 2)
-
-    # a sends |n_A + 1, n_B> to sqrt(n_A + 1) |n_A, n_B>, and b likewise
-    up_a, up_b = np.flatnonzero(count_a < n_max), np.flatnonzero(count_b < n_max)
-    a = matrix(np.sqrt(count_a[up_a] + 1.0), up_a, up_a + width)
-    b = matrix(np.sqrt(count_b[up_b] + 1.0), up_b, up_b + 1)
-    # a'b sends |n_A, n_B> to sqrt(n_A + 1) sqrt(n_B) |n_A + 1, n_B - 1>
-    hop = np.flatnonzero((count_a < n_max) & (count_b > 0))
-    a_b = matrix(np.sqrt(count_a[hop] + 1.0) * np.sqrt(count_b[hop]), hop + width - 1, hop)
-    return a, b, a_b
+    groups = {}
+    for (shift, left), (back, right), weight in terms:
+        if shift != -back or abs(shift) > 1:
+            raise NonConvergence(
+                f"a term shifts N by {shift} on the left and {-back} on the right of rho"
+            )
+        groups.setdefault(shift, []).append((weight, left, right))
+    stacked = {}
+    for shift, members in groups.items():
+        weights, lefts, rights = zip(*members)
+        # R's blocks are keyed by their column block K + d; key them by K
+        stacked[shift] = (
+            np.stack(lefts, axis=1) * np.array(weights)[:, None, None],
+            _moved(np.stack(rights, axis=1), -shift),
+        )
+    return stacked
 
 
 def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLiouvillian:
-    """Assemble the requested generator on the truncated space.
+    """Assemble the requested generator's N-block terms on the truncated space.
 
     For two-level nodes the space is exact and n_max is ignored; the global
     generator needs normal modes, which `normal_mode_basis` refuses for them
@@ -229,17 +257,33 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
         n_max = 1
     elif n_max < 2:
         raise TruncationTooSmall(f"bosonic truncation needs n_max >= 2, got {n_max}")
-    a, b, a_b = _mode_operators(n_max)
-    dimension, width = a.shape[0], n_max + 1
+    sector = _sector(n_max)
+    block, slot = np.nonzero(sector.occupied)
+    count_a, count_b = sector.count_a[block, slot], sector.count_b[block, slot]
+    above = block > n_max
+    eye, hamiltonian, a, b = (np.zeros(sector.filled.shape, dtype=complex) for _ in range(4))
+    eye[block, slot, slot] = 1.0
+    # a takes slot q of block K to slot q - 1 of block K - 1, or to slot q once
+    # K > n_max, with entry sqrt(n_A); b takes it to slot q, or q + 1, with sqrt(n_B)
+    lowers_a, lowers_b = count_a > 0, count_b > 0
+    a[block[lowers_a], (slot - 1 + above)[lowers_a], slot[lowers_a]] = np.sqrt(count_a[lowers_a])
+    b[block[lowers_b], (slot + above)[lowers_b], slot[lowers_b]] = np.sqrt(count_b[lowers_b])
     # a'a and b'b are sqrt(n) sqrt(n) on the diagonal, as their products would be
-    root_a, root_b = np.sqrt(np.divmod(np.arange(dimension), width))
-    energy = sp.diags(params.omega_h * (root_a * root_a) + params.omega_c * (root_b * root_b))
-    hamiltonian = (energy + params.epsilon * (a_b + a_b.conj().T)).tocsr()
+    root_a, root_b = np.sqrt(count_a), np.sqrt(count_b)
+    hamiltonian[block, slot, slot] = params.omega_h * (root_a * root_a) + params.omega_c * (
+        root_b * root_b
+    )
+    # the hopping a'b takes slot q to q + 1 of the same block, with its adjoint
+    hop = (count_a < n_max) & lowers_b
+    coupling = params.epsilon * (np.sqrt(count_a[hop] + 1.0) * np.sqrt(count_b[hop]))
+    hamiltonian[block[hop], slot[hop] + 1, slot[hop]] = coupling
+    hamiltonian[block[hop], slot[hop], slot[hop] + 1] = coupling
+    basis = None
     if approach is Generator.LOCAL:
         hot_table = ((a, params.omega_h, 1.0),)
         cold_table = ((b, params.omega_c, 1.0),)
     else:
-        # Assembled straight from the rotated mode operators, not from the
+        # Formed straight from the rotated mode operators, not from the
         # node-basis channel table, so the two stay independent routes.
         basis = normal_mode_basis(params)
         d_plus = basis.c * a + basis.s * b
@@ -247,139 +291,22 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
         wp, wm = basis.omega_plus, basis.omega_minus
         hot_table = ((d_plus, wp, basis.c2), (d_minus, wm, basis.s2))
         cold_table = ((d_plus, wp, basis.s2), (d_minus, wm, basis.c2))
-    hot = _bath_terms(hot_table, params.T_h, params.kappa)
-    cold = _bath_terms(cold_table, params.T_c, params.kappa)
-    eye = sp.identity(dimension, format="csr")
-    commutator = ((hamiltonian, eye, -1j), (eye, hamiltonian, 1j))
+    hot = _bath_terms(hot_table, params.T_h, params.kappa, eye)
+    cold = _bath_terms(cold_table, params.T_c, params.kappa, eye)
+    commutator = (((0, hamiltonian), (0, eye), -1j), ((0, eye), (0, hamiltonian), 1j))
     return FockLiouvillian(
         params=params,
+        approach=approach,
         n_max=n_max,
-        dimension=dimension,
-        terms=commutator + hot + cold,
-        hot=hot,
-        cold=cold,
+        sector=sector,
+        terms=_grouped(commutator + hot + cold),
+        hot=_grouped(hot),
+        cold=_grouped(cold),
         hamiltonian=hamiltonian,
         a=a,
         b=b,
+        basis=basis,
     )
-
-
-@dataclass(frozen=True)
-class _Sector:
-    """The sector of rho as padded N-blocks.
-
-    Block N holds rho[n, m] for the Hilbert indices n, m with N(n) = N(m) = N,
-    in ascending order, as the top-left corner of a width x width slab; the
-    slabs stack into a (blocks, width, width) array that is zero outside the
-    filled slots.  number and position give each Hilbert index's block and
-    its place in it; rows and cols give the Hilbert entry of each filled slot,
-    in the C order of filled; top marks the slots of the top Fock level.
-    """
-
-    number: np.ndarray
-    position: np.ndarray
-    sizes: np.ndarray
-    filled: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    top: np.ndarray
-
-    def blocks(self, rho: np.ndarray) -> np.ndarray:
-        """The N-blocks of a dense rho; its entries off the sector are dropped."""
-        slabs = np.zeros(self.filled.shape, dtype=complex)
-        slabs[self.filled] = rho[self.rows, self.cols]
-        return slabs
-
-    def dense(self, slabs: np.ndarray) -> np.ndarray:
-        """The dense rho whose N-blocks are slabs, zero off the sector."""
-        rho = np.zeros((self.number.size,) * 2, dtype=complex)
-        rho[self.rows, self.cols] = slabs[self.filled]
-        return rho
-
-    def cut(self, op: sp.spmatrix) -> tuple[int, np.ndarray]:
-        """op's shift of N and its blocks op[s_K+shift, s_K], padded, keyed by K.
-
-        An op that shifts N by more than one amount raises NonConvergence.
-        """
-        if op.format not in ("csr", "csc"):
-            op = op.tocsr()
-        major = np.repeat(np.arange(op.indptr.size - 1), np.diff(op.indptr))
-        row, col = (major, op.indices) if op.format == "csr" else (op.indices, major)
-        nonzero = op.data != 0
-        row, col, value = row[nonzero], col[nonzero], op.data[nonzero]
-        shifts = np.unique(self.number[row] - self.number[col])
-        if shifts.size > 1:
-            raise NonConvergence(f"an operator shifts N by each of {shifts.tolist()}")
-        pieces = np.zeros(self.filled.shape, dtype=complex)
-        np.add.at(pieces, (self.number[col], self.position[row], self.position[col]), value)
-        return int(shifts[0]) if shifts.size else 0, pieces
-
-
-def _sector(a: sp.csr_matrix, b: sp.csr_matrix, n_max: int) -> _Sector:
-    # N_A and N_B of each Hilbert index, the diagonals of a'a and b'b, read off
-    # the built operators so that they follow their kron order
-    count_a, count_b = (
-        np.rint(np.bincount(c.indices, np.abs(c.data) ** 2, c.shape[1])).astype(int) for c in (a, b)
-    )
-    number = count_a + count_b
-    sizes = np.bincount(number)
-    position = np.empty_like(number)
-    position[np.argsort(number, kind="stable")] = np.arange(number.size) - np.repeat(
-        np.cumsum(sizes) - sizes, sizes
-    )
-    hilbert = np.zeros((sizes.size, sizes.max()), dtype=int)
-    hilbert[number, position] = np.arange(number.size)
-    occupied = np.zeros(hilbert.shape, dtype=bool)
-    occupied[number, position] = True
-    filled = occupied[:, :, None] & occupied[:, None, :]
-    block, i, j = np.nonzero(filled)
-    top = np.zeros(hilbert.shape, dtype=bool)
-    top[number, position] = (count_a == n_max) | (count_b == n_max)
-    return _Sector(number, position, sizes, filled, hilbert[block, i], hilbert[block, j], top)
-
-
-def _moved(slabs: np.ndarray, shift: int) -> np.ndarray:
-    """slabs moved by shift blocks in N, out[K + shift] = slabs[K], zero elsewhere."""
-    out = np.zeros_like(slabs)
-    count, up, down = slabs.shape[0], max(shift, 0), max(-shift, 0)
-    out[up : count - down] = slabs[down : count - up]
-    return out
-
-
-# The terms by their shift d of N: the stacked blocks of w L and of R, both
-# (blocks, terms, width, width) and keyed by the block K of rho they read.  A
-# term sends block K to block K + d as w L[K + d, K] rho_K R[K, K + d].
-_Grouped = dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _grouped(terms: tuple[Term, ...], sector: _Sector) -> _Grouped:
-    """Cut the terms into blocks, refusing any that take rho off the sector.
-
-    Each operator is cut once.  A term w L rho R keeps rho in the sector only
-    if L and R shift N by opposite single amounts; it must also move N by at
-    most one, as the block recursion assumes.  Either failure raises
-    NonConvergence.
-    """
-    cut, groups = {}, {}
-    for left, right, weight in terms:
-        for op in (left, right):
-            if id(op) not in cut:
-                cut[id(op)] = sector.cut(op)
-        (shift, lefts), (back, rights) = cut[id(left)], cut[id(right)]
-        if shift != -back or abs(shift) > 1:
-            raise NonConvergence(
-                f"a term shifts N by {shift} on the left and {-back} on the right of rho"
-            )
-        groups.setdefault(shift, []).append((weight, lefts, rights))
-    stacked = {}
-    for shift, members in groups.items():
-        weights, lefts, rights = zip(*members)
-        # R's blocks are cut by their column block K + d; key them by K
-        stacked[shift] = (
-            np.stack(lefts, axis=1) * np.array(weights)[:, None, None],
-            _moved(np.stack(rights, axis=1), -shift),
-        )
-    return stacked
 
 
 def _applied(groups: _Grouped, slabs: np.ndarray) -> np.ndarray:
@@ -421,11 +348,9 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
 
     rho lives on the sector of entries |n><m| with N(n) = N(m), which is
     exact because every term of both generators conserves N or shifts it on
-    both sides of rho alike (see the module docstring).  Each term's
-    operators are cut once into dense N-blocks; an operator that shifts N by
-    more than one amount, or a term that takes rho off the sector or moves N
-    by more than one, raises NonConvergence before any solve.  The block x_N
-    of rho follows from the vacuum x_0 = 1 as x_N = S_N x_N-1, with
+    both sides of rho alike (see the module docstring).  The solve reads the
+    terms' N-blocks as build grouped them.  The block x_N of rho follows
+    from the vacuum x_0 = 1 as x_N = S_N x_N-1, with
     S_N = -(A_N,N + A_N,N+1 S_N+1)^-1 A_N,N-1 eliminated downward from the
     top block of the sector generator A, whose blocks are each one product of
     the terms' stacked pieces.  The guards run on the blocks: the residual
@@ -436,13 +361,13 @@ def steady_state(liou: FockLiouvillian) -> np.ndarray:
     Raises DegenerateNullspace when a diagonal block of the elimination is
     singular or the recursion returns non-finite entries or a trace that is
     not positive or not finite (no unique steady state), NonConvergence when
-    a term leaves the sector or the returned state fails the residual or
-    positivity checks, and TruncationTooSmall when a bosonic state noticeably
-    populates the top Fock level, which means the numbers describe the
-    truncation rather than the network.
+    the returned state fails the residual or positivity checks, and
+    TruncationTooSmall when a bosonic state noticeably populates the top Fock
+    level, which means the numbers describe the truncation rather than the
+    network.  A term that leaves the sector is refused with NonConvergence
+    when the terms are grouped, before any solve.
     """
-    sector = liou.sector
-    groups = _grouped(liou.terms, sector)
+    sector, groups = liou.sector, liou.terms
     sizes = sector.sizes
     top = sizes.size - 1
     below = np.zeros((0, sizes[top] ** 2))  # S of the empty block above the top
@@ -496,8 +421,7 @@ def _pair(left: np.ndarray, right: np.ndarray, slabs: np.ndarray) -> complex:
 
 def moments(liou: FockLiouvillian, rho: np.ndarray) -> MomentState:
     """Second moments (nA, nB, X, Y) of a state on the truncated space."""
-    sector = liou.sector
-    (_, a), (_, b), slabs = sector.cut(liou.a), sector.cut(liou.b), sector.blocks(rho)
+    a, b, slabs = liou.a, liou.b, liou.sector.blocks(rho)
     cross = _pair(a, b, slabs)
     return MomentState(
         nA=_pair(a, a, slabs).real,
@@ -509,9 +433,8 @@ def moments(liou: FockLiouvillian, rho: np.ndarray) -> MomentState:
 
 def mode_populations(liou: FockLiouvillian, rho: np.ndarray) -> tuple[float, float]:
     """Occupations of the normal modes d_+- (bosonic nodes only)."""
-    basis = normal_mode_basis(liou.params)
-    sector = liou.sector
-    (_, a), (_, b), slabs = sector.cut(liou.a), sector.cut(liou.b), sector.blocks(rho)
+    basis = liou.basis if liou.basis is not None else normal_mode_basis(liou.params)
+    a, b, slabs = liou.a, liou.b, liou.sector.blocks(rho)
     d_plus = basis.c * a + basis.s * b
     d_minus = basis.c * b - basis.s * a
     return _pair(d_plus, d_plus, slabs).real, _pair(d_minus, d_minus, slabs).real
@@ -524,17 +447,22 @@ def heat_current(liou: FockLiouvillian, rho: np.ndarray, which: str) -> float:
     """
     if which not in ("hot", "cold"):
         raise ValueError(f"which must be 'hot' or 'cold', got {which!r}")
-    sector = liou.sector
-    applied = _applied(_grouped(getattr(liou, which), sector), sector.blocks(rho))
-    return float(np.einsum("kij,kji->", sector.cut(liou.hamiltonian)[1], applied).real)
+    applied = _applied(getattr(liou, which), liou.sector.blocks(rho))
+    return float(np.einsum("kij,kji->", liou.hamiltonian, applied).real)
 
 
 def gibbs_state(liou: FockLiouvillian, temperature: float) -> np.ndarray:
-    """exp(-H/T) / Z on the truncated space."""
-    energies, vectors = np.linalg.eigh(liou.hamiltonian.toarray())
-    weights = np.exp(-(energies - energies[0]) / temperature)
-    weights /= weights.sum()
-    return (vectors * weights) @ vectors.conj().T
+    """exp(-H/T) / Z on the truncated space, from H's N-blocks (H conserves N)."""
+    sector = liou.sector
+    spectra = [
+        np.linalg.eigh(block[:size, :size]) for block, size in zip(liou.hamiltonian, sector.sizes)
+    ]
+    ground = min(energies[0] for energies, _ in spectra)
+    slabs = np.zeros(sector.filled.shape, dtype=complex)
+    for slab, (energies, vectors) in zip(slabs, spectra):
+        size = energies.size
+        slab[:size, :size] = (vectors * np.exp(-(energies - ground) / temperature)) @ vectors.conj().T
+    return sector.dense(slabs / np.trace(slabs, axis1=1, axis2=2).real.sum())
 
 
 def suggested_nmax(params: NetworkParams, approach: Generator = Generator.LOCAL) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from _draws import cold_params, contrast_params, generic_params
+from qheatnet import _fock_reference as reference
 from qheatnet import cli, gaussian, global_mme, local_mme, model, oracle
 from qheatnet.model import NetworkParams, Statistics, thermal_occupation
 
@@ -233,15 +234,26 @@ def test_criterion_09_cross_quadrature_correlations_and_separability():
 
 
 def test_criterion_10_channel_table_matches_the_mode_dissipators():
+    # on the whole space against the reference's mode dissipators, and on the
+    # sector, band by band, against the hot and cold blocks the oracle solves with
     rng = np.random.default_rng(10001)
     for _ in range(20):
         params = generic_params(rng)
         liou = oracle.build(params, oracle.Generator.GLOBAL, n_max=3)
+        full = reference.operators(params, oracle.Generator.GLOBAL, 3)
         table = global_mme.local_basis_generator(params)
-        for channels, direct in (
-            (table.hot, liou.hot_part),
-            (table.cold, liou.cold_part),
+        sizes = liou.sector.sizes
+        for channels, direct, blocks in (
+            (table.hot, liou.hot_part, liou.hot),
+            (table.cold, liou.cold_part, liou.cold),
         ):
-            assembled = oracle.channel_superoperator(liou.a, liou.b, channels)
+            terms = reference.channel_terms(full.a, full.b, channels)
+            assembled = reference.superoperator(terms, full.dimension)
             gap = np.abs((assembled - direct).toarray()).max()
             assert gap <= 1e-12
+            via_table = oracle._grouped(reference.cut(terms, liou.n_max))
+            for to in range(sizes.size):
+                for source in range(max(to - 1, 0), min(to + 2, sizes.size)):
+                    band = oracle._band(via_table, sizes, to, source)
+                    gap = np.abs(band - oracle._band(blocks, sizes, to, source)).max()
+                    assert gap <= 1e-12

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import qheatnet
+from qheatnet import _fock_reference as reference
 from qheatnet import cli, errors, gaussian, global_mme, local_mme, oracle
 from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
@@ -593,7 +594,8 @@ for argv in map(json.loads, sys.argv[1:]):
 """
 
 
-def test_non_oracle_commands_leave_scipy_unloaded():
+def test_commands_leave_scipy_unloaded():
+    # scipy serves only the full-space reference, which no command reads
     argvs = [
         ["point"],
         ["sweep", "--axis1", "epsilon:1e-5:0.1:3:log"],
@@ -602,20 +604,29 @@ def test_non_oracle_commands_leave_scipy_unloaded():
     ]
     result = _child("-c", _ENTRY_POINT_CHILD, *map(json.dumps, argvs))
     assert result.returncode == 0, result.stderr
-    # the oracle rows load scipy, which shows the check can see it
     assert result.stdout.splitlines() == [
-        "0 2 False", "0 6 False", "0 122 False", "0 4 True",
+        "0 2 False", "0 6 False", "0 122 False", "0 4 False",
     ]
+    # reading the full-space generator loads scipy, which shows the check can see it
+    code = (
+        "import sys\nfrom qheatnet import oracle\nfrom qheatnet.model import NetworkParams\n"
+        "oracle.build(NetworkParams(), oracle.Generator.LOCAL, 2).generator\n"
+        "print('scipy' in sys.modules)"
+    )
+    result = _child("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["True"]
 
 
 def test_oracle_rows_never_touch_the_full_space(monkeypatch):
-    # the rows solve and read out the sector's N-blocks; the dim**2 assembly
-    # and the dense term application are reference code for the tests only
+    # the rows build, solve and read out the sector's N-blocks; the full-space
+    # operators, the dim**2 assembly, the dense term application and the cut
+    # into blocks are reference code for the tests only
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle row used the full space")
 
-    monkeypatch.setattr(oracle, "superoperator", refuse)
-    monkeypatch.setattr(oracle, "apply", refuse)
+    for name in ("operators", "superoperator", "apply", "cut"):
+        monkeypatch.setattr(reference, name, refuse)
     params = NetworkParams(omega_h=10.0, omega_c=8.0, epsilon=1.0, T_h=0.7, T_c=0.6, kappa=1e-3)
     rows = cli.run_point(params, ("oracle-local", "oracle-global"), 4)
     assert [(row["approach"], row["error"]) for row in rows] == [
@@ -637,7 +648,9 @@ def test_oracle_rows_never_touch_the_full_space(monkeypatch):
     ids=["attribute", "from_import", "star_import"],
 )
 def test_the_oracle_module_loads_on_first_use(code):
-    result = _child("-c", "import qheatnet, sys\nassert 'scipy' not in sys.modules\n" + code)
+    # and loads no scipy with it
+    check = "\nassert 'scipy' not in sys.modules"
+    result = _child("-c", "import qheatnet, sys" + check + "\n" + code + check)
     assert result.returncode == 0, result.stderr
 
 

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from _draws import cold_params, generic_params
+from qheatnet import _fock_reference as reference
 from qheatnet import global_mme, local_mme, model, oracle
 from qheatnet.errors import (
     DegenerateNullspace,
@@ -49,6 +50,8 @@ SOLVE_CASES = [
     pytest.param(dataclasses.replace(FRIGID_POINT, statistics=s), g, n, id=f"{s}-{g}-{n}")
     for s, g, n in SECTOR_CASES
 ] + [pytest.param(COLD_POINT, g, 8, id=f"cold-{g}-8") for g in Generator]
+# the sector cases plus the warmer point at the truncations the rows use
+BLOCK_CASES = SOLVE_CASES + [pytest.param(COLD_POINT, g, 12, id=f"cold-{g}-12") for g in Generator]
 
 
 def _truncated_thermal(omega: float, temperature: float, n_max: int) -> np.ndarray:
@@ -66,6 +69,16 @@ def _sector_mask(liou: oracle.FockLiouvillian) -> np.ndarray:
     index = np.arange(liou.dimension)
     number = index // dim_mode + index % dim_mode
     return (number[:, None] == number[None, :]).reshape(-1, order="F")
+
+
+def _full(liou: oracle.FockLiouvillian) -> reference.FullSpace:
+    """liou's generator rebuilt on the whole space by the reference."""
+    return reference.operators(liou.params, liou.approach, liou.n_max)
+
+
+def _with_terms(liou: oracle.FockLiouvillian, terms: tuple) -> oracle.FockLiouvillian:
+    """liou with its terms replaced by full-space ones, cut into blocks and grouped."""
+    return dataclasses.replace(liou, terms=oracle._grouped(reference.cut(terms, liou.n_max)))
 
 
 def _full_space_steady_state(liou: oracle.FockLiouvillian) -> np.ndarray:
@@ -117,9 +130,34 @@ def test_sector_generator_is_block_tridiagonal_in_n(approach):
         index = np.arange(liou.dimension)
         sector = np.flatnonzero(_sector_mask(liou))
         block = (index // dim_mode + index % dim_mode)[sector % liou.dimension]
-        coupled = oracle.superoperator(liou.terms, liou.dimension, sector).tocoo()
+        coupled = reference.superoperator(_full(liou).terms, liou.dimension, sector).tocoo()
         assert coupled.nnz > 0
         assert np.abs(block[coupled.row] - block[coupled.col]).max() <= 1
+
+
+@pytest.mark.parametrize("params,approach,n_max", BLOCK_CASES)
+def test_every_block_piece_equals_the_cut_full_space_operator(params, approach, n_max):
+    # the row path's blocks against operators built on the whole space and
+    # cut, entry by entry; each group's R stack holds every jump, raising,
+    # anticommutator, identity and Hamiltonian piece unweighted, and its
+    # w L stack the same pieces times their weights
+    liou = oracle.build(params, approach, n_max=n_max)
+    full = _full(liou)
+    for blocks, op, shift in (
+        (liou.a, full.a, -1),
+        (liou.b, full.b, -1),
+        (liou.hamiltonian, full.hamiltonian, 0),
+    ):
+        cut = reference.piece(op, liou.n_max)
+        assert cut[0] == shift
+        assert np.array_equal(blocks, cut[1])
+    for part in ("terms", "hot", "cold"):
+        got = getattr(liou, part)
+        want = oracle._grouped(reference.cut(getattr(full, part), liou.n_max))
+        assert got.keys() == want.keys()
+        for shift, (lefts, rights) in want.items():
+            assert np.array_equal(got[shift][0], lefts)
+            assert np.array_equal(got[shift][1], rights)
 
 
 @pytest.mark.parametrize("statistics,approach,n_max", SECTOR_CASES)
@@ -127,7 +165,7 @@ def test_sector_assembly_matches_the_sliced_full_generator(statistics, approach,
     params = dataclasses.replace(FRIGID_POINT, statistics=statistics)
     liou = oracle.build(params, approach, n_max=n_max)
     sector = np.flatnonzero(_sector_mask(liou))
-    direct = oracle.superoperator(liou.terms, liou.dimension, sector)
+    direct = reference.superoperator(_full(liou).terms, liou.dimension, sector)
     sliced = liou.generator[sector][:, sector]
     assert direct.shape == sliced.shape
     assert (direct != sliced).nnz == 0
@@ -141,7 +179,7 @@ def test_applying_the_terms_matches_the_assembled_generator(approach):
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = rho + rho.conj().T
     assert np.abs(rho[~_sector_mask(liou).reshape((dim, dim), order="F")]).min() > 0
-    applied = oracle.apply(liou.terms, rho)
+    applied = reference.apply(_full(liou).terms, rho)
     assembled = (liou.generator @ rho.reshape(-1, order="F")).reshape((dim, dim), order="F")
     assert np.abs(applied - assembled).max() <= 1e-14 * np.abs(assembled).max()
 
@@ -153,17 +191,18 @@ def _commutator(op: sp.spmatrix) -> tuple:
 
 @pytest.mark.parametrize("breaking", ["squeezing", "quadrature_dissipator"])
 def test_symmetry_breaking_term_fails_the_full_residual(breaking):
+    # a'a' + aa and a + a' each shift N by two amounts, which cutting them refuses
     liou = oracle.build(FRIGID_POINT, Generator.LOCAL, n_max=4)
-    a, ad = liou.a, liou.a.conj().T
+    full = _full(liou)
+    a, ad = full.a, full.a.conj().T
     if breaking == "squeezing":
         extra = _commutator(1e-3 * (ad @ ad + a @ a))
     else:
         x = a + ad
         eye = sp.identity(liou.dimension, format="csr")
         extra = ((x, x, 1e-3), (x @ x, eye, -5e-4), (eye, x @ x, -5e-4))
-    broken = dataclasses.replace(liou, terms=liou.terms + extra)
-    with pytest.raises(NonConvergence):
-        oracle.steady_state(broken)
+    with pytest.raises(NonConvergence, match="shifts N by each of"):
+        oracle.steady_state(_with_terms(liou, full.terms + extra))
 
 
 def _pair_jump(op: sp.spmatrix, rate: float) -> tuple:
@@ -177,18 +216,20 @@ def _pair_jump(op: sp.spmatrix, rate: float) -> tuple:
 @pytest.mark.parametrize("breaking", ["weak_squeezing", "pair_jump"])
 def test_a_term_off_the_block_structure_is_refused_before_the_residual(breaking):
     # both are far below the residual tolerance on the unbroken steady state,
-    # so only the structural check on the terms' N shifts can refuse them
+    # so only the structural checks on the N shifts can refuse them: cutting
+    # refuses the squeezing operator, which shifts N by two amounts, and the
+    # grouping refuses D[a^2], whose terms move N by two
     liou = oracle.build(FRIGID_POINT, Generator.LOCAL, n_max=4)
-    a, ad = liou.a, liou.a.conj().T
+    full = _full(liou)
+    a, ad = full.a, full.a.conj().T
     if breaking == "weak_squeezing":
-        extra = _commutator(1e-20 * (ad @ ad + a @ a))
+        extra, refusal = _commutator(1e-20 * (ad @ ad + a @ a)), "shifts N by each of"
     else:
-        extra = _pair_jump(a, 1e-3)
-    broken = dataclasses.replace(liou, terms=liou.terms + extra)
+        extra, refusal = _pair_jump(a, 1e-3), "shifts N by -2 on the left"
     rho = oracle.steady_state(liou)
-    assert np.abs(oracle.apply(broken.terms, rho)).max() <= oracle.RESIDUAL_TOLERANCE
-    with pytest.raises(NonConvergence):
-        oracle.steady_state(broken)
+    assert np.abs(reference.apply(full.terms + extra, rho)).max() <= oracle.RESIDUAL_TOLERANCE
+    with pytest.raises(NonConvergence, match=refusal):
+        oracle.steady_state(_with_terms(liou, full.terms + extra))
 
 
 @pytest.mark.parametrize("approach", [Generator.LOCAL, Generator.GLOBAL])
@@ -201,7 +242,8 @@ def test_observables_match_dense_traces_for_any_state(approach):
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = rho + rho.conj().T
     assert np.abs(rho[~_sector_mask(liou).reshape((dim, dim), order="F")]).min() > 0
-    a, b = liou.a.toarray(), liou.b.toarray()
+    full = _full(liou)
+    a, b = full.a.toarray(), full.b.toarray()
     basis = model.normal_mode_basis(COLD_POINT)
     d_plus, d_minus = basis.c * a + basis.s * b, basis.c * b - basis.s * a
     cross = np.trace(a.conj().T @ b @ rho)
@@ -212,8 +254,8 @@ def test_observables_match_dense_traces_for_any_state(approach):
         "Y": -2.0 * cross.imag,
         "n_plus": np.trace(d_plus.conj().T @ d_plus @ rho).real,
         "n_minus": np.trace(d_minus.conj().T @ d_minus @ rho).real,
-        "hot": np.trace(liou.hamiltonian @ oracle.apply(liou.hot, rho)).real,
-        "cold": np.trace(liou.hamiltonian @ oracle.apply(liou.cold, rho)).real,
+        "hot": np.trace(full.hamiltonian @ reference.apply(full.hot, rho)).real,
+        "cold": np.trace(full.hamiltonian @ reference.apply(full.cold, rho)).real,
     }
     m = oracle.moments(liou, rho)
     n_plus, n_minus = oracle.mode_populations(liou, rho)
@@ -339,7 +381,8 @@ def test_moments_that_change_n_vanish_exactly(approach):
     params = cold_params(np.random.default_rng(55))
     liou = oracle.build(params, approach, n_max=12)
     rho = oracle.steady_state(liou)
-    a, b = liou.a, liou.b
+    full = _full(liou)
+    a, b = full.a, full.b
     for op in (a, b, a @ a, b @ b, a @ b):
         assert np.trace(op @ rho) == 0.0
 
@@ -348,15 +391,17 @@ def test_channel_table_reassembles_the_global_generator():
     params = generic_params(np.random.default_rng(56))
     liou = oracle.build(params, Generator.GLOBAL, n_max=3)
     table = global_mme.local_basis_generator(params)
-    via_table = oracle.channel_superoperator(liou.a, liou.b, table.hot)
+    full = _full(liou)
+    via_table = reference.channel_superoperator(full.a, full.b, table.hot)
     assert np.abs((via_table - liou.hot_part).toarray()).max() <= 1e-12
 
 
 def test_channel_table_rejects_an_unknown_kind():
     liou = oracle.build(COLD_POINT, Generator.LOCAL, n_max=2)
     channel = global_mme.DissipationChannel(kind="c", weight=1.0, boltzmann=0.5)
+    full = _full(liou)
     with pytest.raises(ValueError, match="unknown channel kind"):
-        oracle.channel_superoperator(liou.a, liou.b, (channel,))
+        reference.channel_superoperator(full.a, full.b, (channel,))
 
 
 def test_warm_point_trips_the_occupancy_guard():
@@ -369,17 +414,17 @@ def test_warm_point_trips_the_occupancy_guard():
 
 def test_commutator_alone_has_degenerate_nullspace():
     liou = oracle.build(COLD_POINT, Generator.LOCAL, n_max=4)
-    broken = dataclasses.replace(liou, terms=_commutator(liou.hamiltonian))
     with pytest.raises(DegenerateNullspace):
-        oracle.steady_state(broken)
+        oracle.steady_state(_with_terms(liou, _commutator(_full(liou).hamiltonian)))
 
 
 def _tls_with_hot_channel(rate: float, boltzmann: float) -> oracle.FockLiouvillian:
     # the two-level local generator with its hot dissipator swapped for another
     params = dataclasses.replace(COLD_POINT, statistics=Statistics.TLS)
     liou = oracle.build(params, Generator.LOCAL)
-    hot = oracle._thermal_channel(((liou.a, liou.a),), rate, boltzmann)
-    return dataclasses.replace(liou, terms=_commutator(liou.hamiltonian) + hot + liou.cold)
+    full = _full(liou)
+    hot = reference._thermal_channel(((full.a, full.a),), rate, boltzmann)
+    return _with_terms(liou, _commutator(full.hamiltonian) + hot + full.cold)
 
 
 def test_non_positive_steady_state_fails_the_positivity_guard():
