@@ -1,5 +1,6 @@
 """Local-treatment moment system: steady state, closed form, conservation laws."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from qheatnet import bath
 from qheatnet.errors import RateOverflow, SingularSystem
 from qheatnet.local_mme import (
+    FIELDS,
     MomentState,
     affine_system,
     heat_current_closed_form,
@@ -17,7 +19,9 @@ from qheatnet.local_mme import (
 )
 from qheatnet.model import NetworkParams, Statistics, thermal_occupation
 
-from _draws import contrast_params, extreme_params, generic_params
+from _draws import contrast_params, extreme_params, generic_params, whole_range_params
+
+_PARAMETERS = ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
 
 
 def _hand_rhs(params, state):
@@ -362,3 +366,47 @@ def test_swapping_the_baths_swaps_the_nodes(statistics):
             ]
             for got, want in pairs:
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), params
+
+
+def _columns(points) -> list[list[float]]:
+    return [[getattr(p, name) for p in points] for name in _PARAMETERS]
+
+
+def _row_texts(states, errors) -> list[str]:
+    # repr of every cell and the error type: the bytes a row can print, and more
+    return [
+        " ".join([*(repr(states[name][i]) for name in FIELDS), type(error).__name__])
+        for i, error in enumerate(errors)
+    ]
+
+
+def _whole_range_points() -> list[NetworkParams]:
+    rng = np.random.default_rng(3)
+    points = [whole_range_params(rng) for _ in range(4000)]
+    rng = np.random.default_rng(5)
+    return points + [extreme_params(rng) for _ in range(2000)]
+
+
+# sha256 prefix of the local rows over the whole float range; fig2's rows are
+# moderate, so only this pin covers the underflow, overflow and singular paths
+_WHOLE_RANGE_SHA256 = "4cbabc04b8a04118"
+
+
+def test_local_rows_over_the_whole_float_range_are_pinned():
+    columns = _columns(_whole_range_points())
+    texts = []
+    for statistics in Statistics:
+        texts += _row_texts(*steady_states(*columns, statistics.delta))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+    assert digest == _WHOLE_RANGE_SHA256
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
+def test_every_row_of_a_mixed_batch_equals_the_row_solved_alone(statistics):
+    points = _whole_range_points()[::20]
+    points[10:10] = [SINGULAR_TLS, NetworkParams(omega_h=1e200)]
+    batch = _row_texts(*steady_states(*_columns(points), statistics.delta))
+    kinds = {text.rsplit(" ", 1)[1] for text in batch}
+    assert {"RateOverflow", "SingularSystem", "NoneType"} <= kinds
+    for params, text in zip(points, batch, strict=True):
+        assert _row_texts(*steady_states(*_columns([params]), statistics.delta)) == [text], params
