@@ -9,7 +9,7 @@ which already contains the bath occupation; matching upward rates follow by
 the detailed-balance factor exp(-Omega/T), applied by the generators.
 `rate` is the one function here.  The global treatment and the Fock
 oracle call it at their transition frequencies.  The local treatment does
-not: its `local_mme._node` forms the same rate, its omega/T -> 0 limit
+not: its `local_mme._nodes` forms the same rate, its omega/T -> 0 limit
 included, at the bare node frequencies.
 """
 

@@ -15,16 +15,18 @@ on its own, so each axis value is validated once, outer axis first, and a
 rejected value is a usage error before anything is computed.  Each
 treatment is one function of the grid's six parameter columns that gives
 its result columns for the whole grid, named as in the table, and a typed
-error or None per row, all through `errors.by_row`; the Fock oracle builds
+error or None per row: the local treatment solves the columns at once, the
+others go row by row through `errors.by_row`, and the Fock oracle builds
 its own NetworkParams from each row's floats.  One writer puts the columns
 into one table of named columns, adding the Gaussian columns of bosonic rows
 from their moments in one call over the treatment's rows.  Blocks are views
 of row ranges of that table whose rows read as dicts.  Each block is rendered
 as one printf template per row, built from one table from cell type (float,
 int, bool, str, None) to formatter: a column holding one object throughout
-the block is formatted once into the template, a column of floats, ints or
-bools of one type is a %.17g or %d slot, and any other column is formatted
-cell by cell into a %s slot.
+the block is formatted once into the template, a column holding the same
+objects as an earlier block (fig2's inner axis) reuses that block's texts,
+a column of floats, ints or bools of one type is a %.17g or %d slot, and any
+other column is formatted cell by cell into a %s slot.
 
 The Fock oracle module is imported only when an oracle-* approach is asked
 for; the other treatments never load it.  No command loads scipy, which
@@ -39,6 +41,7 @@ tables they emit are reproducible claims, not just defaults.
 
 import argparse
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -303,13 +306,18 @@ _CSV_FORMATS = {
 _GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): lambda _: "nan"}
 
 
-def _block_text(columns: tuple[str, ...], block: Block, formats: dict, separator: str) -> str:
+def _block_text(
+    columns: tuple[str, ...], block: Block, formats: dict, separator: str, seen: dict
+) -> str:
     """One block's lines joined by newlines, each line one printf template % row.
 
     A column that holds one object across the block is formatted once into
-    the template.  A column of one cell type with a printf conversion is a
-    slot of that conversion, and any other column is formatted cell by cell
-    into a %s slot.
+    the template.  `seen` maps each other column to its cells in the last
+    block where they varied, and their texts once formatted: a column whose
+    cells are those same objects (identity, not equality: 0.0 == -0.0) is a
+    %s slot of those texts, formatted on the first repeat.  A column of one
+    cell type with a printf conversion is a slot of that conversion, and any
+    other column is formatted cell by cell into a %s slot.
     """
     template, slots = [], []
     for column in columns:
@@ -318,6 +326,16 @@ def _block_text(columns: tuple[str, ...], block: Block, formats: dict, separator
         formatter = formats[type(first)]
         if all(value is first for value in values):
             template.append(formatter(first).replace("%", "%%"))
+            continue
+        before, texts = seen.get(column, ((), None))
+        if len(before) != len(values) or not all(map(operator.is_, values, before)):
+            texts = None
+        elif texts is None:
+            texts = [formats[type(value)](value) for value in values]
+        seen[column] = values, texts
+        if texts is not None:
+            template.append("%s")
+            slots.append(texts)
         elif hasattr(formatter, "__self__") and len(set(map(type, values))) == 1:
             template.append(formatter.__self__)
             slots.append(values)
@@ -329,14 +347,16 @@ def _block_text(columns: tuple[str, ...], block: Block, formats: dict, separator
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
-    texts = (_block_text(columns, block, _CSV_FORMATS, ",") for block in blocks)
+    seen: dict = {}
+    texts = (_block_text(columns, block, _CSV_FORMATS, ",", seen) for block in blocks)
     return "\n".join([",".join(columns), *filter(None, texts), ""])
 
 
 def render_gnuplot(columns: tuple[str, ...], blocks: list[Block]) -> str:
     """Whitespace-separated table; blocks become blank-line separated so a
     2-D sweep is directly usable as a gnuplot grid."""
-    texts = (_block_text(columns, block, _GNUPLOT_FORMATS, " ") for block in blocks)
+    seen: dict = {}
+    texts = (_block_text(columns, block, _GNUPLOT_FORMATS, " ", seen) for block in blocks)
     return "# " + " ".join(columns) + "\n" + "\n\n".join(texts) + "\n"
 
 

@@ -22,7 +22,7 @@ omega_h - omega_c, A0 = (S^2 + 4 Delta^2) / S and D = A0 G_h G_c + 4 eps^2 S,
     J_h = eps Y (omega_h G_c + omega_c G_h) / S,  J_c = -J_h,
 
 so the occupations are nonnegative and the first law holds by construction.
-`_node` is the one node model: the kernel, `affine_system` and
+`_nodes` is the one node model: the kernel, `affine_system` and
 `heat_current_closed_form` all take their rates from it, as the global
 kernel and its closed form share `_rates`.  The checks are independent in
 their algebra: a dense solve of `affine_system` solves the kernel's own
@@ -32,24 +32,26 @@ moments.  The entropy production rate sigma = -J_h/T_h - J_c/T_c
 changes sign with exp(beta_c omega_c) - exp(beta_h omega_h), which is the
 whole point of auditing this treatment.
 
-One kernel, `steady_states`, serves single points and grids alike: it runs
-`_row` on each row in Python floats through `errors.by_row`, like the global
-kernel, and returns the columns named in FIELDS; `steady_state` is one `_row`
-call.  The weights use `math`'s exp and expm1: numpy's differ in the last
-bit on some inputs, which would change the 17-digit tables the CLI prints.
-A failing row (a rate, moment or current beyond the float range, a system
-singular to working precision) carries its typed error in the result and
-never stops the other rows.
+One kernel, `steady_states`, serves single points and grids alike: it
+solves all rows at once over numpy columns of the six parameters and
+returns the columns named in FIELDS; `steady_state` is the kernel on
+length-1 columns.  The weights and thermal factors use `math`'s exp and
+expm1 cell by cell: numpy's differ in the last bit on some inputs, which
+would change the 17-digit tables the CLI prints.  Every other operation is
+numpy's, in the order and association of one row's formulas, so each cell
+is the float that Python's arithmetic gives for that row alone.  A failing
+row (a rate, moment or current beyond the float range, a system singular to
+working precision) carries its typed error in the result and never stops
+the other rows.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .errors import RateOverflow, SingularSystem, by_row
+from .errors import RateOverflow, SingularSystem
 from .model import NetworkParams
 
 # The smallest normal float: below it a product keeps fewer than 53 bits.
@@ -82,42 +84,71 @@ class LocalSteadyState:
     sigma: float
 
 
-def _node(omega: float, T: float, kappa: float, delta: float) -> tuple[float, float, float]:
-    """Damping G = gamma (1 + delta w), pumping p = gamma w and weight w = exp(-omega/T) of a node.
+def _nodes(omega: np.ndarray, T: np.ndarray, kappa: np.ndarray | float, delta: float) -> tuple:
+    """Damping G = gamma (1 + delta w), pumping p = gamma w and weight w = exp(-omega/T) of nodes.
+
+    Takes float64 columns of frequencies and temperatures, kappa as a column
+    or one float, and the statistics' sign delta shared by every node, and
+    returns the columns G, p, w and a mask of the nodes whose G or p is
+    beyond the float range.  The weights and the thermal factor use `math`'s
+    exp and expm1 cell by cell: numpy's differ in the last bit on some
+    inputs, which would change the 17-digit tables the CLI prints.  Every
+    other operation is numpy's, in the order and association of the scalar
+    formulas, so each cell is the float that Python's arithmetic gives.
 
     For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
     where w rounds to 1.  Where omega/T is below the smallest normal float,
     gamma is its limit kappa omega T omega, as in bath.rate.  Where
     kappa omega^3 underflows and gamma does not, gamma is formed without it,
     except for a boson whose G is a nonzero subnormal: there p follows G, so
-    that p / G stays its occupation.  A G or p beyond the float range raises RateOverflow.
+    that p / G stays its occupation.
     """
-    x = omega / T
-    w = math.exp(-x)
-    cube = kappa * omega * omega * omega
-    if x < _TINY:
+    with np.errstate(all="ignore"):
+        x = omega / T
+        minus_x = (-x).ravel().tolist()
+        w, expm1 = (
+            np.fromiter(map(function, minus_x), np.float64, len(minus_x)).reshape(x.shape)
+            for function in (math.exp, math.expm1)
+        )
+        cube = kappa * omega * omega * omega
+        limit = x < _TINY
         wide = omega * T
-        gamma = kappa * wide * omega if wide < math.inf else kappa * omega * T * omega
-    else:
-        gamma = cube / -math.expm1(-x)
-    if x >= _TINY and cube < _TINY and not (delta < 0.0 and cube):
+        near = np.where(wide < math.inf, kappa * wide * omega, kappa * omega * T * omega)
+        gamma = np.where(limit, near, cube / -expm1)
         # cube underflows where gamma need not, and so may any partial product:
         # multiply the mantissas and add the exponents.  A boson's G is cube
         # itself, so a nonzero cube keeps p = cube w / (1 - w) for p / G to stay
         # exact, and a subnormal gamma has too few digits to replace cube's quotient.
-        (k, i), (o, j), (f, m) = map(math.frexp, (kappa, omega, omega / -math.expm1(-x)))
-        scaled = math.ldexp(k * o * o * f, i + j + j + m)
-        gamma = scaled if scaled >= _TINY else gamma
-    G, p = (cube if delta < 0.0 else gamma * (1.0 + w)), gamma * w
-    if not math.isfinite(G + p):
-        raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
-    return G, p, w
+        (k, i), (o, j), (f, m) = np.frexp(kappa), np.frexp(omega), np.frexp(omega / -expm1)
+        scaled = np.ldexp(k * o * o * f, i + j + j + m)
+        split = ~limit & (cube < _TINY) & (scaled >= _TINY)
+        if delta < 0.0:
+            split &= cube == 0.0
+        gamma = np.where(split, scaled, gamma)
+        G, p = (cube if delta < 0.0 else gamma * (1.0 + w)), gamma * w
+        return G, p, w, ~np.isfinite(G + p)
+
+
+def _rate_overflow(omega: float, kappa: float) -> RateOverflow:
+    return RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
+
+
+def _point_nodes(params: NetworkParams) -> tuple[list[float], list[float], list[float]]:
+    """G, p and w of the hot and the cold node of one point, as Python floats.
+
+    Raises RateOverflow for the hot node first, as the kernel does.
+    """
+    omega, T = (params.omega_h, params.omega_c), (params.T_h, params.T_c)
+    G, p, w, overflow = _nodes(np.array(omega), np.array(T), params.kappa, params.delta)
+    for value, failed in zip(omega, overflow.tolist()):
+        if failed:
+            raise _rate_overflow(value, params.kappa)
+    return G.tolist(), p.tolist(), w.tolist()
 
 
 def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix A and inhomogeneity v of dx/dt = A x + v for x = (nA, nB, X, Y)."""
-    G_h, p_h, _ = _node(params.omega_h, params.T_h, params.kappa, params.delta)
-    G_c, p_c, _ = _node(params.omega_c, params.T_c, params.kappa, params.delta)
+    (G_h, G_c), (p_h, p_c), _ = _point_nodes(params)
     eps, gap, damp = params.epsilon, params.omega_h - params.omega_c, 0.5 * (G_h + G_c)
     A = np.array(
         [
@@ -130,53 +161,67 @@ def affine_system(params: NetworkParams) -> tuple[np.ndarray, np.ndarray]:
     return A, np.array([p_h, p_c, 0.0, 0.0])
 
 
-def _row(delta, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
-    """One row in the order of FIELDS; raises the row's typed error.
+def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> tuple[dict, list]:
+    """Steady states of the local moment system for equal-length parameter columns.
+
+    Returns a list of Python floats per name in FIELDS and a typed error or
+    None per row, as errors.by_row does: a failed row holds NaN.  delta is
+    the statistics' sign, shared by every row.  The columns are converted to
+    float64 once and solved together, every operation in numpy in the order
+    and association of one row's formulas, so a row's cells do not depend
+    on the batch around it.
 
     Rates enter as g_l = G_l / S and q_l = p_l / S; S, gap and epsilon as
     s, d, e over a power of two above S / 2, |gap| and epsilon, so no product
-    of two rates or square overflows and the scaling is exact.  A scaled D
-    that underflows even so is singular to working precision.
+    of two rates or square overflows and the scaling is exact.  A row's
+    error is the first that applies of: the hot node's RateOverflow, the
+    cold node's, SingularSystem where S or the scaled D is 0 (singular to
+    working precision), and RateOverflow where any cell is not finite.
     """
-    G_h, p_h, _ = _node(omega_h, T_h, kappa, delta)
-    G_c, p_c, _ = _node(omega_c, T_c, kappa, delta)
-    S = G_h + G_c
-    gap = omega_h - omega_c
-    k = math.frexp(max(0.5 * S, abs(gap), epsilon))[1]
-    s, d, e = math.ldexp(S, -k), math.ldexp(gap, -k), math.ldexp(epsilon, -k)
-    try:
+    columns = np.array([omega_h, omega_c, epsilon, T_h, T_c, kappa], dtype=np.float64)
+    omega_h, omega_c, epsilon, T_h, T_c, kappa = columns
+    # the hot and the cold nodes as the two rows of one call
+    (G_h, G_c), (p_h, p_c), _, (hot, cold) = _nodes(columns[:2], columns[3:5], kappa, delta)
+    with np.errstate(all="ignore"):
+        S = G_h + G_c
+        gap = omega_h - omega_c
+        k = -np.frexp(np.maximum(np.maximum(0.5 * S, np.abs(gap)), epsilon))[1]
+        s, d, e = np.ldexp(S, k), np.ldexp(gap, k), np.ldexp(epsilon, k)
         g_h, g_c, q_h, q_c = G_h / S, G_c / S, p_h / S, p_c / S
         lorentz, four_eps_sq = s * s + 4.0 * d * d, 4.0 * e * e
         den = lorentz * g_h * g_c + four_eps_sq
         nA = (lorentz * q_h * g_c + four_eps_sq * (q_h + q_c)) / den
         nB = (lorentz * q_c * g_h + four_eps_sq * (q_h + q_c)) / den
         flow = 4.0 * e * (q_h * g_c - q_c * g_h) / den
-    except ZeroDivisionError as exc:
-        raise SingularSystem("moment drift matrix is singular to working precision") from exc
-    Y, X = s * flow, 2.0 * d * flow
-    J_h = epsilon * Y * (omega_h * g_c + omega_c * g_h)
-    J_c = -J_h
-    sigma = -J_h / T_h - J_c / T_c
-    if not math.isfinite(nA + nB + X + Y + J_h + sigma):  # an inf or NaN anywhere shows here
-        raise RateOverflow("the steady moments or currents overflow")
-    return nA, nB, X, Y, J_h, J_c, sigma
-
-
-def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> tuple[dict, list]:
-    """Steady states of the local moment system for equal-length parameter columns.
-
-    Returns a list per name in FIELDS and a typed error or None per row (see
-    errors.by_row).  delta is the statistics' sign, shared by every row.
-    Columns are lists of Python floats: numpy scalars would follow numpy's
-    overflow rules.
-    """
-    return by_row(_row, (repeat(delta), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
+        Y, X = s * flow, 2.0 * d * flow
+        J_h = epsilon * Y * (omega_h * g_c + omega_c * g_h)
+        J_c = -J_h
+        sigma = -J_h / T_h - J_c / T_c
+        singular = (S == 0.0) | (den == 0.0)
+        overflow = ~np.isfinite(nA + nB + X + Y + J_h + sigma)  # an inf or NaN anywhere shows here
+    cells = np.array([nA, nB, X, Y, J_h, J_c, sigma])
+    failed = hot | cold | singular | overflow
+    cells[:, failed] = math.nan
+    errors = [None] * len(failed)
+    for i in failed.nonzero()[0].tolist():
+        if hot[i]:
+            errors[i] = _rate_overflow(omega_h[i].item(), kappa[i].item())
+        elif cold[i]:
+            errors[i] = _rate_overflow(omega_c[i].item(), kappa[i].item())
+        elif singular[i]:
+            errors[i] = SingularSystem("moment drift matrix is singular to working precision")
+        else:
+            errors[i] = RateOverflow("the steady moments or currents overflow")
+    return dict(zip(FIELDS, cells.tolist())), errors
 
 
 def steady_state(params: NetworkParams) -> LocalSteadyState:
     """Unique steady state of the local generator's moment system: one row of the kernel."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    nA, nB, X, Y, J_h, J_c, sigma = _row(params.delta, *values)
+    columns, (error,) = steady_states(*([value] for value in values), params.delta)
+    if error is not None:
+        raise error
+    nA, nB, X, Y, J_h, J_c, sigma = (columns[name][0] for name in FIELDS)
     return LocalSteadyState(moments=MomentState(nA, nB, X, Y), J_h=J_h, J_c=J_c, sigma=sigma)
 
 
@@ -194,11 +239,10 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
     kappa, and dividing s's numerator and Q by max(2 eps, 1)^2 keeps eps^2
     from overflowing at large epsilon.  It reads the kernel's node model
-    (`_node`) and is independent of steady_state() in its algebra only, which
+    (`_nodes`) and is independent of steady_state() in its algebra only, which
     eliminates the moment system with its own grouping.
     """
-    G_h, _, w_h = _node(params.omega_h, params.T_h, params.kappa, params.delta)
-    G_c, _, w_c = _node(params.omega_c, params.T_c, params.kappa, params.delta)
+    (G_h, G_c), _, (w_h, w_c) = _point_nodes(params)
     # s's numerator and Q divided by m^2; for eps <= 1/2, m = 1 changes nothing
     m = max(2.0 * params.epsilon, 1.0)
     four_eps_sq = 4.0 * (params.epsilon / m) ** 2

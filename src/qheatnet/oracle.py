@@ -5,7 +5,7 @@ detailed-balance occupations derived by hand.  This module rebuilds both
 generators on a truncated two-node Fock space and extracts steady states,
 moments and currents numerically, sharing only bath.rate and
 normal_mode_basis with the global closed form and nothing with the local
-one, whose node rates come from local_mme._node, so they can be audited
+one, whose node rates come from local_mme._nodes, so they can be audited
 against it.
 Each bath is a table of channels (jump operator c, frequency omega, weight),
 and a channel is D[c] at bath.rate(omega) * weight plus its upward partner.
@@ -140,9 +140,10 @@ class FockLiouvillian:
     """A generator on the truncated two-node space, kept as its N-block terms.
 
     terms is the full right-hand side including the commutator; hot and cold
-    are the two bath dissipators alone; each is grouped by shift once, per
-    instance.  a, b and hamiltonian are the operators' padded N-blocks, a and
-    b keyed by the block they lower, and basis is the global generator's
+    are the two bath dissipators alone.  Each bath is grouped by shift once,
+    per instance, and terms joins the commutator's groups with them.  a, b
+    and hamiltonian are the operators' padded N-blocks, a and b keyed by the
+    block they lower, and basis is the global generator's
     normal-mode basis (None for the local one).  The generator, hot_part and
     cold_part properties rebuild them on the whole space as
     dimension**2-square matrices, through the full-space reference.
@@ -191,12 +192,12 @@ def _moved(slabs: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def _thermal_channel(jump: np.ndarray, rate: float, boltzmann: float, eye: np.ndarray) -> tuple:
-    """D[c] at rate plus its upward partner D[c'] at rate * boltzmann, as block terms.
+def _channel(jump: np.ndarray) -> tuple:
+    """A jump operator c as its lowering and raising pieces and the blocks of c'c and cc'.
 
-    c lowers N by one; its adjoint c'[K] = c[K + 1]' raises it.
+    c lowers N by one; its adjoint c'[K] = c[K + 1]' raises it.  Formed once
+    per operator, however many bath channels share it.
     """
-    up = rate * boltzmann
     above = _moved(jump, -1)
     lower, raised = (-1, jump), (1, above.conj().transpose(0, 2, 1))
     # c'c[K] = c[K]' c[K] and cc'[K] = c[K + 1] c[K + 1]', summed elementwise:
@@ -204,17 +205,24 @@ def _thermal_channel(jump: np.ndarray, rate: float, boltzmann: float, eye: np.nd
     # than the products of the full-space operators
     decay = (jump.conj()[:, :, :, None] * jump[:, :, None, :]).sum(axis=1)
     pump = (above[:, :, None, :] * above.conj()[:, None, :, :]).sum(axis=3)
+    return lower, raised, decay, pump
+
+
+def _thermal_channel(channel: tuple, rate: float, boltzmann: float, eye: np.ndarray) -> tuple:
+    """D[c] at rate plus its upward partner D[c'] at rate * boltzmann, as block terms."""
+    lower, raised, decay, pump = channel
+    up = rate * boltzmann
     anti = (0, rate * decay + up * pump)
     return (lower, raised, rate), (raised, lower, up), (anti, (0, eye), -0.5), ((0, eye), anti, -0.5)
 
 
 def _bath_terms(table: tuple, T: float, kappa: float, eye: np.ndarray) -> tuple:
-    """One bath's terms: D[c] at bath.rate(omega) * weight per channel (c, omega, weight)."""
+    """One bath's terms: D[c] at bath.rate(omega) * weight per channel (_channel(c), omega, weight)."""
     terms = ()
-    for jump, omega, weight in table:
+    for channel, omega, weight in table:
         rate = bath.rate(omega, T, kappa) * weight
         # beta * omega rounded as the global closed form rounds it, not omega / T
-        terms += _thermal_channel(jump, rate, math.exp(-(1.0 / T) * omega), eye)
+        terms += _thermal_channel(channel, rate, math.exp(-(1.0 / T) * omega), eye)
     return terms
 
 
@@ -241,6 +249,22 @@ def _grouped(terms: tuple[BlockTerm, ...]) -> _Grouped:
             _moved(np.stack(rights, axis=1), -shift),
         )
     return stacked
+
+
+def _joined(*groups: _Grouped) -> _Grouped:
+    """The groups' stacks concatenated shift by shift, in the order given.
+
+    The result equals grouping all their terms at once: each shift keeps the
+    place of its first appearance, and its terms the order of the groups.
+    """
+    shifts = dict.fromkeys(shift for group in groups for shift in group)
+    return {
+        shift: tuple(
+            np.concatenate(parts, axis=1)
+            for parts in zip(*(group[shift] for group in groups if shift in group))
+        )
+        for shift in shifts
+    }
 
 
 def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLiouvillian:
@@ -280,28 +304,28 @@ def build(params: NetworkParams, approach: Generator, n_max: int = 12) -> FockLi
     hamiltonian[block[hop], slot[hop], slot[hop] + 1] = coupling
     basis = None
     if approach is Generator.LOCAL:
-        hot_table = ((a, params.omega_h, 1.0),)
-        cold_table = ((b, params.omega_c, 1.0),)
+        hot_table = ((_channel(a), params.omega_h, 1.0),)
+        cold_table = ((_channel(b), params.omega_c, 1.0),)
     else:
         # Formed straight from the rotated mode operators, not from the
         # node-basis channel table, so the two stay independent routes.
         basis = normal_mode_basis(params)
-        d_plus = basis.c * a + basis.s * b
-        d_minus = basis.c * b - basis.s * a
+        d_plus = _channel(basis.c * a + basis.s * b)
+        d_minus = _channel(basis.c * b - basis.s * a)
         wp, wm = basis.omega_plus, basis.omega_minus
         hot_table = ((d_plus, wp, basis.c2), (d_minus, wm, basis.s2))
         cold_table = ((d_plus, wp, basis.s2), (d_minus, wm, basis.c2))
-    hot = _bath_terms(hot_table, params.T_h, params.kappa, eye)
-    cold = _bath_terms(cold_table, params.T_c, params.kappa, eye)
-    commutator = (((0, hamiltonian), (0, eye), -1j), ((0, eye), (0, hamiltonian), 1j))
+    hot = _grouped(_bath_terms(hot_table, params.T_h, params.kappa, eye))
+    cold = _grouped(_bath_terms(cold_table, params.T_c, params.kappa, eye))
+    commutator = _grouped((((0, hamiltonian), (0, eye), -1j), ((0, eye), (0, hamiltonian), 1j)))
     return FockLiouvillian(
         params=params,
         approach=approach,
         n_max=n_max,
         sector=sector,
-        terms=_grouped(commutator + hot + cold),
-        hot=_grouped(hot),
-        cold=_grouped(cold),
+        terms=_joined(commutator, hot, cold),
+        hot=hot,
+        cold=cold,
         hamiltonian=hamiltonian,
         a=a,
         b=b,

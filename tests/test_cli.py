@@ -388,10 +388,15 @@ def test_every_treatment_names_its_row_in_the_table():
     boson = NetworkParams(T_h=1.0, T_c=0.8)
     tls = replace(boson, statistics=Statistics.TLS)
     values = tuple(getattr(boson, name) for name in _FLOAT_KEYS)
-    local = local_mme._row(boson.delta, *values)
+
+    def local_row(delta: float) -> tuple:  # a one-row local kernel call, in the order of FIELDS
+        columns, _ = local_mme.steady_states(*([value] for value in values), delta)
+        return tuple(columns[name][0] for name in local_mme.FIELDS)
+
+    local = local_row(boson.delta)
     rows = [
         (local_mme.FIELDS, local),
-        (local_mme.FIELDS, local_mme._row(tls.delta, *values)),
+        (local_mme.FIELDS, local_row(tls.delta)),
         (global_mme.FIELDS, global_mme._row(Statistics.BOSON, *values)),
         (gaussian.FIELDS, gaussian._correlation_row(*local[:4])),
     ]
@@ -1023,6 +1028,20 @@ def test_renderer_matches_the_per_cell_reference_on_random_blocks(seed):
     columns, blocks = _random_blocks(np.random.default_rng(seed))
     _assert_renders_like_reference(columns, blocks, columns, blocks)
     _assert_renders_like_reference(columns[::-1], blocks, columns[::-1], blocks)
+    # each block thrice in a row: formatted, then its texts formatted, then reused
+    repeated = [block for block in blocks for _ in range(3)]
+    _assert_renders_like_reference(columns, repeated, columns, repeated)
+
+
+def test_a_column_repeats_only_with_the_same_objects():
+    # the second block repeats the first's objects and formats their texts;
+    # the third's cells equal them (0.0 == -0.0) but are other objects, so it
+    # prints its own signs
+    zero, minus_zero, half = 0.0, -0.0, 0.5
+    table = {"x": [zero, half, zero, half, minus_zero, half]}
+    blocks = [cli.Block(table, 0, 2), cli.Block(table, 2, 4), cli.Block(table, 4, 6)]
+    _assert_renders_like_reference(("x",), blocks, ("x",), blocks)
+    assert cli.render_csv(("x",), blocks).splitlines()[1:] == ["0", "0.5", "0", "0.5", "-0", "0.5"]
 
 
 @pytest.mark.parametrize(

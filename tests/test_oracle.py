@@ -140,7 +140,8 @@ def test_every_block_piece_equals_the_cut_full_space_operator(params, approach, 
     # the row path's blocks against operators built on the whole space and
     # cut, entry by entry; each group's R stack holds every jump, raising,
     # anticommutator, identity and Hamiltonian piece unweighted, and its
-    # w L stack the same pieces times their weights
+    # w L stack the same pieces times their weights; terms, joined from the
+    # commutator's and the baths' groups, equals grouping all its terms at once
     liou = oracle.build(params, approach, n_max=n_max)
     full = _full(liou)
     for blocks, op, shift in (
@@ -154,7 +155,7 @@ def test_every_block_piece_equals_the_cut_full_space_operator(params, approach, 
     for part in ("terms", "hot", "cold"):
         got = getattr(liou, part)
         want = oracle._grouped(reference.cut(getattr(full, part), liou.n_max))
-        assert got.keys() == want.keys()
+        assert list(got) == list(want)  # in order: the row path sums the shifts in it
         for shift, (lefts, rights) in want.items():
             assert np.array_equal(got[shift][0], lefts)
             assert np.array_equal(got[shift][1], rights)
