@@ -87,14 +87,11 @@ class LocalSteadyState:
 def _nodes(omega: np.ndarray, T: np.ndarray, kappa: np.ndarray | float, delta: float) -> tuple:
     """Damping G = gamma (1 + delta w), pumping p = gamma w and weight w = exp(-omega/T) of nodes.
 
-    Takes float64 columns of frequencies and temperatures, kappa as a column
-    or one float, and the statistics' sign delta shared by every node, and
-    returns the columns G, p, w and a mask of the nodes whose G or p is
-    beyond the float range.  The weights and the thermal factor use `math`'s
-    exp and expm1 cell by cell: numpy's differ in the last bit on some
-    inputs, which would change the 17-digit tables the CLI prints.  Every
-    other operation is numpy's, in the order and association of the scalar
-    formulas, so each cell is the float that Python's arithmetic gives.
+    Takes float64 arrays of frequencies and temperatures, kappa as an array
+    or one float and the statistics' sign delta, and returns the arrays G, p
+    and w and a mask of the nodes whose G or p is beyond the float range.
+    exp and expm1 are `math`'s, cell by cell, and every other operation is
+    numpy's in the scalar formulas' order (see the module docstring).
 
     For bosons G is the bath identity gamma (1 - w) = kappa omega^3, exact
     where w rounds to 1.  Where omega/T is below the smallest normal float,
