@@ -33,7 +33,12 @@ class RateOverflow(HeatNetError):
 
 
 class SingularSystem(HeatNetError):
-    """A steady-state system is singular: a singular 4x4 drift matrix, or a decay rate of 0."""
+    """A steady-state system is singular to working precision.
+
+    The local moment system, whose 4x4 drift matrix can be singular in
+    floats, and the closed forms, which divide by rates that can round to 0.
+    The global kernel needs no rates and never raises it.
+    """
 
 
 class UnphysicalCovariance(HeatNetError):

@@ -7,35 +7,48 @@ both modes with weights fixed by the rotation angle:
     cold bath:  gamma_c(omega_+) sin^2(theta) on d_+ and gamma_c(omega_-) cos^2(theta) on d_-
 
 with upward Boltzmann weights exp(-beta_l omega_+-) evaluated at the dressed
-frequencies.  The two modes decouple, so each steady occupation n_+- is a
-two-bath detailed-balance mixture and the currents follow per mode.  Because
-every exchange happens at a single dressed frequency shared by both baths,
-the entropy production rate (beta_c - beta_h) * J_h is nonnegative whenever
-the currents are, i.e. this treatment cannot violate the second law.
+frequencies.  The two modes decouple, and the bath identity
+gamma_l(omega) (1 - exp(-omega/T_l)) = kappa omega^3 takes the rates out of
+each mode's balance: with the Bose factor n_l(omega) = 1/(exp(omega/T_l) - 1),
+
+    n_+- = c_h n_h(omega_+-) + c_c n_c(omega_+-),
+    J_h = kappa sum_+- omega_+-^4 c^2 s^2 (n_h(omega_+-) - n_c(omega_+-)),
+
+where (c_h, c_c) = (c^2, s^2) for + and (s^2, c^2) for -.  Each occupation is
+a convex mix of two Bose factors, and each term of J_h has the sign of
+T_h - T_c: heat flows from hot to cold, and the entropy production
+(beta_c - beta_h) J_h is nonnegative.  This treatment cannot violate the
+second law, and the current shows why in one line.
 
 The generator is secular: it drops the d_+ <-> d_- coherence coupling, which
 is only justified when the mode splitting omega_+ - omega_- dominates all
 rates.  The opposite regime is flagged via secular_warning instead of
-refused, since the algebra stays well defined.
+refused, since the algebra stays well defined.  The fastest rate is the
+one at omega_+ in the warmer bath; where it overflows, the flag is set.
 
 One kernel, `steady_states`, serves single points and grids alike: it maps
 parameter columns to the result columns named in FIELDS and a typed error or
 None per row, and `steady_state` is one `_row` call.  Rows are solved one by
-one in Python floats: the basis, rates and weights need `math`'s hypot and
-exp per element (numpy's differ in the last bit on some inputs, which would
-change the 17-digit tables the CLI prints), and the two mode balances after
-them gained about a tenth in numpy on a 2 500-row grid but made one point
-many times slower.  The closed form and the channel table share only the basis and the
-rates with the kernel: they are the other side of its audit.
+one in Python floats with `math`'s exp and expm1 (numpy's differ in the
+last bit on some inputs, which would change the 17-digit tables the CLI
+prints).  No division by a mode's loss remains, so the only row errors are
+the spectrum's and a cell beyond the float range.  The closed form and the
+channel table keep the dressed rates and exp(-beta omega) of `_setup`; with
+the kernel they share the basis and `bath.rate`, which the kernel reads for
+the warning alone, so they remain the other side of its audit.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 from . import bath
 from .errors import RateOverflow, SingularSystem, by_row
 from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_modes
+
+# The smallest normal float: below it a product keeps fewer than 53 bits.
+_TINY = sys.float_info.min
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
@@ -83,46 +96,61 @@ class LocalBasisGenerator:
     cold: tuple[DissipationChannel, ...]
 
 
-def _rates(
-    omega_plus: float, omega_minus: float, T_h: float, T_c: float, kappa: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Dressed rates and upward weights exp(-beta omega), each ordered (h+, h-, c+, c-)."""
-    rates = (
-        bath.rate(omega_plus, T_h, kappa),
-        bath.rate(omega_minus, T_h, kappa),
-        bath.rate(omega_plus, T_c, kappa),
-        bath.rate(omega_minus, T_c, kappa),
-    )
-    beta_h, beta_c = 1.0 / T_h, 1.0 / T_c
-    weights = (
-        math.exp(-beta_h * omega_plus),
-        math.exp(-beta_h * omega_minus),
-        math.exp(-beta_c * omega_plus),
-        math.exp(-beta_c * omega_minus),
-    )
-    return rates, weights
-
-
 def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], tuple[float, ...]]:
-    """Basis, dressed rates and upward weights, the latter two ordered (h+, h-, c+, c-)."""
-    basis = normal_mode_basis(params)
-    return basis, *_rates(basis.omega_plus, basis.omega_minus, params.T_h, params.T_c, params.kappa)
+    """Basis, dressed rates and upward weights exp(-beta omega), the latter two ordered (h+, h-, c+, c-).
 
-
-def _mode_balance(omega: float, k_h: float, x_h: float, k_c: float, x_c: float) -> tuple[float, float]:
-    """Occupation and hot-bath current of one mode fed by two thermal channels.
-
-    k_l are the downward channel strengths gamma_l^sigma * weight, x_l the
-    upward Boltzmann weights exp(-beta_l omega).  Steady state balances
-    total up-pumping k_l x_l against total decay k_l (1 - x_l).  The hot
-    current omega k_h (x_h - (1 - x_h) n) is written so that no product of
-    two large factors forms before the division by the loss.
+    Only the closed form and the channel table read rates; the kernel needs none.
     """
-    loss = k_h * (1.0 - x_h) + k_c * (1.0 - x_c)
-    if loss == 0.0:  # x_l rounds to 1 on both channels, or both rates underflow
-        raise SingularSystem(f"the mode at omega = {omega!r} has no net decay")
-    n = (k_h * x_h + k_c * x_c) / loss
-    return n, omega * (x_h - x_c) * (k_h / loss) * k_c
+    basis = normal_mode_basis(params)
+    frequencies = (basis.omega_plus, basis.omega_minus) * 2
+    temperatures = (params.T_h, params.T_h, params.T_c, params.T_c)
+    rates = tuple(map(bath.rate, frequencies, temperatures, repeat(params.kappa)))
+    weights = tuple(math.exp(-(1.0 / T) * omega) for omega, T in zip(frequencies, temperatures))
+    return basis, rates, weights
+
+
+def _bose(omega: float, T: float) -> float:
+    """Bose factor 1 / (exp(x) - 1) at x = omega/T, formed as exp(-x) / (1 - exp(-x)).
+
+    That form does not overflow past x = 709 as 1/expm1(x) would.  Where x
+    is below the smallest normal float, whose few bits would not carry the
+    quotient, it is the limit T/omega.
+    """
+    x = omega / T
+    return T / omega if x < _TINY else math.exp(-x) / -math.expm1(-x)
+
+
+def _log_bose(omega: float, T: float) -> float:
+    """ln _bose(omega, T), finite where the factor itself under- or overflows."""
+    x = omega / T
+    return math.log(T) - math.log(omega) if x < _TINY else -x - math.log(-math.expm1(-x))
+
+
+def _mode_current(kappa, omega, cs2, log_cs2, dn, T_h, T_c) -> float:
+    """Hot current kappa omega^4 c^2 s^2 dn through the mode at omega, with dn = n_h - n_c.
+
+    It is formed as q = kappa omega^4 times p = c^2 s^2 dn.  The partial
+    products of q run monotonically from kappa to q, so where kappa, q, c^2
+    s^2, p and the current are normal floats, no digit was lost on the way.
+    Elsewhere the current is the exponential of a sum of logarithms, ln|dn|
+    coming from l = ln n of each bath as l_> + ln(1 - exp(l_< - l_>)) where
+    dn itself leaves the normal range.  A current beyond the float range is inf.
+    """
+    q, p = kappa * omega * omega * omega * omega, cs2 * dn
+    current = q * p
+    if min(kappa, cs2, q, abs(p)) >= _TINY and _TINY <= abs(current) < math.inf:  # a NaN fails here
+        return current
+    if _TINY <= abs(dn) < math.inf:
+        log_dn, sign = math.log(abs(dn)), dn
+    else:
+        l_h, l_c = _log_bose(omega, T_h), _log_bose(omega, T_c)
+        if l_h == l_c:  # equal temperatures, or both factors below any float's logarithm
+            return 0.0
+        log_dn, sign = max(l_h, l_c) + math.log(-math.expm1(-abs(l_h - l_c))), l_h - l_c
+    try:
+        return math.copysign(math.exp(math.log(kappa) + 4.0 * math.log(omega) + log_cs2 + log_dn), sign)
+    except OverflowError:
+        return math.inf
 
 
 def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
@@ -132,13 +160,28 @@ def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> 
     node basis (see gaussian).
     """
     wp, wm, c2, s2 = normal_modes(omega_h, omega_c, epsilon, statistics)
-    (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _rates(wp, wm, T_h, T_c, kappa)
-    n_p, J_p = _mode_balance(wp, gh_p * c2, xh_p, gc_p * s2, xc_p)
-    n_m, J_m = _mode_balance(wm, gh_m * s2, xh_m, gc_m * c2, xc_m)
-    J_h = J_p + J_m
+    n_hp, n_cp, n_hm, n_cm = _bose(wp, T_h), _bose(wp, T_c), _bose(wm, T_h), _bose(wm, T_c)
+    cs2 = c2 * s2
+    if epsilon == 0.0:  # each mode is a node, fed by its own bath alone
+        n_p, n_m, J_h = (n_hp, n_cm, 0.0) if c2 else (n_cp, n_hm, 0.0)
+    else:
+        n_p, n_m = c2 * n_hp + s2 * n_cp, s2 * n_hm + c2 * n_cm
+        # c^2 s^2 = (epsilon / (omega_+ - omega_-))^2; where it underflows,
+        # epsilon is so far below the detuning that the splitting is
+        # |omega_h - omega_c| to every digit
+        if cs2 >= _TINY:
+            log_cs2 = math.log(cs2)
+        else:
+            log_cs2 = 2.0 * (math.log(epsilon) - math.log(abs(omega_h - omega_c)))
+        J_h = _mode_current(kappa, wp, cs2, log_cs2, n_hp - n_cp, T_h, T_c)
+        J_h += _mode_current(kappa, wm, cs2, log_cs2, n_hm - n_cm, T_h, T_c)
     J_c = -J_h
-    X = 2.0 * math.sqrt(c2 * s2) * (n_p - n_m)
-    warning = (wp - wm) < SECULAR_FACTOR * max(gh_p, gh_m, gc_p, gc_m)
+    X = 2.0 * math.sqrt(cs2) * (n_p - n_m)
+    # the rate grows with omega and T: the fastest is at omega_+ in the warmer bath
+    try:
+        warning = (wp - wm) < SECULAR_FACTOR * bath.rate(wp, max(T_h, T_c), kappa)
+    except RateOverflow:  # a rate beyond the float range exceeds any splitting
+        warning = True
     nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
     if not math.isfinite(n_p + n_m + nA + nB + X + J_h + sigma):  # an inf or NaN shows here
         raise RateOverflow("the steady occupations or currents overflow")
@@ -152,15 +195,14 @@ def steady_states(
 
     Returns a list per name in FIELDS and a typed error or None per row (see
     errors.by_row).  statistics is shared by every row.  A row's first error
-    wins: the statistics, the spectrum, the rates in the order h+, h-, c+,
-    c-, the + mode's balance and the - mode's, then an occupation or
-    current beyond the float range.
+    wins: the statistics, the spectrum (see model.normal_modes), then an
+    occupation or current beyond the float range.
     """
     return by_row(_row, (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
 
 
 def steady_state(params: NetworkParams) -> GlobalSteadyState:
-    """Steady state of the global generator from per-mode detailed balance."""
+    """Steady state of the global generator: one row of the kernel."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
     nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = _row(params.statistics, *values)
     return GlobalSteadyState(n_p, n_m, nA, nB, J_h, J_c, sigma, warning)
@@ -178,7 +220,7 @@ def heat_current_closed_form(params: NetworkParams) -> float:
     kappa omega^3 leaves no product of rates to underflow.  Each term carries
     the sign of x_h - x_c and so vanishes at equal temperatures; both vanish
     at epsilon = 0 through the cos^2 sin^2 prefactor.
-    Independent of steady_state(), which goes through the occupations n_+-.
+    Independent of steady_state(), which needs no rate and sums Bose factors.
     """
     basis, (gh_p, gh_m, gc_p, gc_m), (xh_p, xh_m, xc_p, xc_m) = _setup(params)
     c2, s2 = basis.c2, basis.s2

@@ -23,8 +23,9 @@ omega_h - omega_c, A0 = (S^2 + 4 Delta^2) / S and D = A0 G_h G_c + 4 eps^2 S,
 
 so the occupations are nonnegative and the first law holds by construction.
 `_nodes` is the one node model: the kernel, `affine_system` and
-`heat_current_closed_form` all take their rates from it, as the global
-kernel and its closed form share `_rates`.  The checks are independent in
+`heat_current_closed_form` all take their rates from it (the global kernel
+needs no rates, and its closed form takes them from `bath.rate`).  The
+checks are independent in
 their algebra: a dense solve of `affine_system` solves the kernel's own
 system without the elimination, the closed form groups the current as
 (w_h - w_c) s, and both generators' expectations reduce to J_h at these
@@ -235,9 +236,12 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     the exponential contrast.  With w_l <= 1 and Q free of rate products
     beyond S^2, nothing overflows at large beta omega or underflows at tiny
     kappa, and dividing s's numerator and Q by max(2 eps, 1)^2 keeps eps^2
-    from overflowing at large epsilon.  It reads the kernel's node model
-    (`_nodes`) and is independent of steady_state() in its algebra only, which
-    eliminates the moment system with its own grouping.
+    from overflowing at large epsilon.  A rate of 0 raises SingularSystem,
+    and a value that still leaves the float range on the way (a detuning
+    above about 1e154 times max(2 eps, 1), say) raises RateOverflow.  It
+    reads the kernel's node model (`_nodes`) and is independent of
+    steady_state() in its algebra only, which eliminates the moment system
+    with its own grouping.
     """
     (G_h, G_c), _, (w_h, w_c) = _point_nodes(params)
     # s's numerator and Q divided by m^2; for eps <= 1/2, m = 1 changes nothing
@@ -247,8 +251,11 @@ def heat_current_closed_form(params: NetworkParams) -> tuple[float, float]:
     thermal = (1.0 + params.delta * w_h) * (1.0 + params.delta * w_c)
     gap = (params.omega_h - params.omega_c) / m
     try:
-        Q = (S / m) * (S / m) + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * gap**2
+        Q = (S / m) * (S / m) + four_eps_sq * (S / G_h) * (S / G_c) + 4.0 * gap * gap
         s = four_eps_sq * (params.omega_c * G_h + params.omega_h * G_c) / (thermal * Q)
     except ZeroDivisionError as exc:
         raise SingularSystem(f"closed-form current divides by zero: {exc}") from exc
-    return (w_h - w_c) * s, w_h * w_c * s
+    J_h, F = (w_h - w_c) * s, w_h * w_c * s
+    if not math.isfinite(J_h + F):  # an intermediate beyond the float range leaves inf or NaN
+        raise RateOverflow("the closed-form current overflows")
+    return J_h, F

@@ -17,6 +17,7 @@ to cancellation.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -27,6 +28,10 @@ from .errors import (
     RateOverflow,
     UnsupportedStatistics,
 )
+
+
+# The smallest normal float: below it a product keeps fewer than 53 bits.
+_TINY = sys.float_info.min
 
 
 class Statistics(Enum):
@@ -157,48 +162,42 @@ def normal_modes(
 
     Raises UnsupportedStatistics for TLS nodes, whose bilinears do not close
     under the rotation, and GaplessSpectrum when eps**2 >= omega_h * omega_c
-    (the lower eigenfrequency would not be positive).  When eps**2 and
-    omega_h * omega_c both overflow and the spectrum is gapped, omega_+ >= eps
-    puts every rate beyond the float range, and RateOverflow is raised here.
-    It is raised too when omega_+ itself overflows, since every rate at
-    omega_+ would.
+    (the lower eigenfrequency would not be positive) or when omega_- rounds
+    to 0.  Where omega_h * omega_c leaves the normal float range, eps is
+    compared with its square root, and omega_- divides each product by
+    omega_+ before it forms.  RateOverflow is raised only where omega_+
+    itself overflows.
     """
     if statistics is not Statistics.BOSON:
         raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
     product = omega_h * omega_c
-    try:
-        eps_sq = eps**2
-    except OverflowError:
-        if math.isfinite(product) or eps >= math.sqrt(omega_h) * math.sqrt(omega_c):
-            raise GaplessSpectrum(f"epsilon**2 overflows, >= omega_h*omega_c = {product!r}") from None
-        raise RateOverflow(f"omega_+ >= epsilon = {eps!r} overflows every rate") from None
-    det = product - eps_sq
-    if det <= 0:
-        raise GaplessSpectrum(f"epsilon**2 = {eps_sq!r} >= omega_h*omega_c = {product!r}")
+    direct = _TINY <= product < math.inf
+    if direct:
+        det = product - eps * eps
+        if det <= 0:
+            raise GaplessSpectrum(f"epsilon**2 = {eps * eps!r} >= omega_h*omega_c = {product!r}")
+    elif eps >= (root := math.sqrt(omega_h) * math.sqrt(omega_c)):
+        raise GaplessSpectrum(f"epsilon = {eps!r} >= sqrt(omega_h*omega_c) = {root!r}")
     half_gap = 0.5 * (omega_h - omega_c)
     r = math.hypot(half_gap, eps)
     omega_plus = 0.5 * (omega_h + omega_c) + r
     if math.isinf(omega_plus):
         raise RateOverflow(f"omega_+ of omega_h = {omega_h!r}, omega_c = {omega_c!r} overflows")
-    # omega_- via the determinant avoids the mid - r cancellation; once
-    # omega_h * omega_c overflows, each product is divided by omega_+ first.
-    if math.isinf(product):
-        omega_minus = (omega_h / omega_plus) * omega_c - eps * (eps / omega_plus)
-    else:
+    # omega_- via the determinant avoids the mid - r cancellation
+    if direct:
         omega_minus = det / omega_plus
-    if 0.0 < r < 1e-150:
-        # eps**2 and r**2 would underflow; the rotation depends only on ratios to r.
-        half_gap, eps = half_gap / r, eps / r
-        r = math.hypot(half_gap, eps)
+    else:
+        omega_minus = (omega_h / omega_plus) * omega_c - eps * (eps / omega_plus)
+    if omega_minus <= 0.0:  # below the smallest float, or at the gap edge in rounding
+        raise GaplessSpectrum(f"omega_- = {omega_minus!r} of omega_h = {omega_h!r}, omega_c = {omega_c!r}")
     if r == 0.0:
         # omega_h == omega_c with epsilon == 0: any rotation works, take none.
         c2, s2 = 1.0, 0.0
     else:
         # the larger weight is (r + |half_gap|) / 2r, the smaller eps**2 over
-        # 2r (r + |half_gap|); once that product overflows, eps / r first
+        # 2r (r + |half_gap|), formed from ratios to r so no square under- or overflows
         wide = r + abs(half_gap)
-        den = 2.0 * r * wide
-        small = eps**2 / den if den < math.inf else (eps / r) * (eps / wide) / 2.0
+        small = (eps / r) * (eps / wide) / 2.0
         c2, s2 = (wide / (2.0 * r), small) if half_gap >= 0.0 else (small, wide / (2.0 * r))
     return omega_plus, omega_minus, c2, s2
 

@@ -28,6 +28,7 @@ from qheatnet.gaussian import moment_correlation_columns, moment_correlations
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics
 
 from _draws import cold_params, contrast_params, extreme_params, generic_params, whole_range_params
+from _exact import exact_global_row
 
 EXPECTED_HEADER = (
     "approach,omega_h,omega_c,epsilon,T_h,T_c,kappa,statistics,"
@@ -210,11 +211,21 @@ def test_an_overflowing_upper_mode_is_a_rate_overflow(capsys):
 
 
 def test_rate_overflow_lands_in_the_error_column():
-    rows = cli.run_point(NetworkParams(omega_h=1e200), ("local", "global"))
+    # the local rates at omega_h = 1e200 overflow; the global row needs no
+    # rate, and the one it reads for the warning overflows, which sets it
+    params = NetworkParams(omega_h=1e200)
+    rows = cli.run_point(params, ("local", "global"))
     assert [(r["approach"], r["error"]) for r in rows] == [
         ("local", "RateOverflow"),
-        ("global", "RateOverflow"),
+        ("global", ""),
     ]
+    assert rows[1]["secular_warning"] is True
+    # the + mode sits at 1e200, so n_+ and J_h lie below the normal range;
+    # references: the rate form in 60-digit mpmath
+    exact = exact_global_row(params)
+    assert rows[1]["n_plus"] == 0.0 and rows[1]["J_h"] == 0.0 and exact["J_h"] < sys.float_info.min
+    assert rows[1]["n_minus"] == pytest.approx(float(exact["n_minus"]), rel=1e-15, abs=0.0)
+    assert rows[1]["n_B"] == pytest.approx(float(exact["n_B"]), rel=1e-15, abs=0.0)
 
 
 _TYPED_ERRORS = {
@@ -722,14 +733,18 @@ def test_grid_rows_equal_point_rows(draw, statistics, approaches):
 
 
 def test_a_singular_point_fails_alone():
-    # kappa = 1e-320 leaves the drift matrix numerically singular, and the
-    # global modes without decay
+    # kappa = 1e-320 leaves the drift matrix numerically singular; the global
+    # row needs no rate, so at epsilon = 0 it holds each node's Bose factor
     fixed = NetworkParams(omega_h=0.01, omega_c=0.02, epsilon=0.0)
     axis = cli.parse_axis("kappa:1e-320:1e-7:5:log")
     rows = _assert_grid_matches_points(fixed, [axis], ("local", "global"))
-    assert [row["error"] for row in rows] == ["SingularSystem"] * 2 + [""] * 8
-    assert all(row["n_A"] is None and row["J_h"] is None for row in rows[:2])
-    assert all(math.isfinite(row["J_h"]) for row in rows[2:])
+    assert [row["error"] for row in rows] == ["SingularSystem"] + [""] * 9
+    assert rows[0]["n_A"] is None and rows[0]["J_h"] is None
+    assert all(math.isfinite(row["J_h"]) for row in rows[1:])
+    exact = exact_global_row(replace(fixed, kappa=1e-320))  # 60-digit mpmath, rate form
+    for column in ("n_A", "n_B", "n_plus", "n_minus"):
+        assert rows[1][column] == pytest.approx(float(exact[column]), rel=1e-15, abs=0.0), column
+    assert rows[1]["J_h"] == 0.0 and exact["J_h"] == 0
 
 
 def test_a_local_solve_singular_to_working_precision_fails_its_row(capsys):
@@ -755,14 +770,19 @@ def test_a_local_solve_singular_to_working_precision_fails_its_row(capsys):
     assert [row["error"] for row in rows] == ["SingularSystem", ""]
 
 
-def test_weights_that_round_to_1_give_a_singular_global_row(capsys):
-    # exp(-omega/T) is exactly 1 at T = 1e17, so neither mode decays
+def test_weights_that_round_to_1_give_a_finite_global_row(capsys):
+    # exp(-omega/T) is exactly 1 at T = 1e17, so a mode's decay k (1 - x)
+    # would round to 0; the Bose factors T/omega do not need it.  References:
+    # the rate form in 60-digit mpmath
     assert cli.main(["point", "--T-h", "1e17", "--T-c", "1e17"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     global_row = _rows(captured.out)[1]
-    assert global_row["approach"] == "global" and global_row["error"] == "SingularSystem"
-    assert global_row["J_h"] == ""
+    assert global_row["approach"] == "global" and global_row["error"] == ""
+    exact = exact_global_row(NetworkParams(T_h=1e17, T_c=1e17))
+    for column in ("n_A", "n_B", "n_plus", "n_minus"):
+        assert float(global_row[column]) == pytest.approx(float(exact[column]), rel=1e-15, abs=0.0)
+    assert float(global_row["J_h"]) == 0.0 and exact["J_h"] == 0
 
 
 def test_weights_that_round_to_1_give_a_finite_local_row(capsys):
@@ -864,8 +884,8 @@ def test_the_kernels_build_no_parameter_set_per_point(monkeypatch):
 def test_rate_overflow_rows_fail_alone():
     axis = cli.parse_axis("omega_h:1:1e200:3:log")
     rows = _assert_grid_matches_points(NetworkParams(), [axis], ("local", "global"))
-    assert [row["error"] for row in rows] == ["", "", "", "", "RateOverflow", "RateOverflow"]
-    assert all(row["J_h"] is None for row in rows[4:])
+    assert [row["error"] for row in rows] == ["", "", "", "", "RateOverflow", ""]
+    assert rows[4]["J_h"] is None and rows[5]["J_h"] == 0.0
 
 
 # --- rendering against the per-cell reference ----------------------------------
@@ -959,7 +979,7 @@ def test_fig2_bytes_match_the_point_path_on_every_tenth_scanline():
 
 # sha256 prefixes of `qheatnet figN --out FILE`; any change to the bytes of a
 # local or global row shows here
-_PRESET_SHA256 = {"fig2": "a564e0450bd469a9", "fig3": "a8cbfba05544cc52", "fig4": "bfd6049278d23942"}
+_PRESET_SHA256 = {"fig2": "a564e0450bd469a9", "fig3": "82a15b07ddc06c4b", "fig4": "4a1e25813ab3e348"}
 
 
 @pytest.mark.parametrize("name", sorted(_PRESET_SHA256))

@@ -1,6 +1,7 @@
 """Global-treatment balance: equilibrium, second law, closed form, channel table."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qheatnet.global_mme import (
 )
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics, normal_mode_basis
 
-from _draws import contrast_params, extreme_params, generic_params
+from _draws import contrast_params, extreme_params, generic_params, whole_range_params
+from _exact import exact_global_row
 
 
 def test_equal_temperatures_give_bose_einstein_modes():
@@ -169,11 +171,18 @@ def test_gapless_rejected():
     [NetworkParams(T_h=1e17, T_c=1e17), NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320)],
     ids=["weights_round_to_1", "rates_underflow"],
 )
-def test_a_mode_without_decay_is_a_singular_system(params):
+def test_a_mode_whose_decay_rounds_to_0_solves(params):
     # exp(-omega/T) rounds to 1 on both channels, or both rates round to 0:
-    # a mode's balance and the closed form would divide by zero
-    with pytest.raises(SingularSystem):
-        steady_state(params)
+    # the Bose factors need neither, so the row is finite; the references are
+    # the rate form in 60-digit mpmath.  J_h is 0 at equal temperatures and
+    # 1.7e-327, below the normal range, at kappa = 1e-320
+    state = steady_state(params)
+    exact = exact_global_row(params)
+    cells = {"n_plus": state.n_plus, "n_minus": state.n_minus, "n_A": state.nA, "n_B": state.nB}
+    for name, got in cells.items():
+        assert got == pytest.approx(float(exact[name]), rel=1e-15, abs=0.0), name
+    assert state.J_h == 0.0 and abs(exact["J_h"]) < sys.float_info.min
+    # the closed form divides by the rates and the weights' complements
     with pytest.raises(SingularSystem):
         heat_current_closed_form(params)
 
@@ -251,6 +260,7 @@ def test_kernel_rows_are_independent_of_their_batch():
         NetworkParams(omega_h=1e200),
         NetworkParams(T_h=1e17, T_c=1e17),
         NetworkParams(omega_h=1e80),
+        _SIGMA_OVERFLOW,
     ]
     states, row_errors = _kernel(points)
     errors = set()
@@ -270,17 +280,20 @@ def test_kernel_rows_are_independent_of_their_batch():
         basis = normal_mode_basis(params)
         assert states["X"][i] == 2.0 * basis.cs * (want.n_plus - want.n_minus)
         assert states["Y"][i] == 0.0
-    assert errors == {GaplessSpectrum, RateOverflow, SingularSystem}
+    assert errors == {GaplessSpectrum, RateOverflow}
+
+
+# J_h is about 1.8e242 and T_c about 1e-225, so sigma is beyond the float range
+_SIGMA_OVERFLOW = NetworkParams(
+    omega_h=132882.1940568587, omega_c=1.0459489621609917e-26, epsilon=1.6261839577953575e-48,
+    T_h=3.412143457021893e26, T_c=8.816864270556461e-226, kappa=2.2353900895477338e200,
+)
 
 
 @pytest.mark.parametrize(
     "params",
     [
-        NetworkParams(
-            omega_h=132882.1940568587, omega_c=1.0459489621609917e-26,
-            epsilon=1.6261839577953575e-48, T_h=3.412143457021893e26,
-            T_c=8.816864270556461e-226, kappa=2.2353900895477338e200,
-        ),
+        _SIGMA_OVERFLOW,
         NetworkParams(
             omega_h=1e160, omega_c=2e148, epsilon=1.3e154, T_h=1e160, T_c=1e150, kappa=1e-300
         ),
@@ -302,12 +315,55 @@ def test_kernel_error_order():
     # a gapless row fails before its rates would overflow
     (error,) = _kernel([NetworkParams(omega_h=1e200, omega_c=1e-200, epsilon=1.0)])[1]
     assert type(error) is GaplessSpectrum
-    # the + mode's balance fails before the - mode's; at T = 1e17 only the
-    # - mode has no net decay
-    for params, mode in (
-        (NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320), "omega_plus"),
-        (NetworkParams(T_h=1e17, T_c=1e17), "omega_minus"),
-    ):
-        (error,) = _kernel([params])[1]
-        assert type(error) is SingularSystem
-        assert f"omega = {getattr(normal_mode_basis(params), mode)!r} " in str(error)
+    # no mode divides by its loss, so after the spectrum the only error left
+    # is a cell beyond the float range; the decay-free modes above solve
+    points = [
+        NetworkParams(omega_h=1e308, omega_c=1e308, epsilon=0.0),
+        NetworkParams(omega_h=0.01, omega_c=0.02, kappa=1e-320),
+        NetworkParams(T_h=1e17, T_c=1e17),
+        _SIGMA_OVERFLOW,
+    ]
+    assert [type(e) for e in _kernel(points)[1]] == [RateOverflow, type(None), type(None), RateOverflow]
+    assert "omega_+" in str(_kernel(points[:1])[1][0])
+
+
+def _accuracy_points() -> list[NetworkParams]:
+    rng = np.random.default_rng(3)
+    points = [whole_range_params(rng) for _ in range(2000)]
+    rng = np.random.default_rng(41)
+    points += [extreme_params(rng) for _ in range(2000)]
+    return [p for p in points if p.statistics is Statistics.BOSON]
+
+
+# Indices into _accuracy_points() of the occupations that still print more
+# than 1e-8 off a normal exact value: a mixing weight below the normal range
+# times a large Bose factor (ROADMAP, whole-range accuracy)
+_STILL_OFF = {
+    "n_plus": [5, 556, 1145, 1387],
+    "n_minus": [49, 53, 74, 336, 471, 480, 684, 707, 802, 825, 1156, 1227, 1229, 1385],
+}
+
+
+def test_printed_global_rows_match_the_exact_rate_form():
+    # 3 022 bosonic draws over the whole float range and over extreme ratios,
+    # against the rate form in 60-digit mpmath: a row is gapless exactly where
+    # the spectrum is, no printed cell stands for a value beyond the float
+    # range, and every printed J_h whose exact value is a normal float
+    # matches it to 1e-8, sign included
+    points = _accuracy_points()
+    states, errors = _kernel(points)
+    off = {name: [] for name in _STILL_OFF}
+    for i, (params, error) in enumerate(zip(points, errors)):
+        exact = exact_global_row(params)
+        if error is not None:
+            assert (type(error) is GaplessSpectrum) == (exact is None), (i, error)
+            continue
+        assert all(abs(value) <= sys.float_info.max for value in exact.values()), i
+        if abs(exact["J_h"]) >= sys.float_info.min:
+            assert states["J_h"][i] == pytest.approx(float(exact["J_h"]), rel=1e-8, abs=0.0), i
+        for name, indices in off.items():
+            want = exact[name]
+            if abs(want) >= sys.float_info.min and abs(states[name][i] / want - 1) > 1e-8:
+                indices.append(i)
+    assert errors.count(None) == 2077
+    assert off == _STILL_OFF

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qheatnet import bath
-from qheatnet.errors import RateOverflow, SingularSystem
+from qheatnet.errors import HeatNetError, RateOverflow, SingularSystem
 from qheatnet.local_mme import (
     FIELDS,
     MomentState,
@@ -194,6 +194,19 @@ def test_closed_form_with_a_zero_rate_is_a_singular_system(params):
     # G_l rounds to 0, so S / G_l in the closed form would divide by zero
     with pytest.raises(SingularSystem):
         heat_current_closed_form(params)
+
+
+def test_the_closed_form_is_finite_or_typed_over_the_whole_float_range():
+    # gap**2 raised a bare OverflowError on draws 374, 564, 1072, 1211, 1607,
+    # 2749, 2852, 3314 and 3396 of these, and gap * gap alone left NaN on six
+    # of them; where an intermediate leaves the float range it is a RateOverflow
+    rng = np.random.default_rng(3)
+    for params in [whole_range_params(rng) for _ in range(4000)]:
+        try:
+            J_h, F = heat_current_closed_form(params)
+        except HeatNetError:
+            continue
+        assert math.isfinite(J_h) and math.isfinite(F), params
 
 
 # gamma_c underflows to 0 and epsilon is 2.4e-279 of the detuning, so in working

@@ -178,13 +178,43 @@ def test_gapless_spectrum_raises():
 
 def test_overflowing_coupling_is_typed():
     # epsilon**2 overflows: above any finite omega_h * omega_c it is gapless
-    with pytest.raises(GaplessSpectrum, match="overflows"):
+    with pytest.raises(GaplessSpectrum, match="inf"):
         normal_modes(10.0, 5.0, 1e200, Statistics.BOSON)
     with pytest.raises(GaplessSpectrum):
         normal_modes(1e200, 1e200, 1e201, Statistics.BOSON)
-    # omega_h * omega_c overflows too, and the gapped spectrum's rates would
+    # omega_h * omega_c overflows too, and the spectrum is gapped: omega_-
+    # divides each product by omega_+ first, (1e400 - 1e398) / 1.1e200
+    omega_plus, omega_minus, c2, s2 = normal_modes(1e200, 1e200, 1e199, Statistics.BOSON)
+    assert (omega_plus, c2, s2) == (1.1e200, 0.5, 0.5)
+    assert omega_minus == pytest.approx(9e199, rel=1e-15, abs=0.0)
+    # only an omega_+ beyond the float range is refused
     with pytest.raises(RateOverflow):
-        normal_modes(1e200, 1e200, 1e199, Statistics.BOSON)
+        normal_modes(1e308, 1e308, 1e307, Statistics.BOSON)
+
+
+def test_a_gapped_spectrum_whose_coupling_squared_overflows_solves():
+    # epsilon**2 overflows for epsilon above about 1.3e154 and used to refuse
+    # every such row as a RateOverflow; 50-digit mpmath on the exact doubles:
+    # omega_+ = 1e160 + 1e155, omega_- = (1e320 - 1e310) / omega_+
+    omega_plus, omega_minus, c2, s2 = normal_modes(1e160, 1e160, 1e155, Statistics.BOSON)
+    assert omega_plus == pytest.approx(1.00001e160, rel=1e-15, abs=0.0)
+    assert omega_minus == pytest.approx(9.9999000000000000000e159, rel=1e-15, abs=0.0)
+    assert (c2, s2) == (0.5, 0.5)
+
+
+def test_a_product_below_the_normal_range_is_not_a_gapless_spectrum():
+    # omega_h * omega_c = 4.0e-359 and epsilon**2 = 2.9e-422 both flush to 0,
+    # which read as epsilon**2 >= omega_h * omega_c; omega_- is omega_h to a
+    # relative 1e-63 here (50-digit mpmath, det / omega_+)
+    omega_h, omega_c = 1.4517107398759372e-221, 2.771886188130913e-138
+    _, omega_minus, _, _ = normal_modes(omega_h, omega_c, 1.6882280637486505e-211, Statistics.BOSON)
+    assert omega_minus == pytest.approx(omega_h, rel=1e-15, abs=0.0)
+    # a gap of 3.3e-17 relative (50-digit mpmath) is below the floats'
+    # resolution: omega_- rounds to 0 and the spectrum is gapless in floats
+    with pytest.raises(GaplessSpectrum, match="omega_-"):
+        normal_modes(
+            3.0267813184433408e249, 2.3167859706738097e269, 2.648094502631488e259, Statistics.BOSON
+        )
 
 
 def test_lower_mode_survives_an_overflowing_frequency_product():
