@@ -20,6 +20,9 @@ Five families, each sized for what the consuming check can tolerate:
                    every field log-uniform over [1e-300, 1e300], seven
                    draws in ten bosonic: the whole float range, for the
                    same kind of check.
+
+`whole_range_points` is the fixed draw the whole-range pins hash, and
+`pin_texts` the text of a kernel's rows that they hash.
 """
 
 import numpy as np
@@ -104,3 +107,24 @@ def extreme_params(rng: np.random.Generator) -> NetworkParams:
 def whole_range_params(rng: np.random.Generator) -> NetworkParams:
     values = [_loguniform(rng, 1e-300, 1e300) for _ in range(6)]
     return NetworkParams(*values, Statistics.BOSON if rng.uniform() < 0.7 else Statistics.TLS)
+
+
+def whole_range_points() -> list[NetworkParams]:
+    """4 000 whole_range_params draws (seed 3), then 2 000 extreme_params draws (seed 5)."""
+    rng = np.random.default_rng(3)
+    points = [whole_range_params(rng) for _ in range(4000)]
+    rng = np.random.default_rng(5)
+    return points + [extreme_params(rng) for _ in range(2000)]
+
+
+def pin_texts(columns: dict, errors: list) -> list[str]:
+    """One line per row: each cell as %.17g, then the error's type and message.
+
+    Every cell must be a Python float or bool, as the CLI renderer needs.
+    """
+    texts = []
+    for i, error in enumerate(errors):
+        cells = [column[i] for column in columns.values()]
+        assert all(type(cell) in (float, bool) for cell in cells), (i, cells)
+        texts.append(" ".join([*("%.17g" % cell for cell in cells), type(error).__name__, str(error)]))
+    return texts

@@ -8,12 +8,13 @@ which is entangled for every nonzero squeezing parameter.  The closed-form
 moment route the rows use is checked against the matrix route row by row.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from _draws import contrast_params, extreme_params, generic_params
+from _draws import contrast_params, extreme_params, generic_params, pin_texts, whole_range_points
 from qheatnet import gaussian, global_mme, local_mme, model
 from qheatnet.errors import HeatNetError, UnphysicalCovariance
 from qheatnet.gaussian import CovarianceMatrix
@@ -344,3 +345,60 @@ def test_column_form_matches_the_scalar_row_by_row():
         for name in gaussian.FIELDS:
             assert _same_cell(columns[name][i], getattr(report, name)), (moments, name)
     assert failed >= 17
+
+
+# moments the kernels cannot print, each branch of a row by hand: NaN and
+# +-inf, nA nB < c^2 and its edges, a subnormal X, Y = +-0 and moments whose
+# sums leave the float range
+_HAND_MOMENTS = [_with(i, v) for v in (math.nan, math.inf, -math.inf) for i in range(4)] + [
+    (0.5, 0.5, 4.0, 0.0),
+    (0.2, 0.3, 0.6, 0.0),
+    (0.1, 0.1, 0.0, 0.3),
+    (-1.0, -1.0, 0.0, 0.0),
+    (-0.5, -0.5, 0.0, 0.0),
+    (0.7, 0.3, 5e-324, 0.0),
+    (0.7, 0.3, 2.2e-310, -1e-310),
+    (0.7, 0.3, 0.22, 0.0),
+    (0.7, 0.3, 0.22, -0.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -0.0, -0.0),
+    (1e300, 1e300, 1e300, -1e300),
+    (1e308, 1e308, 0.0, 0.0),
+]
+
+
+def _whole_range_moments() -> list[tuple]:
+    """(nA, nB, X, Y) of every row that solves over the whole-range draw:
+    local for both statistics, then global, then the hand-made moments."""
+    points = whole_range_points()
+    columns = [[getattr(p, name) for p in points] for name in model._FLOAT_KEYS]
+    solves = [local_mme.steady_states(*columns, s.delta) for s in Statistics]
+    bosons = [p for p in points if p.statistics is Statistics.BOSON]
+    columns = [[getattr(p, name) for p in bosons] for name in model._FLOAT_KEYS]
+    solves.append(global_mme.steady_states(*columns, Statistics.BOSON))
+    moments = []
+    for cells, errors in solves:
+        rows = zip(*(cells[name] for name in ("n_A", "n_B", "X", "Y")), errors)
+        moments += [row[:4] for row in rows if row[4] is None]
+    return moments + _HAND_MOMENTS
+
+
+# sha256 prefix of the correlation columns of those moments, every cell as
+# %.17g with each row's error type and message
+_WHOLE_RANGE_SHA256 = "62eaf576e365f08d"
+
+
+def test_correlation_columns_over_the_whole_float_range_are_pinned():
+    texts = pin_texts(*gaussian.moment_correlation_columns(*zip(*_whole_range_moments())))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+    assert digest == _WHOLE_RANGE_SHA256
+
+
+def test_every_row_of_a_mixed_batch_equals_the_row_solved_alone():
+    batch = _whole_range_moments()[::40] + _HAND_MOMENTS
+    columns, errors = gaussian.moment_correlation_columns(*zip(*batch))
+    assert {UnphysicalCovariance, type(None)} <= set(map(type, errors))
+    texts = pin_texts(columns, errors)
+    for moments, text in zip(batch, texts, strict=True):
+        alone = gaussian.moment_correlation_columns(*([value] for value in moments))
+        assert pin_texts(*alone) == [text], moments

@@ -1,5 +1,6 @@
 """Global-treatment balance: equilibrium, second law, closed form, channel table."""
 
+import hashlib
 import math
 import sys
 
@@ -18,7 +19,9 @@ from qheatnet.global_mme import (
 )
 from qheatnet.model import _FLOAT_KEYS, NetworkParams, Statistics, normal_mode_basis
 
-from _draws import contrast_params, extreme_params, generic_params, whole_range_params
+from _draws import (
+    contrast_params, extreme_params, generic_params, pin_texts, whole_range_params, whole_range_points,
+)
 from _exact import exact_global_row
 
 
@@ -367,3 +370,33 @@ def test_printed_global_rows_match_the_exact_rate_form():
                 indices.append(i)
     assert errors.count(None) == 2077
     assert off == _STILL_OFF
+
+
+def _whole_range_pin_points() -> list[NetworkParams]:
+    # the bosonic draws of the local pin, then each branch of a row by hand:
+    # uncoupled nodes either way round and at resonance, weights that round
+    # to 1, a gapless row, omega_+ and sigma beyond the float range
+    points = [p for p in whole_range_points() if p.statistics is Statistics.BOSON]
+    return points + [
+        NetworkParams(epsilon=0.0),
+        NetworkParams(omega_h=5.0, omega_c=10.0, epsilon=0.0),
+        NetworkParams(omega_h=5.0, omega_c=5.0, epsilon=0.0),
+        NetworkParams(omega_h=5.0, omega_c=5.0, epsilon=1e-200),
+        NetworkParams(T_h=1e17, T_c=1e17),
+        NetworkParams(omega_h=1.0, omega_c=1.0, epsilon=1.0),
+        NetworkParams(omega_h=1e308, omega_c=1e308, epsilon=0.0),
+        NetworkParams(omega_h=1e200),
+        _SIGMA_OVERFLOW,
+    ]
+
+
+# sha256 prefix of the global rows over the whole float range, every cell as
+# %.17g with each row's error type and message; fig3 and fig4 are moderate,
+# so only this pin covers the underflow, logarithm and overflow paths
+_WHOLE_RANGE_SHA256 = "7fa60f2ecd3d7aa7"
+
+
+def test_global_rows_over_the_whole_float_range_are_pinned():
+    texts = pin_texts(*_kernel(_whole_range_pin_points()))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+    assert digest == _WHOLE_RANGE_SHA256

@@ -19,7 +19,7 @@ from qheatnet.local_mme import (
 )
 from qheatnet.model import NetworkParams, Statistics, thermal_occupation
 
-from _draws import contrast_params, extreme_params, generic_params, whole_range_params
+from _draws import contrast_params, extreme_params, generic_params, whole_range_params, whole_range_points
 
 _PARAMETERS = ("omega_h", "omega_c", "epsilon", "T_h", "T_c", "kappa")
 
@@ -394,20 +394,13 @@ def _row_texts(states, errors) -> list[str]:
     ]
 
 
-def _whole_range_points() -> list[NetworkParams]:
-    rng = np.random.default_rng(3)
-    points = [whole_range_params(rng) for _ in range(4000)]
-    rng = np.random.default_rng(5)
-    return points + [extreme_params(rng) for _ in range(2000)]
-
-
 # sha256 prefix of the local rows over the whole float range; fig2's rows are
 # moderate, so only this pin covers the underflow, overflow and singular paths
 _WHOLE_RANGE_SHA256 = "b4505e834e01c8c9"
 
 
 def test_local_rows_over_the_whole_float_range_are_pinned():
-    columns = _columns(_whole_range_points())
+    columns = _columns(whole_range_points())
     texts = []
     for statistics in Statistics:
         texts += _row_texts(*steady_states(*columns, statistics.delta))
@@ -417,7 +410,7 @@ def test_local_rows_over_the_whole_float_range_are_pinned():
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.TLS])
 def test_every_row_of_a_mixed_batch_equals_the_row_solved_alone(statistics):
-    points = _whole_range_points()[::20]
+    points = whole_range_points()[::20]
     points[10:10] = [SINGULAR_TLS, NetworkParams(omega_h=1e200)]
     states, errors = steady_states(*_columns(points), statistics.delta)
     assert {RateOverflow, SingularSystem, type(None)} <= set(map(type, errors))
