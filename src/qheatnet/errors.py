@@ -63,7 +63,9 @@ def by_row(function, columns, fields: tuple[str, ...]) -> tuple[dict[str, list],
     Each row gives one value per name in `fields`, in that order.  A row
     that raises a HeatNetError holds NaN in every field and its error in the
     returned list of errors, whose other entries are None: one bad row
-    never stops the others.  Any other exception propagates.
+    never stops the others.  Any other exception propagates.  The oracle
+    rows go through here; the local, global and Gaussian kernels solve their
+    columns at once and return the same shape.
     """
     rows, errors = [], []
     failed = (math.nan,) * len(fields)

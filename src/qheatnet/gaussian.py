@@ -25,11 +25,13 @@ Here the cross block is c times a rotation, c = |<a'b>| = hypot(X, Y)/2, so V
 is physical iff nA nB >= c^2 and separable iff (n_> + 1) n_< >= c^2, n_> >= n_<
 being the occupations; as (n_> + 1) n_< >= nA nB, every physical V here is.
 
-`moment_correlations` takes this route for one set of moments and
-`moment_correlation_columns` for columns of them, row by row through the
-same arithmetic in Python floats (`math.hypot` is not numpy's), with one
-list per name in FIELDS, the table's correlation columns, instead of a
-report per row.
+`moment_correlation_columns` takes this route for columns of moments, all
+rows at once over numpy columns, with one list per name in FIELDS, the
+table's correlation columns; `moment_correlations` is the same kernel on
+length-1 columns and returns the whole report.  hypot is `math`'s, cell by
+cell (CPython's is neither the C library's nor numpy's), and every other
+operation is numpy's in the order of one row's formulas, so each cell is
+the float that Python's arithmetic gives for that row alone.
 """
 
 import math
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalCovariance, by_row
+from .errors import UnphysicalCovariance
 from .local_mme import MomentState
 from .model import NormalModeBasis
 
@@ -46,6 +48,9 @@ SYMPLECTIC_TOLERANCE = 1e-10
 
 # The columns of moment_correlation_columns, named as in the CLI table.
 FIELDS = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "separable")
+
+# The fields of a CorrelationReport, in order.
+_REPORT = ("cor_xAxB", "cor_xApB", "cor_pAxB", "cor_pApB", "nu_min", "nu_min_ppt", "separable")
 
 # Symplectic form for the ordering (x_A, p_A, x_B, p_B).
 OMEGA = np.array(
@@ -133,20 +138,39 @@ def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
     return float(mods[0]), float(mods[2])
 
 
-def _report_row(nA: float, nB: float, X: float, Y: float) -> tuple:
-    """The fields of moment_correlations' report, in order; raises where it does."""
-    a, b, c = nA + 0.5, nB + 0.5, 0.5 * math.hypot(X, Y)
-    det = a * b - c * c
-    h = 0.5 * (a - b)
-    upper = 0.5 * (a + b) + math.hypot(h, c)
-    # NaN or inf moments give NaN; the signed lower value fails a V that is not positive definite
-    if not (upper > 0.0 and (nu_min := det / upper) >= 0.5 - SYMPLECTIC_TOLERANCE):
-        raise UnphysicalCovariance(f"moments {(nA, nB, X, Y)!r} break the uncertainty bound")
-    nu_min_ppt = det / (math.hypot(h, math.sqrt(det)) + abs(h))
-    scale = math.sqrt(a * b)
-    cor_x, cor_y = 0.5 * X / scale, 0.5 * Y / scale
-    separable = nu_min_ppt >= 0.5 - SYMPLECTIC_TOLERANCE
-    return cor_x, -0.5 * Y / scale, cor_y, cor_x, nu_min, nu_min_ppt, separable
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`math.hypot` cell by cell: CPython's is not the C library's, nor numpy's."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
+
+
+def _report_columns(nA, nB, X, Y) -> tuple[dict, list]:
+    """The fields of moment_correlations' report, one list per field, and an error or None per row.
+
+    The columns are converted to float64 once, and every operation but hypot
+    is numpy's in the order of one row's formulas, so a row's cells do not
+    depend on the batch around it.  A row that fails holds NaN.
+    """
+    moments = np.array([nA, nB, X, Y], dtype=np.float64)
+    nA, nB, X, Y = moments
+    with np.errstate(all="ignore"):
+        a, b, c = nA + 0.5, nB + 0.5, 0.5 * _hypot(X, Y)
+        det = a * b - c * c
+        h = 0.5 * (a - b)
+        upper = 0.5 * (a + b) + _hypot(h, c)
+        nu_min = det / upper
+        # NaN or inf moments give NaN; the signed lower value fails a V that is not positive definite
+        failed = ~((upper > 0.0) & (nu_min >= 0.5 - SYMPLECTIC_TOLERANCE))
+        nu_min_ppt = det / (_hypot(h, np.sqrt(det)) + np.abs(h))
+        scale = np.sqrt(a * b)
+        cor_x, cor_y = 0.5 * X / scale, 0.5 * Y / scale
+        cells = np.array([cor_x, -0.5 * Y / scale, cor_y, cor_x, nu_min, nu_min_ppt])
+        separable = (nu_min_ppt >= 0.5 - SYMPLECTIC_TOLERANCE).astype(object)
+    cells[:, failed], separable[failed] = math.nan, math.nan
+    errors = [None] * len(failed)
+    for i in failed.nonzero()[0].tolist():
+        moment = tuple(moments[:, i].tolist())
+        errors[i] = UnphysicalCovariance(f"moments {moment!r} break the uncertainty bound")
+    return dict(zip(_REPORT, [*cells.tolist(), separable.tolist()])), errors
 
 
 def moment_correlations(nA: float, nB: float, X: float, Y: float) -> CorrelationReport:
@@ -155,23 +179,23 @@ def moment_correlations(nA: float, nB: float, X: float, Y: float) -> Correlation
     With a = nA + 1/2, b = nB + 1/2 and h = (a - b)/2, nu_+- = (a + b)/2 +- hypot(h, c)
     and the partial transpose's are hypot(h, sqrt(ab - c^2)) +- |h|.  Each pair
     multiplies to ab - c^2, which gives its lower value without cancellation.
+    This is _report_columns on length-1 columns.
     """
-    return CorrelationReport(*_report_row(nA, nB, X, Y))
-
-
-def _correlation_row(nA: float, nB: float, X: float, Y: float) -> tuple:
-    """The report's fields named in FIELDS, in that order; raises where the report does."""
-    cor_xAxB, cor_xApB, cor_pAxB, cor_pApB, _, _, separable = _report_row(nA, nB, X, Y)
-    return cor_xAxB, cor_xApB, cor_pAxB, cor_pApB, separable
+    columns, (error,) = _report_columns([nA], [nB], [X], [Y])
+    if error is not None:
+        raise error
+    return CorrelationReport(*(columns[name][0] for name in _REPORT))
 
 
 def moment_correlation_columns(nA, nB, X, Y) -> tuple[dict, list]:
     """moment_correlations over equal-length columns of moments, without a report per row.
 
-    Returns a list per name in FIELDS and an UnphysicalCovariance or None per
-    row (see errors.by_row): a row that breaks the uncertainty bound fails alone.
+    Returns a list of Python floats or bools per name in FIELDS and an
+    UnphysicalCovariance or None per row, as errors.by_row does: a row that
+    breaks the uncertainty bound holds NaN and fails alone.
     """
-    return by_row(_correlation_row, (nA, nB, X, Y), FIELDS)
+    columns, errors = _report_columns(nA, nB, X, Y)
+    return {name: columns[name] for name in FIELDS}, errors
 
 
 def correlations(cov: CovarianceMatrix) -> CorrelationReport:

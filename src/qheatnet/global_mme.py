@@ -26,16 +26,22 @@ rates.  The opposite regime is flagged via secular_warning instead of
 refused, since the algebra stays well defined.  The fastest rate is the
 one at omega_+ in the warmer bath; where it overflows, the flag is set.
 
-One kernel, `steady_states`, serves single points and grids alike: it maps
-parameter columns to the result columns named in FIELDS and a typed error or
-None per row, and `steady_state` is one `_row` call.  Rows are solved one by
-one in Python floats with `math`'s exp and expm1 (numpy's differ in the
-last bit on some inputs, which would change the 17-digit tables the CLI
-prints).  No division by a mode's loss remains, so the only row errors are
-the spectrum's and a cell beyond the float range.  The closed form and the
-channel table keep the dressed rates and exp(-beta omega) of `_setup`; with
-the kernel they share the basis and `bath.rate`, which the kernel reads for
-the warning alone, so they remain the other side of its audit.
+One kernel, `steady_states`, serves single points and grids alike: it
+solves all rows at once over numpy columns of the six parameters and
+returns the columns named in FIELDS and a typed error or None per row;
+`steady_state` is the kernel on length-1 columns.  Three things go cell by
+cell in Python floats: `math`'s exp and expm1 in the Bose factors (numpy's
+differ in the last bit on some inputs, which would change the 17-digit
+tables the CLI prints), the logarithm path of a mode current, taken only
+where the product leaves the normal range, and `bath.rate` for the
+warning.  Every other operation is numpy's, in the order and association
+of one row's formulas, so each cell is the float that Python's arithmetic
+gives for that row alone.  No division by a mode's loss remains, so the
+only row errors are the spectrum's and a cell beyond the float range.  The
+closed form and the channel table keep the dressed rates and
+exp(-beta omega) of `_setup`; with the kernel they share the basis and
+`bath.rate`, which the kernel reads for the warning alone, so they remain
+the other side of its audit.
 """
 
 import math
@@ -43,9 +49,11 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 
+import numpy as np
+
 from . import bath
-from .errors import RateOverflow, SingularSystem, by_row
-from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_modes
+from .errors import RateOverflow, SingularSystem
+from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_mode_columns
 
 # The smallest normal float: below it a product keeps fewer than 53 bits.
 _TINY = sys.float_info.min
@@ -109,37 +117,35 @@ def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], t
     return basis, rates, weights
 
 
-def _bose(omega: float, T: float) -> float:
+def _bose(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Bose factor 1 / (exp(x) - 1) at x = omega/T, formed as exp(-x) / (1 - exp(-x)).
 
     That form does not overflow past x = 709 as 1/expm1(x) would.  Where x
     is below the smallest normal float, whose few bits would not carry the
-    quotient, it is the limit T/omega.
+    quotient, it is the limit T/omega.  exp and expm1 are `math`'s, cell by
+    cell, on the 2-D arrays omega and T.
     """
     x = omega / T
-    return T / omega if x < _TINY else math.exp(-x) / -math.expm1(-x)
+    minus_x = (-x).ravel().tolist()
+    w, expm1 = (
+        np.fromiter(map(function, minus_x), np.float64, len(minus_x)).reshape(x.shape)
+        for function in (math.exp, math.expm1)
+    )
+    return np.where(x < _TINY, T / omega, w / -expm1)
 
 
 def _log_bose(omega: float, T: float) -> float:
-    """ln _bose(omega, T), finite where the factor itself under- or overflows."""
+    """ln of one cell's _bose(omega, T), finite where the factor itself under- or overflows."""
     x = omega / T
     return math.log(T) - math.log(omega) if x < _TINY else -x - math.log(-math.expm1(-x))
 
 
-def _mode_current(kappa, omega, cs2, log_cs2, dn, T_h, T_c) -> float:
-    """Hot current kappa omega^4 c^2 s^2 dn through the mode at omega, with dn = n_h - n_c.
-
-    It is formed as q = kappa omega^4 times p = c^2 s^2 dn.  The partial
-    products of q run monotonically from kappa to q, so where kappa, q, c^2
-    s^2, p and the current are normal floats, no digit was lost on the way.
-    Elsewhere the current is the exponential of a sum of logarithms, ln|dn|
-    coming from l = ln n of each bath as l_> + ln(1 - exp(l_< - l_>)) where
-    dn itself leaves the normal range.  A current beyond the float range is inf.
-    """
-    q, p = kappa * omega * omega * omega * omega, cs2 * dn
-    current = q * p
-    if min(kappa, cs2, q, abs(p)) >= _TINY and _TINY <= abs(current) < math.inf:  # a NaN fails here
-        return current
+def _log_current(kappa, omega, cs2, dn, T_h, T_c, epsilon, gap) -> float:
+    """One cell of _mode_currents where the product leaves the normal range."""
+    # c^2 s^2 = (epsilon / (omega_+ - omega_-))^2; where it underflows,
+    # epsilon is so far below the detuning that the splitting is
+    # |omega_h - omega_c| to every digit
+    log_cs2 = math.log(cs2) if cs2 >= _TINY else 2.0 * (math.log(epsilon) - math.log(abs(gap)))
     if _TINY <= abs(dn) < math.inf:
         log_dn, sign = math.log(abs(dn)), dn
     else:
@@ -153,39 +159,37 @@ def _mode_current(kappa, omega, cs2, log_cs2, dn, T_h, T_c) -> float:
         return math.inf
 
 
-def _row(statistics: Statistics, omega_h, omega_c, epsilon, T_h, T_c, kappa) -> tuple:
-    """One row in the order of FIELDS; raises the row's typed error.
+def _mode_currents(kappa, omega, cs2, dn, T_h, T_c, epsilon, gap, coupled) -> np.ndarray:
+    """Hot currents kappa omega^4 c^2 s^2 dn through the modes at omega, with dn = n_h - n_c.
 
-    X = 2 cos(theta) sin(theta) (n_+ - n_-) and Y = 0 are the moments of the
-    node basis (see gaussian).
+    omega and dn hold one row per mode; the other arguments, gap = omega_h -
+    omega_c and the mask `coupled` of rows with a coupling and a spectrum
+    among them, hold one cell per point.  Each current is formed as q =
+    kappa omega^4 times p = c^2 s^2 dn.  The partial products of q run
+    monotonically from kappa to q, so where kappa, q, c^2 s^2, p and the
+    current are normal floats, no digit was lost on the way.  Elsewhere, in
+    coupled rows, the current is the exponential of a sum of logarithms,
+    ln|dn| coming from l = ln n of each bath as l_> + ln(1 - exp(l_< - l_>))
+    where dn itself leaves the normal range.  A current beyond the float
+    range is inf.
     """
-    wp, wm, c2, s2 = normal_modes(omega_h, omega_c, epsilon, statistics)
-    n_hp, n_cp, n_hm, n_cm = _bose(wp, T_h), _bose(wp, T_c), _bose(wm, T_h), _bose(wm, T_c)
-    cs2 = c2 * s2
-    if epsilon == 0.0:  # each mode is a node, fed by its own bath alone
-        n_p, n_m, J_h = (n_hp, n_cm, 0.0) if c2 else (n_cp, n_hm, 0.0)
-    else:
-        n_p, n_m = c2 * n_hp + s2 * n_cp, s2 * n_hm + c2 * n_cm
-        # c^2 s^2 = (epsilon / (omega_+ - omega_-))^2; where it underflows,
-        # epsilon is so far below the detuning that the splitting is
-        # |omega_h - omega_c| to every digit
-        if cs2 >= _TINY:
-            log_cs2 = math.log(cs2)
-        else:
-            log_cs2 = 2.0 * (math.log(epsilon) - math.log(abs(omega_h - omega_c)))
-        J_h = _mode_current(kappa, wp, cs2, log_cs2, n_hp - n_cp, T_h, T_c)
-        J_h += _mode_current(kappa, wm, cs2, log_cs2, n_hm - n_cm, T_h, T_c)
-    J_c = -J_h
-    X = 2.0 * math.sqrt(cs2) * (n_p - n_m)
-    # the rate grows with omega and T: the fastest is at omega_+ in the warmer bath
+    q, p = kappa * omega * omega * omega * omega, cs2 * dn
+    current = q * p
+    size = np.abs(current)
+    normal = (kappa >= _TINY) & (cs2 >= _TINY) & (q >= _TINY) & (np.abs(p) >= _TINY)
+    normal &= (_TINY <= size) & (size < math.inf)  # a NaN fails here
+    for mode, i in zip(*(~normal & coupled).nonzero()):
+        cell = kappa[i], omega[mode, i], cs2[i], dn[mode, i], T_h[i], T_c[i], epsilon[i], gap[i]
+        current[mode, i] = _log_current(*(value.item() for value in cell))
+    return current
+
+
+def _secular(splitting: float, omega: float, T: float, kappa: float) -> bool:
+    """Whether the splitting is within SECULAR_FACTOR of the rate at omega and T."""
     try:
-        warning = (wp - wm) < SECULAR_FACTOR * bath.rate(wp, max(T_h, T_c), kappa)
+        return splitting < SECULAR_FACTOR * bath.rate(omega, T, kappa)
     except RateOverflow:  # a rate beyond the float range exceeds any splitting
-        warning = True
-    nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
-    if not math.isfinite(n_p + n_m + nA + nB + X + J_h + sigma):  # an inf or NaN shows here
-        raise RateOverflow("the steady occupations or currents overflow")
-    return nA, nB, X, 0.0, n_p, n_m, J_h, J_c, sigma, warning
+        return True
 
 
 def steady_states(
@@ -193,18 +197,55 @@ def steady_states(
 ) -> tuple[dict, list]:
     """Steady states of the global generator for equal-length parameter columns.
 
-    Returns a list per name in FIELDS and a typed error or None per row (see
-    errors.by_row).  statistics is shared by every row.  A row's first error
-    wins: the statistics, the spectrum (see model.normal_modes), then an
-    occupation or current beyond the float range.
+    Returns a list of Python floats or bools per name in FIELDS and a typed
+    error or None per row, as errors.by_row does: a failed row holds NaN.
+    statistics is shared by every row.  The columns are converted to float64
+    once and solved together (see the module docstring).  A row's first
+    error wins: the statistics, the spectrum (see model.normal_mode_columns),
+    then an occupation or current beyond the float range.
+
+    X = 2 cos(theta) sin(theta) (n_+ - n_-) and Y = 0 are the moments of the
+    node basis (see gaussian).
     """
-    return by_row(_row, (repeat(statistics), omega_h, omega_c, epsilon, T_h, T_c, kappa), FIELDS)
+    columns = np.array([omega_h, omega_c, epsilon, T_h, T_c, kappa], dtype=np.float64)
+    omega_h, omega_c, epsilon, T_h, T_c, kappa = columns
+    (wp, wm, c2, s2), errors = normal_mode_columns(omega_h, omega_c, epsilon, statistics)
+    spectrum = np.array([error is not None for error in errors], dtype=bool)
+    with np.errstate(all="ignore"):
+        n_hp, n_cp, n_hm, n_cm = _bose(np.array([wp, wp, wm, wm]), np.array([T_h, T_c, T_h, T_c]))
+        cs2 = c2 * s2
+        # with epsilon = 0 each mode is a node, fed by its own bath alone
+        uncoupled, hot_plus = epsilon == 0.0, c2 != 0.0
+        n_p = np.where(uncoupled, np.where(hot_plus, n_hp, n_cp), c2 * n_hp + s2 * n_cp)
+        n_m = np.where(uncoupled, np.where(hot_plus, n_cm, n_hm), s2 * n_hm + c2 * n_cm)
+        modes, dn = np.array([wp, wm]), np.array([n_hp - n_cp, n_hm - n_cm])
+        coupled, gap = ~uncoupled & ~spectrum, omega_h - omega_c
+        J_plus, J_minus = _mode_currents(kappa, modes, cs2, dn, T_h, T_c, epsilon, gap, coupled)
+        J_h = np.where(uncoupled, 0.0, J_plus + J_minus)
+        J_c = -J_h
+        X = 2.0 * np.sqrt(cs2) * (n_p - n_m)
+        nA, nB, sigma = c2 * n_p + s2 * n_m, s2 * n_p + c2 * n_m, -J_h / T_h - J_c / T_c
+        overflow = ~np.isfinite(n_p + n_m + nA + nB + X + J_h + sigma)  # an inf or NaN shows here
+    cells = np.array([nA, nB, X, np.zeros_like(X), n_p, n_m, J_h, J_c, sigma])
+    failed = spectrum | overflow
+    cells[:, failed] = math.nan
+    for i in (overflow & ~spectrum).nonzero()[0].tolist():
+        errors[i] = RateOverflow("the steady occupations or currents overflow")
+    # the rate grows with omega and T: the fastest is at omega_+ in the warmer bath
+    solved = ~failed
+    rows = (wp - wm, wp, np.maximum(T_h, T_c), kappa)
+    warning = np.full(len(errors), math.nan, dtype=object)
+    warning[solved] = list(map(_secular, *(column[solved].tolist() for column in rows)))
+    return dict(zip(FIELDS, [*cells.tolist(), warning.tolist()])), errors
 
 
 def steady_state(params: NetworkParams) -> GlobalSteadyState:
     """Steady state of the global generator: one row of the kernel."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = _row(params.statistics, *values)
+    columns, (error,) = steady_states(*([value] for value in values), params.statistics)
+    if error is not None:
+        raise error
+    nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = (columns[name][0] for name in FIELDS)
     return GlobalSteadyState(n_p, n_m, nA, nB, J_h, J_c, sigma, warning)
 
 

@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     GaplessSpectrum,
     NegativeCoupling,
@@ -160,46 +162,72 @@ def normal_modes(
 ) -> tuple[float, float, float, float]:
     """The fields (omega_plus, omega_minus, c2, s2) of one parameter set's NormalModeBasis.
 
-    Raises UnsupportedStatistics for TLS nodes, whose bilinears do not close
-    under the rotation, and GaplessSpectrum when eps**2 >= omega_h * omega_c
-    (the lower eigenfrequency would not be positive) or when omega_- rounds
-    to 0.  Where omega_h * omega_c leaves the normal float range, eps is
-    compared with its square root, and omega_- divides each product by
-    omega_+ before it forms.  RateOverflow is raised only where omega_+
-    itself overflows.
+    normal_mode_columns on length-1 columns; raises the row's typed error.
+    """
+    columns = np.array([[omega_h], [omega_c], [eps]], dtype=np.float64)
+    modes, (error,) = normal_mode_columns(*columns, statistics)
+    if error is not None:
+        raise error
+    return tuple(mode.item() for mode in modes)
+
+
+def normal_mode_columns(omega_h, omega_c, eps, statistics: Statistics) -> tuple[tuple, list]:
+    """The arrays (omega_plus, omega_minus, c2, s2) of float64 columns, and a typed error or None per row.
+
+    Every row of two-level nodes, whose bilinears do not close under the
+    rotation, fails with UnsupportedStatistics.  A bosonic row fails with
+    GaplessSpectrum when eps**2 >= omega_h * omega_c (the lower
+    eigenfrequency would not be positive) or when omega_- rounds to 0.
+    Where omega_h * omega_c leaves the normal float range, eps is compared
+    with its square root, and omega_- divides each product by omega_+
+    before it forms.  RateOverflow is a row's error only where omega_+
+    itself overflows.  A failed row holds NaN.  hypot is `math`'s, cell by
+    cell, and every other operation is numpy's in the order of one row's
+    formulas, so a row's values do not depend on the batch around it.
     """
     if statistics is not Statistics.BOSON:
-        raise UnsupportedStatistics("normal modes are defined for bosonic nodes only")
-    product = omega_h * omega_c
-    direct = _TINY <= product < math.inf
-    if direct:
+        message = "normal modes are defined for bosonic nodes only"
+        return tuple(np.full((4, len(eps)), math.nan)), [UnsupportedStatistics(message) for _ in eps]
+    with np.errstate(all="ignore"):
+        product = omega_h * omega_c
+        direct = (_TINY <= product) & (product < math.inf)
         det = product - eps * eps
-        if det <= 0:
-            raise GaplessSpectrum(f"epsilon**2 = {eps * eps!r} >= omega_h*omega_c = {product!r}")
-    elif eps >= (root := math.sqrt(omega_h) * math.sqrt(omega_c)):
-        raise GaplessSpectrum(f"epsilon = {eps!r} >= sqrt(omega_h*omega_c) = {root!r}")
-    half_gap = 0.5 * (omega_h - omega_c)
-    r = math.hypot(half_gap, eps)
-    omega_plus = 0.5 * (omega_h + omega_c) + r
-    if math.isinf(omega_plus):
-        raise RateOverflow(f"omega_+ of omega_h = {omega_h!r}, omega_c = {omega_c!r} overflows")
-    # omega_- via the determinant avoids the mid - r cancellation
-    if direct:
-        omega_minus = det / omega_plus
-    else:
-        omega_minus = (omega_h / omega_plus) * omega_c - eps * (eps / omega_plus)
-    if omega_minus <= 0.0:  # below the smallest float, or at the gap edge in rounding
-        raise GaplessSpectrum(f"omega_- = {omega_minus!r} of omega_h = {omega_h!r}, omega_c = {omega_c!r}")
-    if r == 0.0:
-        # omega_h == omega_c with epsilon == 0: any rotation works, take none.
-        c2, s2 = 1.0, 0.0
-    else:
+        root = np.sqrt(omega_h) * np.sqrt(omega_c)
+        gapless = np.where(direct, det <= 0.0, eps >= root)
+        half_gap = 0.5 * (omega_h - omega_c)
+        r = np.fromiter(map(math.hypot, half_gap.tolist(), eps.tolist()), np.float64, len(eps))
+        omega_plus = 0.5 * (omega_h + omega_c) + r
+        overflow = ~gapless & np.isinf(omega_plus)
+        # omega_- via the determinant avoids the mid - r cancellation
+        omega_minus = np.where(
+            direct, det / omega_plus, (omega_h / omega_plus) * omega_c - eps * (eps / omega_plus)
+        )
+        edge = ~gapless & ~overflow & (omega_minus <= 0.0)  # below the smallest float, or at the gap edge
         # the larger weight is (r + |half_gap|) / 2r, the smaller eps**2 over
-        # 2r (r + |half_gap|), formed from ratios to r so no square under- or overflows
-        wide = r + abs(half_gap)
-        small = (eps / r) * (eps / wide) / 2.0
-        c2, s2 = (wide / (2.0 * r), small) if half_gap >= 0.0 else (small, wide / (2.0 * r))
-    return omega_plus, omega_minus, c2, s2
+        # 2r (r + |half_gap|), formed from ratios to r so no square under- or
+        # overflows; where r = 0 (omega_h == omega_c with eps == 0) any
+        # rotation works, take none
+        wide = r + np.abs(half_gap)
+        large, small = wide / (2.0 * r), (eps / r) * (eps / wide) / 2.0
+        upper = half_gap >= 0.0
+        c2 = np.where(r == 0.0, 1.0, np.where(upper, large, small))
+        s2 = np.where(r == 0.0, 0.0, np.where(upper, small, large))
+    modes = np.array([omega_plus, omega_minus, c2, s2])
+    failed = gapless | overflow | edge
+    modes[:, failed] = math.nan
+    errors = [None] * len(failed)
+    for i in failed.nonzero()[0].tolist():
+        h, c, e = omega_h[i].item(), omega_c[i].item(), eps[i].item()
+        if gapless[i] and direct[i]:
+            errors[i] = GaplessSpectrum(f"epsilon**2 = {e * e!r} >= omega_h*omega_c = {h * c!r}")
+        elif gapless[i]:
+            errors[i] = GaplessSpectrum(f"epsilon = {e!r} >= sqrt(omega_h*omega_c) = {root[i].item()!r}")
+        elif overflow[i]:
+            errors[i] = RateOverflow(f"omega_+ of omega_h = {h!r}, omega_c = {c!r} overflows")
+        else:
+            minus = omega_minus[i].item()
+            errors[i] = GaplessSpectrum(f"omega_- = {minus!r} of omega_h = {h!r}, omega_c = {c!r}")
+    return tuple(modes), errors
 
 
 # --- plain key=value configuration files -----------------------------------

@@ -391,7 +391,7 @@ def test_gapless_oracle_row_leaves_the_mode_columns_empty():
 
 def test_every_treatment_names_its_row_in_the_table():
     # one row contract from kernel to table: each treatment's fields are
-    # columns of the table, and its row function gives one value per field
+    # columns of the table, and each gives one value per field
     treatments = (local_mme.FIELDS, global_mme.FIELDS, gaussian.FIELDS, cli._ORACLE_COLUMNS)
     for fields in treatments:
         assert len(set(fields)) == len(fields) and set(fields) <= set(cli.COLUMNS), fields
@@ -399,19 +399,17 @@ def test_every_treatment_names_its_row_in_the_table():
     boson = NetworkParams(T_h=1.0, T_c=0.8)
     tls = replace(boson, statistics=Statistics.TLS)
     values = tuple(getattr(boson, name) for name in _FLOAT_KEYS)
-
-    def local_row(delta: float) -> tuple:  # a one-row local kernel call, in the order of FIELDS
-        columns, _ = local_mme.steady_states(*([value] for value in values), delta)
-        return tuple(columns[name][0] for name in local_mme.FIELDS)
-
-    local = local_row(boson.delta)
-    rows = [
+    one = [[value] for value in values]
+    local, _ = local_mme.steady_states(*one, boson.delta)
+    kernels = [
         (local_mme.FIELDS, local),
-        (local_mme.FIELDS, local_row(tls.delta)),
-        (global_mme.FIELDS, global_mme._row(Statistics.BOSON, *values)),
-        (gaussian.FIELDS, gaussian._correlation_row(*local[:4])),
+        (local_mme.FIELDS, local_mme.steady_states(*one, tls.delta)[0]),
+        (global_mme.FIELDS, global_mme.steady_states(*one, Statistics.BOSON)[0]),
+        (gaussian.FIELDS, gaussian.moment_correlation_columns(*(local[n] for n in cli._MOMENTS))[0]),
     ]
-    rows += [
+    for fields, columns in kernels:  # a one-row kernel call gives one cell per field, in order
+        assert tuple(columns) == fields and all(len(column) == 1 for column in columns.values())
+    rows = [
         (cli._ORACLE_COLUMNS, cli._oracle_values(generator, 3, statistics, *values))
         for generator, statistics in (
             ("local", Statistics.BOSON), ("global", Statistics.BOSON), ("local", Statistics.TLS)
@@ -420,8 +418,8 @@ def test_every_treatment_names_its_row_in_the_table():
     for fields, row in rows:
         assert len(row) == len(fields), fields
     # two-level nodes have no normal modes: the global rows fail whole
-    with pytest.raises(errors.UnsupportedStatistics):
-        global_mme._row(Statistics.TLS, *values)
+    (error,) = global_mme.steady_states(*one, Statistics.TLS)[1]
+    assert type(error) is errors.UnsupportedStatistics
     with pytest.raises(errors.UnsupportedStatistics):
         cli._oracle_values("global", 3, Statistics.TLS, *values)
 
