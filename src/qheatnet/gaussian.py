@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .local_mme import MomentState
-from .model import NormalModeBasis
+from .model import NormalModeBasis, cellwise
 
 # Slack on the nu >= 1/2 bounds, absorbing eigenvalue round-off.
 SYMPLECTIC_TOLERANCE = 1e-10
@@ -138,29 +138,25 @@ def _symplectic_moduli(v: np.ndarray) -> tuple[float, float]:
     return float(mods[0]), float(mods[2])
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`math.hypot` cell by cell: CPython's is not the C library's, nor numpy's."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
-
-
 def _report_columns(nA, nB, X, Y) -> tuple[dict, list]:
     """The fields of moment_correlations' report, one list per field, and an error or None per row.
 
-    The columns are converted to float64 once, and every operation but hypot
-    is numpy's in the order of one row's formulas, so a row's cells do not
-    depend on the batch around it.  A row that fails holds NaN.
+    The columns are converted to float64 once, and every operation but
+    `math.hypot` (see model.cellwise) is numpy's in the order of one row's
+    formulas, so a row's cells do not depend on the batch around it.  A row
+    that fails holds NaN.
     """
     moments = np.array([nA, nB, X, Y], dtype=np.float64)
     nA, nB, X, Y = moments
     with np.errstate(all="ignore"):
-        a, b, c = nA + 0.5, nB + 0.5, 0.5 * _hypot(X, Y)
+        a, b, c = nA + 0.5, nB + 0.5, 0.5 * cellwise(math.hypot, X, Y)
         det = a * b - c * c
         h = 0.5 * (a - b)
-        upper = 0.5 * (a + b) + _hypot(h, c)
+        upper = 0.5 * (a + b) + cellwise(math.hypot, h, c)
         nu_min = det / upper
         # NaN or inf moments give NaN; the signed lower value fails a V that is not positive definite
         failed = ~((upper > 0.0) & (nu_min >= 0.5 - SYMPLECTIC_TOLERANCE))
-        nu_min_ppt = det / (_hypot(h, np.sqrt(det)) + np.abs(h))
+        nu_min_ppt = det / (cellwise(math.hypot, h, np.sqrt(det)) + np.abs(h))
         scale = np.sqrt(a * b)
         cor_x, cor_y = 0.5 * X / scale, 0.5 * Y / scale
         cells = np.array([cor_x, -0.5 * Y / scale, cor_y, cor_x, nu_min, nu_min_ppt])

@@ -53,7 +53,9 @@ import numpy as np
 
 from . import bath
 from .errors import RateOverflow, SingularSystem
-from .model import NetworkParams, NormalModeBasis, Statistics, normal_mode_basis, normal_mode_columns
+from .model import (
+    NetworkParams, NormalModeBasis, Statistics, cellwise, normal_mode_basis, normal_mode_columns,
+)
 
 # The smallest normal float: below it a product keeps fewer than 53 bits.
 _TINY = sys.float_info.min
@@ -122,16 +124,12 @@ def _bose(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
 
     That form does not overflow past x = 709 as 1/expm1(x) would.  Where x
     is below the smallest normal float, whose few bits would not carry the
-    quotient, it is the limit T/omega.  exp and expm1 are `math`'s, cell by
-    cell, on the 2-D arrays omega and T.
+    quotient, it is the limit T/omega.  exp and expm1 are `math`'s (see
+    model.cellwise).
     """
     x = omega / T
-    minus_x = (-x).ravel().tolist()
-    w, expm1 = (
-        np.fromiter(map(function, minus_x), np.float64, len(minus_x)).reshape(x.shape)
-        for function in (math.exp, math.expm1)
-    )
-    return np.where(x < _TINY, T / omega, w / -expm1)
+    minus_x = -x
+    return np.where(x < _TINY, T / omega, cellwise(math.exp, minus_x) / -cellwise(math.expm1, minus_x))
 
 
 def _log_bose(omega: float, T: float) -> float:

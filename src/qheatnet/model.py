@@ -151,6 +151,17 @@ class NormalModeBasis:
         return math.sqrt(self.c2 * self.s2)
 
 
+def cellwise(function, *columns: np.ndarray) -> np.ndarray:
+    """function of Python floats over the cells of same-shape float64 arrays.
+
+    For `math`'s exp and expm1, which numpy's differ from in the last bit on
+    some inputs, and hypot, whose CPython algorithm is neither the C
+    library's nor numpy's: a cell is the float one row's scalar code gives.
+    """
+    values = map(function, *(column.ravel().tolist() for column in columns))
+    return np.fromiter(values, np.float64, columns[0].size).reshape(columns[0].shape)
+
+
 def normal_mode_basis(params: NetworkParams) -> NormalModeBasis:
     """Diagonalise the one-body problem; bosonic nodes only (see normal_modes)."""
     modes = normal_modes(params.omega_h, params.omega_c, params.epsilon, params.statistics)
@@ -181,9 +192,9 @@ def normal_mode_columns(omega_h, omega_c, eps, statistics: Statistics) -> tuple[
     Where omega_h * omega_c leaves the normal float range, eps is compared
     with its square root, and omega_- divides each product by omega_+
     before it forms.  RateOverflow is a row's error only where omega_+
-    itself overflows.  A failed row holds NaN.  hypot is `math`'s, cell by
-    cell, and every other operation is numpy's in the order of one row's
-    formulas, so a row's values do not depend on the batch around it.
+    itself overflows.  A failed row holds NaN.  hypot is `math`'s (see
+    cellwise), and every other operation is numpy's in the order of one
+    row's formulas, so a row's values do not depend on the batch around it.
     """
     if statistics is not Statistics.BOSON:
         message = "normal modes are defined for bosonic nodes only"
@@ -195,7 +206,7 @@ def normal_mode_columns(omega_h, omega_c, eps, statistics: Statistics) -> tuple[
         root = np.sqrt(omega_h) * np.sqrt(omega_c)
         gapless = np.where(direct, det <= 0.0, eps >= root)
         half_gap = 0.5 * (omega_h - omega_c)
-        r = np.fromiter(map(math.hypot, half_gap.tolist(), eps.tolist()), np.float64, len(eps))
+        r = cellwise(math.hypot, half_gap, eps)
         omega_plus = 0.5 * (omega_h + omega_c) + r
         overflow = ~gapless & np.isinf(omega_plus)
         # omega_- via the determinant avoids the mid - r cancellation
