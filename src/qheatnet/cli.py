@@ -17,9 +17,9 @@ treatment is one function of the grid's six parameter columns that gives
 its result columns for the whole grid, named as in the table, and a typed
 error or None per row: the local and global treatments solve the columns
 at once, and the Fock oracle goes row by row through `errors.by_row`,
-building its own NetworkParams from each row's floats.  One writer puts the columns
-into one table of named columns, adding the Gaussian columns of bosonic rows
-from their moments in one call over the treatment's rows.  Blocks are views
+building its own NetworkParams from each row's floats.  One writer puts
+the columns into one table of named columns, adding the Gaussian columns
+of bosonic rows from their moments in one call over the treatment's rows.  Blocks are views
 of row ranges of that table whose rows read as dicts.  Each block is rendered
 as one printf template per row, built from one table from cell type (float,
 int, bool, str, None) to formatter: a column holding one object throughout
