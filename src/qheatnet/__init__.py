@@ -7,8 +7,8 @@ at the bare frequency (cheap, but it can push heat against the temperature
 bias), and a global one, acting on the delocalised normal modes, which keeps
 the second law intact.  A truncated-Fock brute-force solver, `oracle`, audits
 both; it is imported on first use, which keeps its import time off the other
-commands' start-up.  It needs numpy alone: scipy serves only its full-space
-reference, `_fock_reference`, which the tests read.
+commands' start-up.  It needs numpy alone, as does every command: scipy, a
+test-only dependency, serves only its full-space reference `_fock_reference`.
 """
 
 import importlib

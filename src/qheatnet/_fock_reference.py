@@ -14,10 +14,11 @@ and fed to the block solve.
 
 The oracle's rows never import this module: only the tests and the
 `generator`, `hot_part` and `cold_part` properties of `FockLiouvillian` do,
-and it is the one module of the package that loads scipy.
+and it is the one module of the package that loads scipy.  scipy is not a
+runtime dependency: the `test` extra installs it, and without it importing
+this module raises ModuleNotFoundError.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,7 @@ def _bath_terms(table: tuple, T: float, kappa: float) -> tuple[Term, ...]:
     terms = ()
     for jump, omega, weight in table:
         rate = bath.rate(omega, T, kappa) * weight
-        # beta * omega rounded as the global closed form rounds it, not omega / T
-        terms += _thermal_channel(((jump, jump),), rate, math.exp(-(1.0 / T) * omega))
+        terms += _thermal_channel(((jump, jump),), rate, bath.boltzmann(omega, T))
     return terms
 
 

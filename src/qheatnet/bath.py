@@ -6,20 +6,16 @@ transition at frequency Omega >= 0 into a bath at temperature T is
     gamma(Omega) = kappa * Omega**3 / (1 - exp(-Omega/T)),
 
 which already contains the bath occupation; matching upward rates follow by
-the detailed-balance factor exp(-Omega/T), applied by the generators.
-`rate` is the one function here.  The global treatment and the Fock
-oracle call it at their transition frequencies.  The local treatment does
-not: its `local_mme._nodes` forms the same rate, its omega/T -> 0 limit
-included, at the bare node frequencies.
+the detailed-balance factor `boltzmann`, exp(-Omega/T).  The global
+treatment and the Fock oracle call both at their transition frequencies.
+The local treatment does not: its `local_mme._nodes` forms the same rate,
+its omega/T -> 0 limit included, at the bare node frequencies.
 """
 
 import math
-import sys
 
 from .errors import NegativeFrequency, RateOverflow
-
-# The smallest normal float: below it a product keeps fewer than 53 bits.
-_TINY = sys.float_info.min
+from .model import _TINY
 
 
 def rate(omega: float, T: float, kappa: float) -> float:
@@ -67,3 +63,7 @@ def rate(omega: float, T: float, kappa: float) -> float:
         raise RateOverflow(f"rate at omega={omega!r} with kappa={kappa!r} overflows")
     return value
 
+
+def boltzmann(omega: float, T: float) -> float:
+    """Upward weight exp(-beta omega), rounded with beta = 1/T first, for every generator."""
+    return math.exp(-(1.0 / T) * omega)

@@ -29,8 +29,8 @@ a column of floats, ints or bools of one type is a %.17g or %d slot, and any
 other column is formatted cell by cell into a %s slot.
 
 The Fock oracle module is imported only when an oracle-* approach is asked
-for; the other treatments never load it.  No command loads scipy, which
-serves only the oracle's full-space reference.
+for; the other treatments never load it.  No command needs more than numpy:
+scipy, from the `test` extra, serves only the oracle's full-space reference.
 
 The fig2/fig3/fig4 presets are the three canned sweeps this package ships:
 the sign map of the local entropy production over (omega_h, T_h), the
@@ -372,9 +372,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> NetworkParams:
-    params = NetworkParams()
-    if args.config is not None:
-        params = load_config(args.config, base=params)
+    params = NetworkParams() if args.config is None else load_config(args.config)
     updates: dict = {}
     for name in _FLOAT_KEYS:
         value = getattr(args, name)
@@ -464,14 +462,15 @@ def _cmd_grid(args: argparse.Namespace) -> tuple[tuple[str, ...], list[Block]]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    render = render_gnuplot if args.gnuplot else render_csv
     try:
         columns, blocks = args.handler(args)
-    except (ValueError, HeatNetError) as exc:
-        # Bad config files, malformed axis specs and parameters outside the
-        # domain (base or swept) are usage errors; a valid point that fails
-        # to solve lands in the error column instead.
+        _write_output(render(columns, blocks), args.out)
+    except (OSError, ValueError, HeatNetError) as exc:
+        # Unreadable or bad config files, unwritable output paths, malformed
+        # axis specs and parameters outside the domain (base or swept) are
+        # usage errors; a valid point that fails to solve lands in the error
+        # column instead.
         print(f"qheatnet: error: {exc}", file=sys.stderr)
         return 2
-    render = render_gnuplot if args.gnuplot else render_csv
-    _write_output(render(columns, blocks), args.out)
     return 0

@@ -65,7 +65,7 @@ def by_row(function, columns, fields: tuple[str, ...]) -> tuple[dict[str, list],
     returned list of errors, whose other entries are None: one bad row
     never stops the others.  Any other exception propagates.  The oracle
     rows go through here; the local, global and Gaussian kernels solve their
-    columns at once and return the same shape.
+    columns at once and return the same shape, and `one_row` reads it for one point.
     """
     rows, errors = [], []
     failed = (math.nan,) * len(fields)
@@ -77,3 +77,11 @@ def by_row(function, columns, fields: tuple[str, ...]) -> tuple[dict[str, list],
             rows.append(failed)
             errors.append(exc)
     return {name: list(map(itemgetter(j), rows)) for j, name in enumerate(fields)}, errors
+
+
+def one_row(kernel, values, *shared) -> dict:
+    """kernel on length-1 columns of values, as one value per name; raises the row's error."""
+    columns, (error,) = kernel(*([value] for value in values), *shared)
+    if error is not None:
+        raise error
+    return {name: column[0] for name, column in columns.items()}

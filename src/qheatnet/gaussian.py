@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalCovariance
+from .errors import UnphysicalCovariance, one_row
 from .local_mme import MomentState
 from .model import NormalModeBasis, cellwise
 
@@ -177,10 +177,7 @@ def moment_correlations(nA: float, nB: float, X: float, Y: float) -> Correlation
     multiplies to ab - c^2, which gives its lower value without cancellation.
     This is _report_columns on length-1 columns.
     """
-    columns, (error,) = _report_columns([nA], [nB], [X], [Y])
-    if error is not None:
-        raise error
-    return CorrelationReport(*(columns[name][0] for name in _REPORT))
+    return CorrelationReport(**one_row(_report_columns, (nA, nB, X, Y)))
 
 
 def moment_correlation_columns(nA, nB, X, Y) -> tuple[dict, list]:

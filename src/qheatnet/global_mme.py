@@ -45,20 +45,16 @@ the other side of its audit.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import bath
-from .errors import RateOverflow, SingularSystem
+from .errors import RateOverflow, SingularSystem, one_row
 from .model import (
-    NetworkParams, NormalModeBasis, Statistics, cellwise, normal_mode_basis, normal_mode_columns,
+    _TINY, NetworkParams, NormalModeBasis, Statistics, cellwise, normal_mode_basis, normal_mode_columns,
 )
-
-# The smallest normal float: below it a product keeps fewer than 53 bits.
-_TINY = sys.float_info.min
 
 # Warn when the mode splitting is within this factor of the fastest rate.
 SECULAR_FACTOR = 10.0
@@ -115,7 +111,7 @@ def _setup(params: NetworkParams) -> tuple[NormalModeBasis, tuple[float, ...], t
     frequencies = (basis.omega_plus, basis.omega_minus) * 2
     temperatures = (params.T_h, params.T_h, params.T_c, params.T_c)
     rates = tuple(map(bath.rate, frequencies, temperatures, repeat(params.kappa)))
-    weights = tuple(math.exp(-(1.0 / T) * omega) for omega, T in zip(frequencies, temperatures))
+    weights = tuple(map(bath.boltzmann, frequencies, temperatures))
     return basis, rates, weights
 
 
@@ -240,10 +236,8 @@ def steady_states(
 def steady_state(params: NetworkParams) -> GlobalSteadyState:
     """Steady state of the global generator: one row of the kernel."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    columns, (error,) = steady_states(*([value] for value in values), params.statistics)
-    if error is not None:
-        raise error
-    nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = (columns[name][0] for name in FIELDS)
+    row = one_row(steady_states, values, params.statistics)
+    nA, nB, _, _, n_p, n_m, J_h, J_c, sigma, warning = row.values()
     return GlobalSteadyState(n_p, n_m, nA, nB, J_h, J_c, sigma, warning)
 
 

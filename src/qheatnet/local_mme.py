@@ -47,16 +47,12 @@ the other rows.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RateOverflow, SingularSystem
-from .model import NetworkParams
-
-# The smallest normal float: below it a product keeps fewer than 53 bits.
-_TINY = sys.float_info.min
+from .errors import RateOverflow, SingularSystem, one_row
+from .model import _TINY, NetworkParams
 
 # The result columns of a row, named as in the CLI table.
 FIELDS = ("n_A", "n_B", "X", "Y", "J_h", "J_c", "sigma")
@@ -216,10 +212,7 @@ def steady_states(omega_h, omega_c, epsilon, T_h, T_c, kappa, delta: float) -> t
 def steady_state(params: NetworkParams) -> LocalSteadyState:
     """Unique steady state of the local generator's moment system: one row of the kernel."""
     values = (params.omega_h, params.omega_c, params.epsilon, params.T_h, params.T_c, params.kappa)
-    columns, (error,) = steady_states(*([value] for value in values), params.delta)
-    if error is not None:
-        raise error
-    nA, nB, X, Y, J_h, J_c, sigma = (columns[name][0] for name in FIELDS)
+    nA, nB, X, Y, J_h, J_c, sigma = one_row(steady_states, values, params.delta).values()
     return LocalSteadyState(moments=MomentState(nA, nB, X, Y), J_h=J_h, J_c=J_c, sigma=sigma)
 
 

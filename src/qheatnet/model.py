@@ -18,7 +18,7 @@ to cancellation.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -264,9 +264,8 @@ def parse_config(text: str) -> dict[str, str]:
     return values
 
 
-def params_from_mapping(mapping: dict[str, str], base: NetworkParams | None = None) -> NetworkParams:
-    """Overlay string-valued settings on a base parameter set."""
-    params = base if base is not None else NetworkParams()
+def params_from_mapping(mapping: dict[str, str]) -> NetworkParams:
+    """Overlay string-valued settings on the default parameter set."""
     updates: dict[str, object] = {}
     for key, value in mapping.items():
         if key in _FLOAT_KEYS:
@@ -278,10 +277,10 @@ def params_from_mapping(mapping: dict[str, str], base: NetworkParams | None = No
                 raise ValueError(f"statistics must be one of {{boson, tls}}, got {value!r}") from None
         else:
             raise ValueError(f"unknown parameter {key!r}")
-    return replace(params, **updates)
+    return NetworkParams(**updates)
 
 
-def load_config(path: str, base: NetworkParams | None = None) -> NetworkParams:
+def load_config(path: str) -> NetworkParams:
     """Read a key=value file into a validated parameter set."""
     with open(path, "r", encoding="utf-8") as handle:
-        return params_from_mapping(parse_config(handle.read()), base=base)
+        return params_from_mapping(parse_config(handle.read()))

@@ -3,8 +3,8 @@
 Everything else in this package works with closed moment equations or
 detailed-balance occupations derived by hand.  This module rebuilds both
 generators on a truncated two-node Fock space and extracts steady states,
-moments and currents numerically, sharing only bath.rate and
-normal_mode_basis with the global closed form and nothing with the local
+moments and currents numerically, sharing only bath.rate, bath.boltzmann
+and normal_mode_basis with the global closed form and nothing with the local
 one, whose node rates come from local_mme._nodes, so they can be audited
 against it.
 Each bath is a table of channels (jump operator c, frequency omega, weight),
@@ -42,8 +42,9 @@ must leave the top Fock level essentially unpopulated.
 No sparse matrix is built here.  The same generators on the whole dim x dim
 space (sparse operators, the dim**2-square superoperator, dense term
 application, the node-basis channel table) live in `_fock_reference`, the
-tests' reference and the only module that loads scipy; the `generator`,
-`hot_part` and `cold_part` properties import it when read.
+tests' reference and the only module that loads scipy, which the `test`
+extra installs; the `generator`, `hot_part` and `cold_part` properties
+import it when read, so they need that extra.
 """
 
 import math
@@ -167,19 +168,19 @@ class FockLiouvillian:
 
     @property
     def generator(self):
-        from ._fock_reference import assembled  # loads scipy
+        from ._fock_reference import assembled  # needs scipy, from the test extra
 
         return assembled(self, "terms")
 
     @property
     def hot_part(self):
-        from ._fock_reference import assembled  # loads scipy
+        from ._fock_reference import assembled  # needs scipy, from the test extra
 
         return assembled(self, "hot")
 
     @property
     def cold_part(self):
-        from ._fock_reference import assembled  # loads scipy
+        from ._fock_reference import assembled  # needs scipy, from the test extra
 
         return assembled(self, "cold")
 
@@ -221,8 +222,7 @@ def _bath_terms(table: tuple, T: float, kappa: float, eye: np.ndarray) -> tuple:
     terms = ()
     for channel, omega, weight in table:
         rate = bath.rate(omega, T, kappa) * weight
-        # beta * omega rounded as the global closed form rounds it, not omega / T
-        terms += _thermal_channel(channel, rate, math.exp(-(1.0 / T) * omega), eye)
+        terms += _thermal_channel(channel, rate, bath.boltzmann(omega, T), eye)
     return terms
 
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -552,6 +553,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_missing_config_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert cli.main(["point", "--config", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qheatnet: error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", [".", "missing/run.csv"], ids=["directory", "missing_directory"])
+def test_unwritable_out_is_a_usage_error(out, tmp_path, capsys):
+    assert cli.main(["point", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qheatnet: error: ") and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_fig3_preset_shape(capsys):
     assert cli.main(["fig3"]) == 0
     rows = _rows(capsys.readouterr().out)
@@ -592,11 +609,20 @@ def test_module_entry_point_runs():
     assert result.stdout.splitlines()[0] == EXPECTED_HEADER
 
 
-# Runs `python -m qheatnet` once per argv in sys.argv[1:] (each a JSON list)
-# and prints each run's exit code, its row count and whether scipy is loaded.
-_ENTRY_POINT_CHILD = """
-import contextlib, io, json, runpy, sys
-for argv in map(json.loads, sys.argv[1:]):
+# The packages only the tests need: the `test` extra lists each of them, and
+# the child below runs every command with all of them blocked.
+_TEST_ONLY = ("scipy", "mpmath", "pytest")
+
+# Blocks each package in sys.argv[1] (a JSON list) before qheatnet is
+# imported, runs `python -m qheatnet` once per argv in sys.argv[2:] (each a
+# JSON list) and prints each run's exit code, its line count past the header
+# and the sha256 prefix of its output; last, which module reading the
+# oracle's full-space generator failed to import.
+_BLOCKED_CHILD = """
+import contextlib, hashlib, io, json, runpy, sys
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None
+for argv in map(json.loads, sys.argv[2:]):
     sys.argv = ["qheatnet", *argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -604,32 +630,57 @@ for argv in map(json.loads, sys.argv[1:]):
             runpy.run_module("qheatnet", run_name="__main__")
         except SystemExit as stop:
             code = stop.code
-    print(code, len(out.getvalue().splitlines()) - 1, "scipy" in sys.modules)
+    text = out.getvalue()
+    print(code, len(text.splitlines()) - 1, hashlib.sha256(text.encode()).hexdigest()[:16])
+from qheatnet import oracle
+from qheatnet.model import NetworkParams
+try:
+    oracle.build(NetworkParams(), oracle.Generator.LOCAL, 2).generator
+except ModuleNotFoundError as exc:
+    print("missing", exc.name)
 """
 
 
-def test_commands_leave_scipy_unloaded():
-    # scipy serves only the full-space reference, which no command reads
-    argvs = [
-        ["point"],
-        ["sweep", "--axis1", "epsilon:1e-5:0.1:3:log"],
-        ["fig3"],
-        ["point", "--oracle", "--nmax", "4"],
-    ]
-    result = _child("-c", _ENTRY_POINT_CHILD, *map(json.dumps, argvs))
+def test_commands_leave_scipy_unloaded(tmp_path, capsys):
+    # numpy is the one runtime dependency: every command runs, byte for byte
+    # as here, with each test-only package blocked
+    config = tmp_path / "run.cfg"
+    config.write_text("T_h = 15\nstatistics = tls\n", encoding="utf-8")
+    sweep = ["sweep", "--axis1", "epsilon:1e-5:0.1:3:log", "--axis2", "T_h:11:13:2:lin"]
+    argvs = {
+        ("point",): 2,
+        ("point", "--statistics", "tls"): 2,
+        ("point", "--oracle", "--nmax", "4"): 4,
+        ("point", "--oracle", "--statistics", "tls"): 4,
+        (*sweep, "--gnuplot"): 3 * 2 * 2 + 2,  # 12 rows and a blank line between blocks
+        ("point", "--config", str(config)): 2,
+    }
+    presets = {("fig2",): 40_000, ("fig3",): 122, ("fig4",): 472}
+    commands = map(json.dumps, [*argvs, *presets])
+    result = _child("-c", _BLOCKED_CHILD, json.dumps(_TEST_ONLY), *commands)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "0 2 False", "0 6 False", "0 122 False", "0 4 False",
-    ]
-    # reading the full-space generator loads scipy, which shows the check can see it
-    code = (
-        "import sys\nfrom qheatnet import oracle\nfrom qheatnet.model import NetworkParams\n"
-        "oracle.build(NetworkParams(), oracle.Generator.LOCAL, 2).generator\n"
-        "print('scipy' in sys.modules)"
-    )
-    result = _child("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["True"]
+    *runs, generator = result.stdout.splitlines()
+    expected = []
+    for argv, lines in argvs.items():
+        assert cli.main(list(argv)) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        expected.append(f"0 {lines} {digest[:16]}")
+    expected += [f"0 {lines} {_PRESET_SHA256[name]}" for (name,), lines in presets.items()]
+    assert runs == expected
+    # the block is live: the full-space reference, which no command reads, needs scipy
+    assert generator == "missing scipy.sparse"
+
+
+def test_pyproject_keeps_numpy_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", requirement).group().lower() for requirement in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert set(_TEST_ONLY) <= set(names(project["optional-dependencies"]["test"]))
 
 
 def test_oracle_rows_never_touch_the_full_space(monkeypatch):

@@ -255,12 +255,9 @@ def test_parse_config_rejects_bare_line():
         parse_config("omega_h\n")
 
 
-def test_params_from_mapping_overlays_base():
-    base = NetworkParams(omega_h=3.0)
-    params = params_from_mapping({"T_h": "15", "statistics": "TLS"}, base=base)
-    assert params.omega_h == 3.0
-    assert params.T_h == 15.0
-    assert params.statistics is Statistics.TLS
+def test_params_from_mapping_overlays_defaults():
+    params = params_from_mapping({"T_h": "15", "statistics": "TLS"})
+    assert params == replace(NetworkParams(), T_h=15.0, statistics=Statistics.TLS)
 
 
 def test_params_from_mapping_rejects_bad_statistics():
