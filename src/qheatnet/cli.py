@@ -19,14 +19,21 @@ error or None per row: the local and global treatments solve the columns
 at once, and the Fock oracle goes row by row through `errors.by_row`,
 building its own NetworkParams from each row's floats.  One writer puts
 the columns into one table of named columns, adding the Gaussian columns
-of bosonic rows from their moments in one call over the treatment's rows.  Blocks are views
-of row ranges of that table whose rows read as dicts.  Each block is rendered
-as one printf template per row, built from one table from cell type (float,
-int, bool, str, None) to formatter: a column holding one object throughout
-the block is formatted once into the template, a column holding the same
-objects as an earlier block (fig2's inner axis) reuses that block's texts,
-a column of floats, ints or bools of one type is a %.17g or %d slot, and any
-other column is formatted cell by cell into a %s slot.
+of bosonic rows from their moments in one call over the treatment's rows.
+Blocks are views of row ranges of that table whose rows read as dicts.
+
+Each block is rendered as one printf template per row, built from one
+table from cell type (float, int, bool, str, None) to formatter: a column
+holding one object throughout the block is formatted once into the
+template, a column holding the same objects as an earlier block (fig2's
+inner axis) reuses that block's texts, a column of ints or bools of one
+type is a %d slot, and any other column is formatted cell by cell into a
+%s slot.  Floats are not printed cell by cell: consecutive blocks are
+rendered in chunks of up to _CHUNK_ROWS rows, and each column's floats in
+a chunk are printed by one call of `_format17.format_floats`, the numpy
+kernel that gives the bytes of '%.17g' % x, into %s slots.  A chunk is
+large enough to spread numpy's per-call cost and small enough to bound
+the memory its texts take.
 
 The Fock oracle module is imported only when an oracle-* approach is asked
 for; the other treatments never load it.  No command needs more than numpy:
@@ -46,10 +53,12 @@ import sys
 from collections.abc import Sequence
 from dataclasses import replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from . import global_mme, local_mme
+from ._format17 import format_floats
 from .errors import GaplessSpectrum, HeatNetError, by_row
 from .gaussian import FIELDS as _CORRELATIONS, moment_correlation_columns
 from .model import _FLOAT_KEYS, NetworkParams, Statistics, load_config
@@ -297,66 +306,96 @@ def preset_fig4() -> tuple[tuple[str, ...], list[Block]]:
 
 
 # How each type of cell prints; gnuplot marks a missing value and an empty
-# string with a token so that every line keeps its fields.  A float, int or
-# bool prints through a printf conversion, which is that formatter's __self__.
+# string with a token so that every line keeps its fields.  An int or bool
+# prints through a printf conversion, which is that formatter's __self__.
 _CSV_FORMATS = {
     float: "%.17g".__mod__, int: "%d".__mod__, bool: "%d".__mod__, str: str,
     type(None): lambda _: "",
 }
 _GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): lambda _: "nan"}
+_CHUNK_ROWS = 4096  # most rows of consecutive blocks whose floats are formatted together
 
 
-def _block_text(
-    columns: tuple[str, ...], block: Block, formats: dict, separator: str, seen: dict
-) -> str:
-    """One block's lines joined by newlines, each line one printf template % row.
+def _chunk_texts(
+    columns: tuple[str, ...], blocks: list[Block], formats: dict, separator: str, seen: dict
+) -> list[str]:
+    """Each block's lines joined by newlines, each line one printf template % row.
 
-    A column that holds one object across the block is formatted once into
-    the template.  `seen` maps each other column to its cells in the last
-    block where they varied, and their texts once formatted: a column whose
-    cells are those same objects (identity, not equality: 0.0 == -0.0) is a
-    %s slot of those texts, formatted on the first repeat.  A column of one
-    cell type with a printf conversion is a slot of that conversion, and any
-    other column is formatted cell by cell into a %s slot.
+    A column that holds one object across a block is formatted once into
+    that block's template.  `seen` maps each other column to its cells in
+    the last block where they varied, and their texts once formatted: a
+    column whose cells are those same objects (identity, not equality:
+    0.0 == -0.0) is a %s slot of those texts, formatted on the first repeat.
+    A column of floats is a %s slot of texts from one format_floats call
+    per column over all the blocks given, a column of ints or bools of one
+    type is a %d slot, and any other column is formatted cell by cell into
+    a %s slot.
     """
-    template, slots = [], []
+    templates: list[list[str]] = [[] for _ in blocks]
+    slots: list[list[list]] = [[] for _ in blocks]
     for column in columns:
-        values = block.table[column][block.start : block.stop]
-        first = values[0] if values else None
-        formatter = formats[type(first)]
-        if all(value is first for value in values):
-            template.append(formatter(first).replace("%", "%%"))
-            continue
-        before, texts = seen.get(column, ((), None))
-        if len(before) != len(values) or not all(map(operator.is_, values, before)):
-            texts = None
-        elif texts is None:
-            texts = [formats[type(value)](value) for value in values]
-        seen[column] = values, texts
-        if texts is not None:
-            template.append("%s")
-            slots.append(texts)
-        elif hasattr(formatter, "__self__") and len(set(map(type, values))) == 1:
-            template.append(formatter.__self__)
-            slots.append(values)
-        else:
-            template.append("%s")
-            slots.append([formats[type(value)](value) for value in values])
-    rows = zip(*slots) if slots else [()] * len(block)  # a block of constants has no slot
-    return "\n".join(map(separator.join(template).__mod__, rows))
+        floats, pending = [], []  # the column's float cells, and each slot's share of them
+        for template, block_slots, block in zip(templates, slots, blocks):
+            values = block.table[column][block.start : block.stop]
+            first = values[0] if values else None
+            formatter = formats[type(first)]
+            if all(map(operator.is_, values, repeat(first))):
+                template.append(formatter(first).replace("%", "%%"))
+                continue
+            before, texts = seen.get(column, ((), None))
+            conversion = "%s"
+            if len(before) == len(values) and all(map(operator.is_, values, before)):
+                if texts is None:
+                    texts = [formats[type(value)](value) for value in values]
+            elif (kinds := set(map(type, values))) == {float}:
+                texts = []  # filled once the column's floats are formatted
+                pending.append((texts, slice(len(floats), len(floats) + len(values))))
+                floats += values
+            elif len(kinds) == 1 and hasattr(formatter, "__self__"):
+                texts, conversion = None, formatter.__self__
+            else:
+                texts = [formats[type(value)](value) for value in values]
+            seen[column] = values, texts
+            template.append(conversion)
+            block_slots.append(values if texts is None else texts)
+        if pending:
+            texts = format_floats(floats)
+            for slot, share in pending:
+                slot += texts[share]
+    lines = []
+    for template, block_slots, block in zip(templates, slots, blocks):
+        rows = zip(*block_slots) if block_slots else [()] * len(block)  # a block of constants
+        lines.append("\n".join(map(separator.join(template).__mod__, rows)))
+    return lines
+
+
+def _block_texts(columns: tuple[str, ...], blocks: list[Block], formats: dict, separator: str):
+    """Each block's text, rendered in chunks of consecutive blocks.
+
+    A chunk holds at most _CHUNK_ROWS rows, or one larger block, so the
+    texts of its cells are all that is alive at once beside the output.
+    """
+    seen: dict = {}
+    chunk: list[Block] = []
+    rows = 0
+    for block in blocks:
+        if chunk and rows + len(block) > _CHUNK_ROWS:
+            yield from _chunk_texts(columns, chunk, formats, separator, seen)
+            chunk, rows = [], 0
+        chunk.append(block)
+        rows += len(block)
+    yield from _chunk_texts(columns, chunk, formats, separator, seen)
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
-    seen: dict = {}
-    texts = (_block_text(columns, block, _CSV_FORMATS, ",", seen) for block in blocks)
+    texts = _block_texts(columns, blocks, _CSV_FORMATS, ",")
     return "\n".join([",".join(columns), *filter(None, texts), ""])
 
 
 def render_gnuplot(columns: tuple[str, ...], blocks: list[Block]) -> str:
     """Whitespace-separated table; blocks become blank-line separated so a
     2-D sweep is directly usable as a gnuplot grid."""
-    seen: dict = {}
-    texts = (_block_text(columns, block, _GNUPLOT_FORMATS, " ", seen) for block in blocks)
+    texts = _block_texts(columns, blocks, _GNUPLOT_FORMATS, " ")
     return "# " + " ".join(columns) + "\n" + "\n\n".join(texts) + "\n"
 
 

@@ -1102,6 +1102,35 @@ def test_renderer_matches_the_per_cell_reference_on_random_blocks(seed):
     _assert_renders_like_reference(columns, repeated, columns, repeated)
 
 
+def _chunked_blocks(rng) -> tuple[tuple[str, ...], list]:
+    # 300-row blocks over more than two chunks, with an empty and one-row
+    # blocks between them; the inner axis repeats its objects in every full
+    # block, and one float column holds a None in a block that follows a seam
+    inner = (rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, size=300)).tolist()
+    outer = rng.uniform(-1e3, 1e3, size=2 * cli._CHUNK_ROWS // 300 + 3).tolist()
+    rows = 300 * len(outer)
+    table = {
+        "outer": [value for value in outer for _ in range(300)] + [7.0, 8.0],
+        "inner": inner * len(outer) + [0.25, 0.25],
+        "floats": [*(_FLOATS[i] for i in rng.integers(len(_FLOATS), size=rows)), 1.5, -2.5],
+        "gaps": rng.standard_normal(rows + 2).tolist(),
+        "counts": rng.integers(-5, 5, size=rows + 2).tolist(),
+        "texts": [_TEXTS[i] for i in rng.integers(len(_TEXTS), size=rows + 2)],
+    }
+    seam = (cli._CHUNK_ROWS // 300) * 300
+    table["gaps"][seam + 150] = None
+    spans = [(start, start + 300) for start in range(0, rows, 300)]
+    spans[3:3] = [(rows, rows), (rows, rows + 1)]
+    spans[-2:-2] = [(rows + 1, rows + 2)]
+    return tuple(table), [cli.Block(table, start, stop) for start, stop in spans]
+
+
+def test_renderer_matches_the_per_cell_reference_across_chunks():
+    columns, blocks = _chunked_blocks(np.random.default_rng(5))
+    assert sum(map(len, blocks)) > 2 * cli._CHUNK_ROWS
+    _assert_renders_like_reference(columns, blocks, columns, blocks)
+
+
 def test_a_column_repeats_only_with_the_same_objects():
     # the second block repeats the first's objects and formats their texts;
     # the third's cells equal them (0.0 == -0.0) but are other objects, so it
