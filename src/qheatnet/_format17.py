@@ -33,12 +33,12 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _WIDTH = 24  # the longest text, '-d.dddddddddddddddde-ddd'
 _CLASSES = 23  # fixed notation for k = -4..16, then exponents of 2 and 3 digits
 
-# A row's source is 9 items of 4 characters (uint32 code points): N's six
+# A row's source is 9 items of 4 characters (bytes, one uint32): N's six
 # digit groups, |k|'s digits, the shared characters, the exponent's sign.
 # A group is three digits and a '0' that no layout reads; the sign item is
 # the sign and three NULs, which pad the text.
 _EXPONENT, _SHARED, _SIGN = 6, 7, 8
-_POINT, _ZERO, _MINUS, _E = 4 * _SHARED + np.arange(4)
+_POINT, _ZERO, _MINUS, _E = (4 * _SHARED + j for j in range(4))
 _PAD = 4 * _SIGN + 1
 
 
@@ -78,7 +78,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     """
     digits = np.arange(1000)[:, None] // np.array([100, 10, 1, 10**9]) % 10
     shared = np.array([[ord(c) for c in ".0-e"], [ord("+"), 0, 0, 0], [ord("-"), 0, 0, 0]])
-    items = np.concatenate([48 + digits, shared]).astype(np.uint32)
+    items = np.concatenate([48 + digits, shared]).astype(np.uint8)
 
     sign, cls, L = np.indices((2, _CLASSES, 17)).reshape(3, -1, 1)
     L, k = L + 1, cls - 4
@@ -103,7 +103,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     cls = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22))
     by_exponent = np.stack([17 * cls, np.abs(k), 1001 + (k < 0)])
     zeros = np.count_nonzero(np.arange(1000)[:, None] % [10, 100, 1000] == 0, axis=1)
-    return items.view("V16").ravel(), layout, by_exponent, 2 - zeros
+    return items.view(np.uint32).ravel(), layout, by_exponent, 2 - zeros
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,14 +115,12 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def format_floats(values: list) -> list[str]:
-    """['%.17g' % x for x in values], for a list of Python floats."""
-    rows = len(values)
-    x = np.fromiter(values, dtype=np.float64, count=rows)
+def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N, k - _K_MIN, and whether N decides the text, for each cell of x."""
     a = np.abs(x)
     fast = (a >= _LOW) & (a <= _HIGH)
     a[~fast] = 1.0  # any value in range keeps the other lanes' arithmetic quiet
-    i = np.floor(np.log10(a)).astype(np.intp) - _K_MIN  # k - _K_MIN
+    i = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
     hi, lo = _powers(i)
     y, rest = _two_product(a, hi)
     rest += a * lo
@@ -134,9 +132,13 @@ def format_floats(values: list) -> list[str]:
     n[~decided] = 10**16
     zero = x == 0.0  # ±0 prints 0 or -0: N = 0, one digit
     n[zero] = 0
-    decided |= zero
+    return n, i, decided | zero
 
-    items, layout, by_exponent, last_digit = _tables()
+
+def _source(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's source characters, flat, and its layout row."""
+    items, _, by_exponent, last_digit = _tables()
+    rows = len(n)
     which = np.empty((rows, 9), dtype=np.intp)
     upper = n // 10**9
     for column, part in (0, upper), (3, n - upper * 10**9):
@@ -153,9 +155,23 @@ def format_floats(values: list) -> list[str]:
         group -= zeros
     digits = 3 * group + last_digit.take(which.ravel().take(9 * np.arange(rows) + group))
     np.maximum(digits, 1, out=digits)  # N = 0 has no nonzero digit
-    index = layout.take(np.signbit(x) * (17 * _CLASSES) + cls + digits - 1, axis=0)
-    index += 36 * np.arange(rows)[:, None]
-    chars = items.take(which).view(np.uint32).ravel().take(index)
+    key = minus * (17 * _CLASSES) + cls + digits - 1
+    return items.take(which).view(np.uint8).ravel(), key
+
+
+def _chars(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """The texts as a (rows, _WIDTH) matrix of characters, NUL-padded."""
+    source, key = _source(n, i, minus)
+    index = _tables()[1].take(key, axis=0)
+    index += 36 * np.arange(len(n))[:, None]
+    return source.take(index)
+
+
+def format_floats(values: list) -> list[str]:
+    """['%.17g' % x for x in values], for a list of Python floats."""
+    x = np.fromiter(values, dtype=np.float64, count=len(values))
+    n, i, decided = _significand(x)
+    chars = _chars(n, i, np.signbit(x)).astype(np.uint32)
     texts = chars.view(f"U{_WIDTH}").ravel().tolist()
     for j in np.flatnonzero(~decided).tolist():
         texts[j] = "%.17g" % values[j]

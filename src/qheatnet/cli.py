@@ -28,12 +28,13 @@ holding one object throughout the block is formatted once into the
 template, a column holding the same objects as an earlier block (fig2's
 inner axis) reuses that block's texts, a column of ints or bools of one
 type is a %d slot, and any other column is formatted cell by cell into a
-%s slot.  Floats are not printed cell by cell: consecutive blocks are
-rendered in chunks of up to _CHUNK_ROWS rows, and each column's floats in
-a chunk are printed by one call of `_format17.format_floats`, the numpy
-kernel that gives the bytes of '%.17g' % x, into %s slots.  A chunk is
-large enough to spread numpy's per-call cost and small enough to bound
-the memory its texts take.
+%s slot.  A column of floats of one type is a %s slot too, but its texts
+come later: consecutive blocks are rendered in chunks that hold about
+_CHUNK_CELLS such floats, and one call of `_format17.format_floats`, the
+numpy kernel that gives the bytes of '%.17g' % x, prints all of a chunk's
+floats before its lines are joined.  A chunk is large enough to spread
+numpy's per-call cost and small enough to bound the memory of its texts
+and of the kernel's arrays.
 
 The Fock oracle module is imported only when an oracle-* approach is asked
 for; the other treatments never load it.  No command needs more than numpy:
@@ -313,78 +314,72 @@ _CSV_FORMATS = {
     type(None): lambda _: "",
 }
 _GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): lambda _: "nan"}
-_CHUNK_ROWS = 4096  # most rows of consecutive blocks whose floats are formatted together
+_CHUNK_CELLS = 4096  # float cells, of consecutive blocks, that one format_floats call prints
 
 
-def _chunk_texts(
-    columns: tuple[str, ...], blocks: list[Block], formats: dict, separator: str, seen: dict
-) -> list[str]:
-    """Each block's lines joined by newlines, each line one printf template % row.
+def _block_template(
+    columns: tuple[str, ...], block: Block, formats: dict, separator: str, seen: dict,
+    floats: list, shares: list,
+) -> tuple[str, list[list], int]:
+    """One block's printf template, its slots and its row count.
 
-    A column that holds one object across a block is formatted once into
-    that block's template.  `seen` maps each other column to its cells in
-    the last block where they varied, and their texts once formatted: a
-    column whose cells are those same objects (identity, not equality:
-    0.0 == -0.0) is a %s slot of those texts, formatted on the first repeat.
-    A column of floats is a %s slot of texts from one format_floats call
-    per column over all the blocks given, a column of ints or bools of one
-    type is a %d slot, and any other column is formatted cell by cell into
-    a %s slot.
+    A column that holds one object across the block is formatted once into
+    the template.  `seen` maps each other column to its cells in the last
+    block where they varied, and their texts: a column whose cells are
+    those same objects (identity, not equality: 0.0 == -0.0) is a %s slot
+    of those texts, which a %d column formats on its first repeat.  A
+    column of floats is a %s slot that stays empty here: its cells join
+    `floats`, and `shares` pairs the slot with their slice of it.  A column
+    of ints or bools of one type is a %d slot, and any other column is
+    formatted cell by cell into a %s slot.
     """
-    templates: list[list[str]] = [[] for _ in blocks]
-    slots: list[list[list]] = [[] for _ in blocks]
+    template, slots = [], []
     for column in columns:
-        floats, pending = [], []  # the column's float cells, and each slot's share of them
-        for template, block_slots, block in zip(templates, slots, blocks):
-            values = block.table[column][block.start : block.stop]
-            first = values[0] if values else None
-            formatter = formats[type(first)]
-            if all(map(operator.is_, values, repeat(first))):
-                template.append(formatter(first).replace("%", "%%"))
-                continue
-            before, texts = seen.get(column, ((), None))
-            conversion = "%s"
-            if len(before) == len(values) and all(map(operator.is_, values, before)):
-                if texts is None:
-                    texts = [formats[type(value)](value) for value in values]
-            elif (kinds := set(map(type, values))) == {float}:
-                texts = []  # filled once the column's floats are formatted
-                pending.append((texts, slice(len(floats), len(floats) + len(values))))
-                floats += values
-            elif len(kinds) == 1 and hasattr(formatter, "__self__"):
-                texts, conversion = None, formatter.__self__
-            else:
+        values = block.table[column][block.start : block.stop]
+        first = values[0] if values else None
+        formatter = formats[type(first)]
+        if all(map(operator.is_, values, repeat(first))):
+            template.append(formatter(first).replace("%", "%%"))
+            continue
+        before, texts = seen.get(column, ((), None))
+        conversion = "%s"
+        if len(before) == len(values) and all(map(operator.is_, values, before)):
+            if texts is None:
                 texts = [formats[type(value)](value) for value in values]
-            seen[column] = values, texts
-            template.append(conversion)
-            block_slots.append(values if texts is None else texts)
-        if pending:
-            texts = format_floats(floats)
-            for slot, share in pending:
-                slot += texts[share]
-    lines = []
-    for template, block_slots, block in zip(templates, slots, blocks):
-        rows = zip(*block_slots) if block_slots else [()] * len(block)  # a block of constants
-        lines.append("\n".join(map(separator.join(template).__mod__, rows)))
-    return lines
+        elif (kinds := set(map(type, values))) == {float}:
+            texts = []
+            shares.append((texts, slice(len(floats), len(floats) + len(values))))
+            floats += values
+        elif len(kinds) == 1 and hasattr(formatter, "__self__"):
+            texts, conversion = None, formatter.__self__
+        else:
+            texts = [formats[type(value)](value) for value in values]
+        seen[column] = values, texts
+        template.append(conversion)
+        slots.append(values if texts is None else texts)
+    return separator.join(template), slots, len(block)
 
 
 def _block_texts(columns: tuple[str, ...], blocks: list[Block], formats: dict, separator: str):
-    """Each block's text, rendered in chunks of consecutive blocks.
+    """Each block's lines joined by newlines, each line its template % row.
 
-    A chunk holds at most _CHUNK_ROWS rows, or one larger block, so the
-    texts of its cells are all that is alive at once beside the output.
+    Blocks are rendered in chunks: consecutive blocks whose float cells
+    reach _CHUNK_CELLS, or the last ones.  One format_floats call prints a
+    chunk's floats for every float slot, so the texts of one chunk are all
+    that is alive at once beside the output.
     """
     seen: dict = {}
-    chunk: list[Block] = []
-    rows = 0
-    for block in blocks:
-        if chunk and rows + len(block) > _CHUNK_ROWS:
-            yield from _chunk_texts(columns, chunk, formats, separator, seen)
-            chunk, rows = [], 0
-        chunk.append(block)
-        rows += len(block)
-    yield from _chunk_texts(columns, chunk, formats, separator, seen)
+    floats, shares, templates = [], [], []
+    for count, block in enumerate(blocks, 1):
+        templates.append(_block_template(columns, block, formats, separator, seen, floats, shares))
+        if len(floats) < _CHUNK_CELLS and count < len(blocks):
+            continue
+        texts = format_floats(floats) if floats else []
+        for slot, share in shares:
+            slot += texts[share]
+        for template, slots, rows in templates:
+            yield "\n".join(map(template.__mod__, zip(*slots) if slots else [()] * rows))
+        floats, shares, templates = [], [], []
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:

@@ -1103,11 +1103,11 @@ def test_renderer_matches_the_per_cell_reference_on_random_blocks(seed):
 
 
 def _chunked_blocks(rng) -> tuple[tuple[str, ...], list]:
-    # 300-row blocks over more than two chunks, with an empty and one-row
-    # blocks between them; the inner axis repeats its objects in every full
-    # block, and one float column holds a None in a block that follows a seam
+    # 300-row blocks whose floats fill more than two chunks, with an empty
+    # and two one-row blocks among them; the inner axis repeats its objects
+    # in every full block, and one float column holds a None mid-table
     inner = (rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, size=300)).tolist()
-    outer = rng.uniform(-1e3, 1e3, size=2 * cli._CHUNK_ROWS // 300 + 3).tolist()
+    outer = rng.uniform(-1e3, 1e3, size=cli._CHUNK_CELLS // 300 + 3).tolist()
     rows = 300 * len(outer)
     table = {
         "outer": [value for value in outer for _ in range(300)] + [7.0, 8.0],
@@ -1117,8 +1117,7 @@ def _chunked_blocks(rng) -> tuple[tuple[str, ...], list]:
         "counts": rng.integers(-5, 5, size=rows + 2).tolist(),
         "texts": [_TEXTS[i] for i in rng.integers(len(_TEXTS), size=rows + 2)],
     }
-    seam = (cli._CHUNK_ROWS // 300) * 300
-    table["gaps"][seam + 150] = None
+    table["gaps"][rows // 2] = None
     spans = [(start, start + 300) for start in range(0, rows, 300)]
     spans[3:3] = [(rows, rows), (rows, rows + 1)]
     spans[-2:-2] = [(rows + 1, rows + 2)]
@@ -1127,7 +1126,7 @@ def _chunked_blocks(rng) -> tuple[tuple[str, ...], list]:
 
 def test_renderer_matches_the_per_cell_reference_across_chunks():
     columns, blocks = _chunked_blocks(np.random.default_rng(5))
-    assert sum(map(len, blocks)) > 2 * cli._CHUNK_ROWS
+    assert 2 * sum(map(len, blocks)) > 2 * cli._CHUNK_CELLS  # two float columns vary throughout
     _assert_renders_like_reference(columns, blocks, columns, blocks)
 
 
