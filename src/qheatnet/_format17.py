@@ -38,7 +38,7 @@ _CLASSES = 23  # fixed notation for k = -4..16, then exponents of 2 and 3 digits
 # A group is three digits and a '0' that no layout reads; the sign item is
 # the sign and three NULs, which pad the text.
 _EXPONENT, _SHARED, _SIGN = 6, 7, 8
-_POINT, _ZERO, _MINUS, _E = (4 * _SHARED + j for j in range(4))
+_POINT, _ZERO, _MINUS, _E = range(4 * _SHARED, 4 * _SHARED + 4)
 _PAD = 4 * _SIGN + 1
 
 
@@ -145,7 +145,8 @@ def _source(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray
         high = part // 10**6
         low = part - high * 10**6
         middle = low // 1000
-        which[:, column], which[:, column + 1], which[:, column + 2] = high, middle, low - middle * 1000
+        which[:, column], which[:, column + 1] = high, middle
+        which[:, column + 2] = low - middle * 1000
     cls, which[:, _EXPONENT], which[:, _SIGN] = by_exponent.take(i, axis=1)
     which[:, _SHARED] = 1000
     # N's last nonzero group of digits, then its last nonzero digit

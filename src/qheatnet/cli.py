@@ -30,11 +30,11 @@ inner axis) reuses that block's texts, a column of ints or bools of one
 type is a %d slot, and any other column is formatted cell by cell into a
 %s slot.  A column of floats of one type is a %s slot too, but its texts
 come later: consecutive blocks are rendered in chunks that hold about
-_CHUNK_CELLS such floats, and one call of `_format17.format_floats`, the
-numpy kernel that gives the bytes of '%.17g' % x, prints all of a chunk's
-floats before its lines are joined.  A chunk is large enough to spread
-numpy's per-call cost and small enough to bound the memory of its texts
-and of the kernel's arrays.
+_CHUNK_CELLS such floats (a longer block in pieces of _CHUNK_CELLS rows),
+and one call of `_format17.format_floats`, the numpy kernel that gives the
+bytes of '%.17g' % x, prints all of a chunk's floats before its lines are
+joined.  A chunk is large enough to spread numpy's per-call cost and small
+enough to bound the memory of its texts and of the kernel's arrays.
 
 The Fock oracle module is imported only when an oracle-* approach is asked
 for; the other treatments never load it.  No command needs more than numpy:
@@ -314,7 +314,7 @@ _CSV_FORMATS = {
     type(None): lambda _: "",
 }
 _GNUPLOT_FORMATS = {**_CSV_FORMATS, str: lambda text: text or "-", type(None): lambda _: "nan"}
-_CHUNK_CELLS = 4096  # float cells, of consecutive blocks, that one format_floats call prints
+_CHUNK_CELLS = 4096  # float cells per format_floats call, and rows per piece of a longer block
 
 
 def _block_template(
@@ -364,22 +364,32 @@ def _block_texts(columns: tuple[str, ...], blocks: list[Block], formats: dict, s
     """Each block's lines joined by newlines, each line its template % row.
 
     Blocks are rendered in chunks: consecutive blocks whose float cells
-    reach _CHUNK_CELLS, or the last ones.  One format_floats call prints a
-    chunk's floats for every float slot, so the texts of one chunk are all
-    that is alive at once beside the output.
+    reach _CHUNK_CELLS, or the last ones, and a block of more rows than
+    that in pieces of _CHUNK_CELLS rows, each with its own template.  One
+    format_floats call prints a chunk's floats for every float slot, so the
+    texts of one chunk are all that is alive at once beside the output.
     """
     seen: dict = {}
-    floats, shares, templates = [], [], []
+    floats, shares, pieces, lines = [], [], [], []
     for count, block in enumerate(blocks, 1):
-        templates.append(_block_template(columns, block, formats, separator, seen, floats, shares))
-        if len(floats) < _CHUNK_CELLS and count < len(blocks):
-            continue
-        texts = format_floats(floats) if floats else []
-        for slot, share in shares:
-            slot += texts[share]
-        for template, slots, rows in templates:
-            yield "\n".join(map(template.__mod__, zip(*slots) if slots else [()] * rows))
-        floats, shares, templates = [], [], []
+        starts = range(block.start, block.stop, _CHUNK_CELLS) or [block.start]  # one empty piece
+        for start in starts:
+            piece = Block(block.table, start, min(start + _CHUNK_CELLS, block.stop))
+            ends = piece.stop == block.stop
+            template = _block_template(columns, piece, formats, separator, seen, floats, shares)
+            pieces.append((*template, ends))
+            if len(floats) < _CHUNK_CELLS and not (ends and count == len(blocks)):
+                continue
+            texts = format_floats(floats) if floats else []
+            for slot, share in shares:
+                slot += texts[share]
+            for template, slots, rows, last in pieces:
+                cells = zip(*slots) if slots else [()] * rows  # a piece of constants has no slot
+                lines.append("\n".join(map(template.__mod__, cells)))
+                if last:
+                    yield "\n".join(lines)
+                    lines = []
+            floats, shares, pieces = [], [], []
 
 
 def render_csv(columns: tuple[str, ...], blocks: list[Block]) -> str:
