@@ -14,7 +14,9 @@ three digit characters, |k| as one, the characters every row shares and
 the exponent's sign.  A layout table, one row per (sign, notation class,
 digit count), names the source column of each of the text's characters,
 so the rows become one fixed-width char matrix read back as strings.
-±0 is N = 0 printed with one digit.
+±0 is N = 0 printed with one digit.  The steps are separate functions so
+that each one's arrays are freed before the next allocates its own: the
+kernel peaks at about 300 bytes a cell.
 
 Every other cell this cannot decide goes through `'%.17g' %` itself: a
 fraction near ½ (exact ties included), N outside [10^16, 10^17) (k

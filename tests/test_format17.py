@@ -31,7 +31,7 @@ def _targeted_cells() -> list[float]:
     cells = [
         0.0, 5e-324, sys.float_info.min, *fast_ends, *round_up, *_powers_of_ten_and_neighbours(),
         123456789012345.625, 123456789012345.875,  # exact ties: half-even gives .62, .88
-        83529798150037440.0, 1e16, 1e15, 1234.5, 0.5, 0.1, 100.0,  # zeros in the integer part
+        83529798150037440.0, 1e16, 1e15, 100.0, 1234.5, 0.5, 0.1,  # zeros kept, then stripped
         math.nan, math.inf,
     ]
     return cells + [-cell for cell in cells]
