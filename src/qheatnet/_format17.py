@@ -39,7 +39,7 @@ _CLASSES = 23  # fixed notation for k = -4..16, then exponents of 2 and 3 digits
 # digit groups, |k|'s digits, the shared characters, the exponent's sign.
 # A group is three digits and a '0' that no layout reads; the sign item is
 # the sign and three NULs, which pad the text.
-_EXPONENT, _SHARED, _SIGN = 6, 7, 8
+_EXPONENT, _SHARED, _SIGN, _ITEMS = 6, 7, 8, 9
 _POINT, _ZERO, _MINUS, _E = range(4 * _SHARED, 4 * _SHARED + 4)
 _PAD = 4 * _SIGN + 1
 
@@ -141,7 +141,7 @@ def _source(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray
     """Each row's source characters, flat, and its layout row."""
     items, _, by_exponent, last_digit = _tables()
     rows = len(n)
-    which = np.empty((rows, 9), dtype=np.intp)
+    which = np.empty((rows, _ITEMS), dtype=np.intp)
     upper = n // 10**9
     for column, part in (0, upper), (3, n - upper * 10**9):
         high = part // 10**6
@@ -156,7 +156,7 @@ def _source(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray
     for column in 5, 4, 3, 2, 1:
         zeros &= which[:, column] == 0
         group -= zeros
-    digits = 3 * group + last_digit.take(which.ravel().take(9 * np.arange(rows) + group))
+    digits = 3 * group + last_digit.take(which.ravel().take(_ITEMS * np.arange(rows) + group))
     np.maximum(digits, 1, out=digits)  # N = 0 has no nonzero digit
     key = minus * (17 * _CLASSES) + cls + digits - 1
     return items.take(which).view(np.uint8).ravel(), key
@@ -166,7 +166,7 @@ def _chars(n: np.ndarray, i: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """The texts as a (rows, _WIDTH) matrix of characters, NUL-padded."""
     source, key = _source(n, i, minus)
     index = _tables()[1].take(key, axis=0)
-    index += 36 * np.arange(len(n))[:, None]
+    index += 4 * _ITEMS * np.arange(len(n))[:, None]
     return source.take(index)
 
 
